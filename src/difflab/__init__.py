@@ -34,7 +34,7 @@ from .systems import (GeneralSolution, GeneralSystemSpec, PRESET_SYSTEMS,
                       poly_combine, poly_eval, poly_max_coeff,
                       preset_p_q_2s3, preset_quad4, preset_s1_2s2,
                       preset_uum, quad_identity_report, quad_mass_report,
-                      quad_mu, quad_mu_report, quadratic_solve, reaction_rhs,
+                      quad_mu, quad_mu_report, quadratic_solve,
                       skt_auxiliary, skt_solve, structural_checks,
                       transform_consistency_report,
                       transformed_residual_report)

@@ -19,6 +19,7 @@ import sys
 from .errors import ConfigError, LabError
 from .harness import (ExperimentConfig, preset_config, preset_names,
                       run_experiment, run_with_refinement)
+from .report import jsonable
 from .rough import explicit_constants
 
 
@@ -59,16 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
-
-
 def _print_report(report, label: str = "") -> None:
     if label:
         print(label)
@@ -98,14 +89,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_presets(_args) -> int:
-    table = {name: _jsonable(preset_config(name)) for name in preset_names()}
+    table = {name: jsonable(preset_config(name)) for name in preset_names()}
     print(json.dumps(table, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_constants(args) -> int:
     bundle = explicit_constants(args.d, args.p, args.q, args.a0, args.c0)
-    print(json.dumps(_jsonable(bundle.to_dict()), indent=2, sort_keys=True))
+    print(json.dumps(jsonable(bundle.to_dict()), indent=2, sort_keys=True))
     return 0
 
 

@@ -1,10 +1,18 @@
 """Snapshot I/O.
 
-Binary layout (little endian): int32 dim, int32 n per axis, float64 h,
-float64 dt, int32 frame count, then frame count full-box float64 arrays in C
-order with NaN on inactive nodes.  The mask is reconstructed from the NaN
-pattern of the first frame; the time origin is not persisted and reloads as
-zero.  CSV export writes one row per active node (coordinates, value).
+Binary trajectory layout, version 2 (little endian):
+
+* magic ``b"DIFFLAB\\0"``, int32 version (2), int32 dim;
+* int32 node count per axis, float64 extent per axis, float64 origin per
+  axis;
+* int32 frame count, float64 time per frame;
+* uint8 node class per box node in C order: 0 inactive, 1 active,
+  2 Dirichlet ghost;
+* float64 values of the active nodes, frame after frame.
+
+The file length must match its header exactly: a truncated or foreign file
+raises ``ParameterError``.  CSV export writes one row per active node
+(coordinates, value).
 """
 
 from __future__ import annotations
@@ -17,39 +25,53 @@ import numpy as np
 from .errors import ParameterError
 from .grid import DomainMask, Field, GridSpec, Trajectory
 
-_MAGIC = struct.Struct("<i")
+_HEAD = struct.Struct("<8sii")       # magic, version, dim
+_MAGIC = b"DIFFLAB\0"
+_VERSION = 2
+_ACTIVE, _DIRICHLET = 1, 2           # node classes; 0 is inactive
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
     grid = traj.grid
+    classes = np.zeros(grid.n, dtype=np.uint8)
+    classes[traj.mask.active] = _ACTIVE
+    classes[traj.mask.dirichlet] = _DIRICHLET
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<i", grid.dim))
-        fh.write(struct.pack(f"<{grid.dim}i", *grid.n))
-        fh.write(struct.pack("<dd", grid.h, traj.dt))
-        fh.write(struct.pack("<i", traj.n_frames))
-        for k in range(traj.n_frames):
-            full = traj.mask.scatter(traj.values[k], fill=np.nan)
-            fh.write(np.ascontiguousarray(full, dtype="<f8").tobytes())
+        fh.write(_HEAD.pack(_MAGIC, _VERSION, grid.dim))
+        fh.write(struct.pack(f"<{grid.dim}i{2 * grid.dim}di", *grid.n,
+                             *grid.extent, *grid.origin, traj.n_frames))
+        fh.write(np.ascontiguousarray(traj.times, dtype="<f8").tobytes())
+        fh.write(classes.tobytes())
+        fh.write(np.ascontiguousarray(traj.values, dtype="<f8").tobytes())
 
 
 def load_trajectory(path) -> Trajectory:
     with open(path, "rb") as fh:
-        (dim,) = struct.unpack("<i", fh.read(4))
-        if not 1 <= dim <= 4:
-            raise ParameterError(f"corrupt snapshot: dim={dim}")
-        n = struct.unpack(f"<{dim}i", fh.read(4 * dim))
-        h, dt = struct.unpack("<dd", fh.read(16))
-        (n_frames,) = struct.unpack("<i", fh.read(4))
-        count = int(np.prod(n))
-        frames = np.frombuffer(fh.read(8 * count * n_frames), dtype="<f8")
-    frames = frames.reshape((n_frames,) + tuple(n)).astype(float)
-    extent = tuple(h * (k - 1) for k in n)
-    grid = GridSpec.make(extent, n)
-    active = ~np.isnan(frames[0])
-    mask = DomainMask(grid, active)
-    values = np.stack([frames[k][active] for k in range(n_frames)])
-    times = dt * np.arange(n_frames)
-    return Trajectory(mask, times, values)
+        data = fh.read()
+    try:
+        magic, version, dim = _HEAD.unpack_from(data)
+        if magic != _MAGIC or version != _VERSION or not 1 <= dim <= 4:
+            raise ParameterError("not a version-2 difflab trajectory")
+        geom = struct.Struct(f"<{dim}i{2 * dim}di")
+        *sizes, n_frames = geom.unpack_from(data, _HEAD.size)
+        n, extent, origin = tuple(sizes[:dim]), sizes[dim:2 * dim], sizes[2 * dim:]
+        if min(n) < 2 or n_frames < 1:
+            raise ParameterError(f"node counts {n}, {n_frames} frames")
+        pos = _HEAD.size + geom.size
+        times = np.frombuffer(data, "<f8", n_frames, pos)
+        pos += times.nbytes
+        classes = np.frombuffer(data, np.uint8, int(np.prod(n)), pos)
+        pos += classes.nbytes
+        active = (classes == _ACTIVE).reshape(n)
+        values = np.frombuffer(data, "<f8", n_frames * int(active.sum()), pos)
+    except (struct.error, ValueError) as exc:
+        raise ParameterError(f"unreadable snapshot {path}: {exc}") from exc
+    if pos + values.nbytes != len(data) or classes.max() > _DIRICHLET:
+        raise ParameterError(f"corrupt snapshot {path}: length or node class")
+    grid = GridSpec.make(extent, n, origin=origin)
+    mask = DomainMask(grid, active, (classes == _DIRICHLET).reshape(n))
+    return Trajectory(mask, times.astype(float),
+                      values.reshape(n_frames, -1).astype(float))
 
 
 def save_field(path, field: Field) -> None:

@@ -11,21 +11,24 @@ are encoded per ghost node (an inactive node next to an active one):
   interpolant vanishes at the face midpoint.
 
 The Laplacian is assembled in divergence form, as a difference of face
-fluxes.  On a pure-Neumann mask the node sum of the Laplacian telescopes to
-zero exactly, which is what makes explicit diffusion steps conserve mass to
-roundoff.
+fluxes, once per mask: a sparse matrix on the active nodes with the ghost
+rules folded into its diagonal.  On a pure-Neumann mask the node sum of the
+Laplacian telescopes to zero exactly, which is what makes explicit diffusion
+steps conserve mass to roundoff.  Every solver in the lab advances its
+active-node state through :func:`march`, one sparse product per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
+from scipy.sparse import linalg as splinalg
 
-from .errors import DomainError, GeometryError, ParameterError, SolverError
+from .errors import GeometryError, ParameterError, SolverError
 
 MAX_NODES = 2 ** 24
 
@@ -88,28 +91,6 @@ class GridSpec:
         return list(np.meshgrid(*axes, indexing="ij"))
 
 
-def _shift_down(a: np.ndarray, ax: int) -> np.ndarray:
-    """out[..., i, ...] = a[..., i+1, ...], zero/False-padded at the top."""
-    out = np.zeros_like(a)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    src[ax] = slice(1, None)
-    dst[ax] = slice(None, -1)
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
-def _shift_up(a: np.ndarray, ax: int) -> np.ndarray:
-    """out[..., i, ...] = a[..., i-1, ...], zero/False-padded at the bottom."""
-    out = np.zeros_like(a)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    src[ax] = slice(None, -1)
-    dst[ax] = slice(1, None)
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # masks
 
@@ -142,9 +123,10 @@ class DomainMask:
         self.active = active
         self.dirichlet = dirichlet
         self.active_count = int(active.sum())
-        self._stencil = None
         self._coords = None
-        self._worst_row = None
+        self._lap = None
+        self._grad = None
+        self._row_max = None
 
     # -- node bookkeeping ---------------------------------------------------
 
@@ -176,38 +158,83 @@ class DomainMask:
         d2 = np.sum((coords - np.asarray(center, dtype=float)) ** 2, axis=1)
         return d2 <= radius * radius * (1 + 1e-12)
 
-    # -- stencil ------------------------------------------------------------
+    # -- operators ----------------------------------------------------------
 
-    def _face_masks(self):
-        """Per axis: (both-active, hi-ghost-dirichlet, lo-ghost-dirichlet)."""
-        if self._stencil is None:
-            st = []
+    def _neighbours(self, ax: int):
+        """Per active node along ``ax``: the rows of its lower and upper
+        neighbours (-1 where that node is not active) and how many of the
+        two are Dirichlet ghosts."""
+        idx = np.full(self.grid.n, -1, dtype=np.int64)
+        idx[self.active] = np.arange(self.active_count)
+        axes = range(self.grid.dim)
+        lo = tuple(slice(None, -1) if a == ax else slice(None) for a in axes)
+        hi = tuple(slice(1, None) if a == ax else slice(None) for a in axes)
+        down, up = np.full_like(idx, -1), np.full_like(idx, -1)
+        down[hi], up[lo] = idx[lo], idx[hi]
+        ghosts = np.zeros(self.grid.n)
+        ghosts[hi] += self.dirichlet[lo]
+        ghosts[lo] += self.dirichlet[hi]
+        return down[self.active], up[self.active], ghosts[self.active]
+
+    def laplacian_matrix(self) -> sparse.csr_matrix:
+        """Divergence-form Laplacian on the active nodes, assembled once.
+
+        A face to an active neighbour j carries the flux (u_j - u_i)/h^2, a
+        face to a Dirichlet ghost -2 u_i/h^2, a Neumann face nothing.  Row i
+        lists, axis by axis, the neighbours along the axis and then i itself
+        with the axis's diagonal weight, so each axis sums to exactly zero
+        on a constant.  The matrix is symmetric and negative semidefinite;
+        on a pure-Neumann mask its rows sum to zero.
+        """
+        if self._lap is None:
+            n = self.active_count
+            me = np.arange(n)
+            c = 1.0 / self.grid.h ** 2
+            diag = np.zeros(n)                 # diagonal weight of -lap*h^2
+            cols, vals = [], []                # one column per row entry
             for ax in range(self.grid.dim):
-                act_hi = _shift_down(self.active, ax)
-                dir_hi = _shift_down(self.dirichlet, ax)
-                pair = self.active & act_hi
-                dhi = self.active & dir_hi
-                dlo = self.dirichlet & act_hi
-                st.append((pair, dhi if dhi.any() else None,
-                           dlo if dlo.any() else None))
-            self._stencil = st
-        return self._stencil
+                down, up, ghosts = self._neighbours(ax)
+                weight = (down >= 0).astype(float) + (up >= 0) + 2.0 * ghosts
+                diag += weight
+                cols += [down, up, np.where(weight > 0, me, -1)]
+                vals += [np.full(n, c), np.full(n, c), -c * weight]
+            cols, vals = np.stack(cols, axis=1), np.stack(vals, axis=1)
+            keep = cols >= 0                   # row-major: entries keep order
+            indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+            self._lap = sparse.csr_matrix((vals[keep], cols[keep], indptr),
+                                          shape=(n, n))
+            self._row_max = float(diag.max())
+        return self._lap
+
+    def gradient_matrix(self) -> sparse.csr_matrix:
+        """Nodal gradient as a (dim * active_count, active_count) matrix.
+
+        Row ``i * dim + ax`` differences node i along ``ax``: central where
+        both axis neighbours are active, one-sided where only one is, an
+        empty row where the node is isolated along the axis.
+        """
+        if self._grad is None:
+            n, dim = self.active_count, self.grid.dim
+            me = np.arange(n)
+            rows, cols, data = [], [], []
+            for ax in range(dim):
+                down, up, _ = self._neighbours(ax)
+                step = self.grid.h * ((down >= 0).astype(float) + (up >= 0))
+                ok = step > 0
+                rows += [me[ok] * dim + ax] * 2
+                cols += [np.where(up >= 0, up, me)[ok],
+                         np.where(down >= 0, down, me)[ok]]
+                data += [1.0 / step[ok], -1.0 / step[ok]]
+            self._grad = sparse.csr_matrix(
+                (np.concatenate(data),
+                 (np.concatenate(rows), np.concatenate(cols))),
+                shape=(dim * n, n))
+        return self._grad
 
     def laplacian_full(self, vals: np.ndarray) -> np.ndarray:
-        """Divergence-form Laplacian on a full-box array (zeros off-mask)."""
-        out = np.zeros_like(vals)
-        for ax, (pair, dhi, dlo) in enumerate(self._face_masks()):
-            hi = _shift_down(vals, ax)
-            flux = np.where(pair, hi - vals, 0.0)
-            if dhi is not None:
-                flux = np.where(dhi, -2.0 * vals, flux)
-            if dlo is not None:
-                flux = np.where(dlo, 2.0 * hi, flux)
-            out += flux
-            out -= _shift_up(flux, ax)
-        out /= self.grid.h ** 2
-        out[~self.active] = 0.0
-        return out
+        """:meth:`laplacian_matrix` applied to a full-box array (zeros
+        off-mask; ghost values are never read)."""
+        return self.scatter(self.laplacian_matrix() @ self.gather(vals))
 
     def stencil_row_max(self) -> float:
         """Largest diagonal weight of -Laplacian*h^2 over active nodes.
@@ -215,17 +242,8 @@ class DomainMask:
         Interior faces count 1, Dirichlet faces count 2; this drives the
         explicit-Euler stability limit.
         """
-        if self._worst_row is None:
-            row = np.zeros(self.grid.n)
-            for ax, (pair, dhi, dlo) in enumerate(self._face_masks()):
-                row += pair.astype(float)
-                row += _shift_up(pair.astype(float), ax)
-                if dhi is not None:
-                    row += 2.0 * dhi.astype(float)
-                if dlo is not None:
-                    row += 2.0 * _shift_up(dlo.astype(float), ax)
-            self._worst_row = float(row[self.active].max())
-        return self._worst_row
+        self.laplacian_matrix()
+        return self._row_max
 
 
 def full_mask(grid: GridSpec) -> DomainMask:
@@ -396,9 +414,7 @@ class ParabolicCylinder:
 
 def laplacian_neumann(field: Field) -> Field:
     """Divergence-form Laplacian with the mask's ghost rules."""
-    full = field.mask.scatter(field.values)
-    lap = field.mask.laplacian_full(full)
-    return Field(field.mask, field.mask.gather(lap))
+    return Field(field.mask, field.mask.laplacian_matrix() @ field.values)
 
 
 def stable_dt(mask: DomainMask, diffusion: float = 1.0,
@@ -420,24 +436,8 @@ def gradient(field: Field) -> np.ndarray:
     where only one is, zero where the node is isolated along the axis.
     """
     mask = field.mask
-    h = mask.grid.h
-    full = mask.scatter(field.values)
-    act = mask.active
-    out = np.zeros(mask.grid.n + (mask.grid.dim,))
-    for ax in range(mask.grid.dim):
-        hi_v = _shift_down(full, ax)
-        lo_v = _shift_up(full, ax)
-        hi_a = _shift_down(act, ax)
-        lo_a = _shift_up(act, ax)
-        g = np.zeros_like(full)
-        both = hi_a & lo_a
-        g[both] = (hi_v[both] - lo_v[both]) / (2 * h)
-        only_hi = hi_a & ~lo_a
-        g[only_hi] = (hi_v[only_hi] - full[only_hi]) / h
-        only_lo = lo_a & ~hi_a
-        g[only_lo] = (full[only_lo] - lo_v[only_lo]) / h
-        out[..., ax] = g
-    return out[act]
+    return (mask.gradient_matrix() @ field.values).reshape(
+        mask.active_count, mask.grid.dim)
 
 
 def poisson_neumann(rhs: Field, rtol: float = 1e-10,
@@ -445,8 +445,10 @@ def poisson_neumann(rhs: Field, rtol: float = 1e-10,
     """Solve laplacian(u) = rhs on the mask with Neumann ghosts.
 
     The right-hand side must have (near) zero node mean; the solution is
-    returned with zero node mean.  Conjugate gradients on the mean-zero
-    subspace; the relative residual is checked to 1e-9.
+    returned with zero node mean.  A direct sparse solve with the first node
+    pinned, then the mean removed; the relative residual is checked to 1e-9.
+    ``rtol`` and ``maxiter`` are accepted for compatibility and unused: the
+    direct solve has no iteration to stop.
     """
     mask = rhs.mask
     b = rhs.values
@@ -458,33 +460,95 @@ def poisson_neumann(rhs: Field, rtol: float = 1e-10,
         raise ParameterError(
             f"rhs node mean {mean:.3e} not zero (relative tol 1e-10)")
     b = b - mean
-
-    def apply_neg_lap(x: np.ndarray) -> np.ndarray:
-        full = mask.scatter(x)
-        y = -mask.gather(mask.laplacian_full(full))
-        return y - y.mean()
-
-    # plain CG on the mean-zero subspace (the operator is SPD there)
+    lap = mask.laplacian_matrix()
     x = np.zeros_like(b)
-    r = -b.copy()          # residual of (-lap) x = -b
-    r -= r.mean()
-    p = r.copy()
-    rs = float(r @ r)
-    b_norm = float(np.linalg.norm(b))
-    if maxiter is None:
-        maxiter = 40 * mask.active_count
-    for _ in range(maxiter):
-        if math.sqrt(rs) <= rtol * b_norm:
-            break
-        Ap = apply_neg_lap(p)
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    resid = np.linalg.norm(apply_neg_lap(x) + b) / b_norm
-    if resid > 1e-9:
-        raise SolverError(f"poisson CG stalled: relative residual {resid:.3e}")
+    x[1:] = splinalg.spsolve(lap[1:, 1:].tocsc(), b[1:])
     x -= x.mean()
+    resid = np.linalg.norm(lap @ x - b) / np.linalg.norm(b)
+    if not resid <= 1e-9:
+        raise SolverError(f"poisson solve failed: relative residual {resid:.3e}")
     return Field(mask, x)
+
+
+# ---------------------------------------------------------------------------
+# explicit time marching
+
+
+class Marched(NamedTuple):
+    """What :func:`march` recorded."""
+
+    times: np.ndarray       # (F,) frame times
+    steps: np.ndarray       # (F,) step index of each frame
+    frames: np.ndarray      # (k, F, N): column j of the state, frame by frame
+    dt: float
+    n_steps: int
+    clipped: float          # node-quadrature mass removed by clipping
+    peak: float             # largest clipped-column value after any step
+
+
+def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
+          dt: float | None, limit: float, frames, t0: float = 0.0,
+          diffused=None, clip: int = 0) -> Marched:
+    """Explicit Euler for an (N, k) active-node state from t0 to t_end.
+
+    Each step applies the mask's Laplacian once, LU = L @ diffused(U) (L @ U
+    when ``diffused`` is None), and advances U += dt * rate(k, t, dt, U, LU)
+    with k the 1-based step index and t its start time.  ``dt`` defaults to
+    0.9 ``limit`` and may not exceed the stability ``limit``; the step count
+    is ceil((t_end - t0)/dt) and dt shrinks to divide the span exactly.
+
+    ``frames`` is a frame count, spread linearly over the steps, or a
+    function of the final dt returning the times to record, snapped to the
+    nearest step; the initial state is always frame 0.
+
+    The first ``clip`` columns are densities: negative values are clipped to
+    zero after every step and the removed node-quadrature mass may not
+    exceed 1e-8 of the final mass of those columns; a density above 1e9 or
+    non-finite aborts the run as a blow-up.
+    """
+    span = t_end - t0
+    if span <= 0:
+        raise ParameterError("t_end must exceed t0")
+    if dt is None:
+        dt = 0.9 * limit
+    if dt > limit * (1 + 1e-12):
+        raise ParameterError(
+            f"dt={dt:.3e} violates the stability limit {limit:.3e}")
+    n_steps = max(1, math.ceil(span / dt))
+    dt = span / n_steps
+    if callable(frames):
+        record = np.clip(np.rint((np.asarray(frames(dt)) - t0) / dt),
+                         1, n_steps)
+    else:
+        record = np.rint(np.linspace(0, n_steps, min(frames, n_steps + 1)))
+    record = np.union1d(0, record.astype(int))
+    wanted = set(int(k) for k in record[1:])
+
+    lap = mask.laplacian_matrix()
+    hd = mask.grid.h ** mask.grid.dim
+    U = np.array(state, dtype=float)
+    stack = [U.T.copy()]
+    clipped = 0.0
+    peak = -math.inf
+    for k in range(1, n_steps + 1):
+        LU = lap @ (U if diffused is None else diffused(U))
+        U += dt * rate(k, t0 + (k - 1) * dt, dt, U, LU)
+        if clip:
+            head = U[:, :clip]
+            neg = head < 0
+            if neg.any():
+                clipped -= hd * float(head[neg].sum())
+                head[neg] = 0.0
+            top = float(head.max())
+            if not top <= 1e9:
+                raise SolverError(f"blow-up at step {k}")
+            peak = max(peak, top)
+        if k in wanted:
+            stack.append(U.T.copy())
+    if clip:
+        total = hd * float(U[:, :clip].sum())
+        if clipped > 1e-8 * max(total, 1e-30):
+            raise SolverError(f"clipped mass {clipped:.3e} exceeds 1e-8 of "
+                              f"total {total:.3e}")
+    return Marched(t0 + record * dt, record, np.stack(stack, axis=1), dt,
+                   n_steps, clipped, peak)

@@ -46,7 +46,8 @@ from .interp import (cut_ball_check, interpolation_check,
                      random_admissible_pair)
 from .kernel import (fitted_moment_prefactor, fitted_prefactor,
                      kernel_evolve, kernel_norm_report, moment_report)
-from .report import EstimateReport, RunReport, emit
+from .norms import reciprocal
+from .report import EstimateReport, RunReport, emit, jsonable
 from .rough import (ConstantsBundle, RoughCoefficient, explicit_constants,
                     forcing_constant, oscillation_decay_check, solve_rough,
                     supremum_bound_check)
@@ -307,7 +308,7 @@ class ExperimentConfig:
         block = copy.deepcopy(self.resolved)
         block["estimate"]["q"] = self.q          # resolve 'auto'
         block["constants"] = self.constants().to_dict()
-        return _jsonable(block)
+        return jsonable(block)
 
     def refined(self, k: int) -> "ExperimentConfig":
         """Same experiment with the mesh halved k times (frames scaled)."""
@@ -325,20 +326,6 @@ class ExperimentConfig:
         if data["time"]["dt"] != "auto":
             data["time"]["dt"] = float(data["time"]["dt"]) / factor ** 2
         return ExperimentConfig(data)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +356,6 @@ def _positive_bumps(mask, rng, n_bumps: int, amp: float,
     return Field(mask, floor * amp + 0.5 * amp + 0.5 * vals)
 
 
-def _conj(p: float) -> float:
-    if math.isinf(p):
-        return 1.0
-    if p == 1.0:
-        return math.inf
-    return p / (p - 1.0)
-
-
 # fitted kernel prefactors are geometry-determined; cache by geometry so a
 # batch of runs on the same grid calibrates once.  Hits and misses give the
 # same numbers, so caching cannot break determinism.
@@ -400,7 +379,8 @@ def kernel_calibration(mask, t_end: float, q: float,
     center = tuple(0.5 * e for e in mask.grid.extent)
     kern = kernel_evolve(mask, center, t_end, n_frames=64)
     out = {
-        "decay": fitted_prefactor(kern, _conj(q), t_hi=t_end),
+        "decay": fitted_prefactor(kern, reciprocal(1.0 - reciprocal(q)),
+                                  t_hi=t_end),
         "moment": fitted_moment_prefactor(kern, eps, t_hi=t_end),
     }
     _CALIBRATION_CACHE[key] = out

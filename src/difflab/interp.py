@@ -26,6 +26,7 @@ from scipy.stats import qmc
 from .errors import (GeometryError, ParameterError, PreconditionError,
                      SamplingError)
 from .grid import DomainMask, Field, gradient
+from .norms import pair_quotient_max
 from .report import EstimateReport
 
 _MOLLIFIER_CACHE: dict = {}
@@ -212,16 +213,7 @@ def _holder_subset(coords: np.ndarray, vals: np.ndarray, alpha: float,
                                                    replace=False)
         keep.sort()
         coords, vals = coords[keep], vals[keep]
-    semi = 0.0
-    for lo in range(0, vals.size - 1, 256):
-        hi = min(lo + 256, vals.size - 1)
-        block = coords[lo:hi, None, :] - coords[None, lo + 1:, :]
-        dist = np.sqrt((block ** 2).sum(axis=-1))
-        diff = np.abs(vals[lo:hi, None] - vals[None, lo + 1:])
-        ok = dist > 0
-        if ok.any():
-            semi = max(semi, float(np.max(diff[ok] / dist[ok] ** alpha)))
-    return sup + semi
+    return sup + pair_quotient_max(coords, vals, alpha)
 
 
 def _check_one_sided(u: Field, lap_w: np.ndarray, selector: np.ndarray):
@@ -238,14 +230,9 @@ def _check_one_sided(u: Field, lap_w: np.ndarray, selector: np.ndarray):
             f"lap w = {lap_w[idx]:.6g}")
 
 
-def _lap_of(w: Field) -> np.ndarray:
-    m = w.mask
-    return m.gather(m.laplacian_full(m.scatter(w.values)))
-
-
 def _lap_values(lap_w, w: Field) -> np.ndarray:
     if lap_w is None:
-        return _lap_of(w)
+        return w.mask.laplacian_matrix() @ w.values
     if isinstance(lap_w, Field):
         return lap_w.values
     return np.asarray(lap_w, dtype=float)
@@ -641,13 +628,14 @@ def random_admissible_pair(mask: DomainMask, domain: np.ndarray,
             out += a * np.exp(-((coords - c) ** 2).sum(axis=1) / (2 * s * s))
         return out
 
+    lap = mask.laplacian_matrix()
     phi = bumps()
-    lap_phi = mask.gather(mask.laplacian_full(mask.scatter(phi)))
+    lap_phi = lap @ phi
     kappa = (margin + max(0.0, -float(lap_phi[domain].min()))) / d
     center = coords[domain].mean(axis=0)
     w_vals = phi + 0.5 * kappa * ((coords - center) ** 2).sum(axis=1)
     w = Field(mask, w_vals)
-    lap_w = _lap_of(w)
+    lap_w = lap @ w_vals
     if float(lap_w[domain].min()) <= 0:
         raise SamplingError("paraboloid failed to convexify the sample")
     profile = 0.5 * (1.0 + np.tanh(bumps()))

@@ -23,18 +23,12 @@ import numpy as np
 
 from .errors import (ParameterError, PreconditionError, SamplingError,
                      SolverError)
-from .grid import DomainMask, Field, GridSpec, Trajectory, graph_domain_mask, stable_dt
+from .grid import (DomainMask, GridSpec, Trajectory, graph_domain_mask, march,
+                   stable_dt)
+from .norms import reciprocal
 from .report import EstimateReport
 
 _INF = float("inf")
-
-
-def _conjugate(p: float) -> float:
-    if p == _INF:
-        return 1.0
-    if p == 1:
-        return _INF
-    return p / (p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +85,9 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
     """
     grid = mask.grid
     d = grid.dim
-    if t_end <= 0:
-        raise ParameterError("t_end must be positive")
     cfl = grid.h ** 2 / (2.0 * d)
     if dt is None:
         dt = min(stable_dt(mask), 0.9 * cfl)
-    if dt > cfl * (1 + 1e-12):
-        raise ParameterError(f"dt={dt:.3e} violates dt <= h^2/(2d) = {cfl:.3e}")
-    n_steps = max(1, math.ceil(t_end / dt))
-    dt = t_end / n_steps
 
     if not isinstance(source, tuple) or len(source) != d or \
             not all(isinstance(s, (int, np.integer)) for s in source):
@@ -108,42 +96,33 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
         raise ParameterError(f"source node {source} is not active")
     mesh_point = [grid.origin[ax] + grid.h * source[ax] for ax in range(d)]
 
-    if record_times is None:
-        lo = max(2 * dt, 1e-12)
-        record_times = np.geomspace(lo, t_end, n_frames)
-    record_steps = np.unique(np.clip(
-        np.rint(np.asarray(record_times) / dt).astype(int), 1, n_steps))
+    def frames(step):
+        if record_times is None:
+            return np.geomspace(max(2 * step, 1e-12), t_end, n_frames)
+        return record_times
 
-    full = np.zeros(grid.n)
-    full[source] = 1.0 / grid.h ** d
     hd = grid.h ** d
-    pure_neumann = not mask.dirichlet.any()
-    mass0 = hd * full[mask.active].sum()
+    full = np.zeros(grid.n)
+    full[source] = 1.0 / hd
+    run = march(mask, mask.gather(full)[:, None],
+                lambda k, t, step, U, LU: LU, t_end, dt, cfl, frames)
+    values = run.frames[0]
 
-    frames = [mask.gather(full).copy()]
-    times = [0.0]
-    rec = set(int(s) for s in record_steps)
-    last_mass = mass0
-    for k in range(1, n_steps + 1):
-        full += dt * mask.laplacian_full(full)
-        if k in rec:
-            vals = mask.gather(full)
-            m = float(np.min(vals))
-            if m < -1e-12 / hd:
-                raise SolverError(f"kernel negative undershoot {m:.3e} at step {k}")
-            mass = hd * float(vals.sum())
-            if pure_neumann:
-                if abs(mass - mass0) > 1e-9:
-                    raise SolverError(
-                        f"kernel mass drift {mass - mass0:.3e} at step {k}")
-            else:
-                if mass > last_mass + 1e-12:
-                    raise SolverError("kernel mass increased on a Dirichlet mask")
-                last_mass = mass
-            frames.append(vals.copy())
-            times.append(k * dt)
-    return KernelField(mask, np.asarray(times), np.stack(frames),
-                       source, mesh_point)
+    # positivity and mass, frame by frame
+    last_mass = mass0 = hd * values[0].sum()
+    pure_neumann = not mask.dirichlet.any()
+    for k, vals in zip(run.steps[1:], values[1:]):
+        m = float(np.min(vals))
+        if m < -1e-12 / hd:
+            raise SolverError(f"kernel negative undershoot {m:.3e} at step {k}")
+        mass = hd * float(vals.sum())
+        if pure_neumann and abs(mass - mass0) > 1e-9:
+            raise SolverError(f"kernel mass drift {mass - mass0:.3e} at step {k}")
+        if not pure_neumann and mass > last_mass + 1e-12:
+            raise SolverError(
+                f"kernel mass increased on a Dirichlet mask at step {k}")
+        last_mass = mass
+    return KernelField(mask, run.times, values, source, mesh_point)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +180,7 @@ def kernel_norm_report(kern: KernelField, p_list=(1.0, 2.0, _INF),
     for p in p_list:
         series = kernel_lp_series(kern, p)[idx]
         slope, const = fit_power(t, series)
-        pp = _conjugate(p)
+        pp = reciprocal(1.0 - reciprocal(p))
         target = 0.0 if pp == _INF else -d / (2.0 * pp)
         err = abs(slope - target)
         worst = max(worst, err)
@@ -251,7 +230,7 @@ def fitted_prefactor(kern: KernelField, p: float,
                      t_hi: float | None = None) -> float:
     """Smallest C with ||Gamma(t)||_p <= C t^(-d/(2 p')) on the frames."""
     d = kern.grid.dim
-    pp = _conjugate(p)
+    pp = reciprocal(1.0 - reciprocal(p))
     expo = 0.0 if pp == _INF else d / (2.0 * pp)
     t = kern.times
     sel = t > 0

@@ -18,11 +18,22 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DomainError, ParameterError, SamplingError
 from .grid import Field, ParabolicCylinder, Trajectory
 
 _INF = float("inf")
+_BLOCK_PAIRS = 1 << 16      # pairs evaluated per block of pair_quotient_max
+
+
+def reciprocal(p: float) -> float:
+    """1/p for an exponent, with 1/inf = 0 and 1/0 = inf; the conjugate
+    exponent p' is reciprocal(1 - reciprocal(p))."""
+    p = float(p)
+    if p == _INF:
+        return 0.0
+    return _INF if p == 0.0 else 1.0 / p
 
 
 def _check_exponent(p: float, name: str = "p") -> float:
@@ -84,24 +95,37 @@ def oscillation(traj: Trajectory, cyl: ParabolicCylinder) -> float:
 
 
 def _pair_quotient(dw, dt_abs, dx, alpha):
-    dist = dt_abs ** (alpha / 2.0) + dx ** alpha
-    ok = dist > 1e-300
-    out = np.zeros_like(dw)
-    out[ok] = dw[ok] / dist[ok]
-    return out
+    """dw / (dt^(alpha/2) + dx^alpha), zero where the two points coincide;
+    dt_abs None means no time offset."""
+    dist = dx ** alpha
+    if dt_abs is not None:
+        dist = dt_abs ** (alpha / 2.0) + dist
+    return np.divide(dw, dist, out=np.zeros_like(dw), where=dist > 1e-300)
 
 
-def _exhaustive_quotient(T, X, W, alpha, chunk=512):
+def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
+                      T: np.ndarray | None = None) -> float:
+    """Largest Hoelder quotient over all point pairs:
+
+        max_{i<j} |W_i - W_j| / (|T_i - T_j|^(alpha/2) + |X_i - X_j|^alpha)
+
+    with X of shape (n, dim); T None is the spatial quotient (every time
+    offset zero).  Row blocks sweep the upper triangle and squared
+    distances accumulate axis by axis, so no (block, n, dim) array exists.
+    """
+    n = W.size
+    rows = max(1, _BLOCK_PAIRS // max(n, 1))
     best = 0.0
-    n = T.size
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        dt_abs = np.abs(T[lo:hi, None] - T[None, :])
-        dx = np.sqrt(((X[lo:hi, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-        dw = np.abs(W[lo:hi, None] - W[None, :])
-        q = _pair_quotient(dw, dt_abs, dx, alpha)
-        if q.size:
-            best = max(best, float(q.max()))
+    for lo in range(0, n - 1, rows):
+        hi = min(lo + rows, n - 1)
+        d2 = np.zeros((hi - lo, n - lo - 1))
+        for ax in range(X.shape[1]):
+            diff = X[lo:hi, None, ax] - X[None, lo + 1:, ax]
+            d2 += diff * diff
+        dt_abs = None if T is None else np.abs(T[lo:hi, None] - T[None, lo + 1:])
+        dw = np.abs(W[lo:hi, None] - W[None, lo + 1:])
+        best = max(best, float(_pair_quotient(dw, dt_abs, np.sqrt(d2),
+                                              alpha).max()))
     return best
 
 
@@ -127,18 +151,11 @@ def _sampled_quotient(traj: Trajectory, alpha: float, max_pairs: int,
         dw = np.abs(np.diff(w, axis=0)).max(axis=1)
         q = dw / (traj.dt ** (alpha / 2.0))
         best = max(best, float(q.max()))
-    last = w[-1]
-    full = mask.scatter(last)
-    act = mask.active
-    for ax in range(grid.dim):
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_lo[ax] = slice(None, -1)
-        sl_hi[ax] = slice(1, None)
-        pair = act[tuple(sl_lo)] & act[tuple(sl_hi)]
-        if pair.any():
-            dval = np.abs(full[tuple(sl_hi)] - full[tuple(sl_lo)])[pair]
-            best = max(best, float(dval.max()) / grid.h ** alpha)
+    # the Laplacian's off-diagonal entries are exactly the face pairs
+    i, j = sparse.triu(mask.laplacian_matrix(), 1).nonzero()
+    if i.size:
+        dval = np.abs(w[-1][j] - w[-1][i])
+        best = max(best, float(dval.max()) / grid.h ** alpha)
 
     # stratified random pairs across space-time distance decades
     t_span = max(times[-1] - times[0], 0.0)
@@ -196,8 +213,7 @@ def holder_norm(traj: Trajectory, alpha: float,
         n_frames, n_nodes = traj.values.shape
         T = np.repeat(traj.times, n_nodes)
         X = np.tile(traj.mask.node_coords(), (n_frames, 1))
-        W = traj.values.reshape(-1)
-        semi = _exhaustive_quotient(T, X, W, alpha)
+        semi = pair_quotient_max(X, traj.values.reshape(-1), alpha, T)
     else:
         semi = _sampled_quotient(traj, alpha, max_pairs, seed)
     return sup + semi

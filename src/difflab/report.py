@@ -15,7 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 SCHEMA = "difflab-report/1"
 
@@ -84,6 +87,22 @@ class RunReport:
                 json.dumps(c.grid, sort_keys=True),
             ])
         return buf.getvalue()
+
+
+def jsonable(obj):
+    """Copy of nested dicts/lists with numpy scalars made Python numbers and
+    infinities spelled "inf", ready for ``json.dumps``."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf"
+    return obj
 
 
 def emit(report: RunReport, out_dir, stem: str = "report",

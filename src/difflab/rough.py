@@ -24,16 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, PreconditionError
-from .grid import DomainMask, Field, ParabolicCylinder, Trajectory
-from .norms import holder_norm, lipschitz_norm, oscillation
+from .grid import DomainMask, Field, ParabolicCylinder, Trajectory, march
+from .norms import holder_norm, lipschitz_norm, oscillation, reciprocal
 from .report import EstimateReport
 
 _INF = float("inf")
-
-
-def _inv(p: float) -> float:
-    """1/p with the convention 1/inf = 0."""
-    return 0.0 if p == _INF else 1.0 / float(p)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +81,7 @@ def explicit_constants(d: int, p: float, q: float, a0: float,
         raise ParameterError("a0 must be positive")
     if c0 < 1:
         raise ParameterError("c0 must be >= 1")
-    ip, iq = _inv(p), _inv(q)
+    ip, iq = reciprocal(p), reciprocal(q)
     gamma = 2.0 - 2.0 * ip - d * iq
     if gamma <= 0:
         raise ParameterError(
@@ -129,7 +124,7 @@ def k2_constant(consts: ConstantsBundle, eps: float, horizon: float,
 
 def k3_constant(consts: ConstantsBundle, kernel_prefactor: float) -> float:
     """K3 = 2 C (a0 c0)^(d/2q) (1 - (d/2) p'/q)^(-1/p') beta^(1/p' - d/2q)."""
-    ip, iq = _inv(consts.p), _inv(consts.q)
+    ip, iq = reciprocal(consts.p), reciprocal(consts.q)
     ipp = 1.0 - ip
     dq2 = consts.d * iq / 2.0
     dpq = consts.d * iq / (2.0 * ipp)
@@ -188,34 +183,27 @@ class RoughCoefficient:
                 f"[{a0:.6g}, {c0 * a0:.6g}]")
 
     def _range(self):
-        if isinstance(self.a, Trajectory):
-            return float(self.a.values.min()), float(self.a.values.max())
-        if isinstance(self.a, Field):
-            return float(self.a.values.min()), float(self.a.values.max())
-        v = float(self.a)
-        return v, v
+        vals = self.a.values if isinstance(self.a, (Trajectory, Field)) \
+            else float(self.a)
+        return float(np.min(vals)), float(np.max(vals))
 
     def at(self, t: float, mask: DomainMask) -> np.ndarray:
         """Full-box array of coefficient values at time t (1 off-mask)."""
-        if isinstance(self.a, Trajectory):
-            k = int(np.searchsorted(self.a.times, t + 1e-12, side="right") - 1)
-            k = min(max(k, 0), self.a.n_frames - 1)
-            return mask.scatter(self.a.values[k], fill=1.0)
-        if isinstance(self.a, Field):
-            return mask.scatter(self.a.values, fill=1.0)
-        return np.full(mask.grid.n, float(self.a))
+        vals = _active_at(self.a, t)
+        if np.isscalar(vals):
+            return np.full(mask.grid.n, vals)
+        return mask.scatter(vals, fill=1.0)
 
 
-def _forcing_at(forcing, t: float, mask: DomainMask) -> np.ndarray:
-    if forcing is None:
-        return 0.0
-    if isinstance(forcing, Trajectory):
-        k = int(np.searchsorted(forcing.times, t + 1e-12, side="right") - 1)
-        k = min(max(k, 0), forcing.n_frames - 1)
-        return mask.scatter(forcing.values[k])
-    if isinstance(forcing, Field):
-        return mask.scatter(forcing.values)
-    return float(forcing)
+def _active_at(data, t: float):
+    """Active-node values of a Trajectory (piecewise constant in time, left
+    frame rule) or a Field at time t; a scalar stays a scalar."""
+    if isinstance(data, Trajectory):
+        k = int(np.searchsorted(data.times, t + 1e-12, side="right") - 1)
+        return data.values[min(max(k, 0), data.n_frames - 1)]
+    if isinstance(data, Field):
+        return data.values
+    return float(data)
 
 
 @dataclass
@@ -237,42 +225,21 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
     enforced.
     """
     mask = w_init.mask
-    span = t_end - t0
-    if span <= 0:
-        raise ParameterError("t_end must exceed t0")
     limit = coeff.a0 * mask.grid.h ** 2 / mask.stencil_row_max()
-    if dt is None:
-        dt = 0.9 * limit
-    if dt > limit * (1 + 1e-12):
-        raise ParameterError(
-            f"dt={dt:.3e} violates the stability limit {limit:.3e}")
-    n_steps = max(1, math.ceil(span / dt))
-    dt = span / n_steps
-    record = np.unique(np.rint(
-        np.linspace(0, n_steps, min(n_frames, n_steps + 1))).astype(int))
+    negative = 0
 
-    full = mask.scatter(w_init.values)
-    act = mask.active
-    frames = [full[act].copy()]
-    times = [t0]
-    rec = set(int(s) for s in record if s > 0)
-    neg = 0
-    total = 0
-    thresh = -1e-10 * dt
-    for k in range(1, n_steps + 1):
-        t = t0 + (k - 1) * dt
-        a = coeff.at(t, mask)
-        f = _forcing_at(forcing, t, mask)
-        incr = (dt / a) * (mask.laplacian_full(full) + f)
-        incr[~act] = 0.0
-        neg += int(np.sum(incr[act] < thresh))
-        total += mask.active_count
-        full = full + incr
-        if k in rec:
-            frames.append(full[act].copy())
-            times.append(t0 + k * dt)
-    traj = Trajectory(mask, np.asarray(times), np.stack(frames))
-    return RoughSolution(traj, dt, n_steps, neg / total)
+    def rate(k, t, step, U, LU):
+        nonlocal negative
+        f = 0.0 if forcing is None else _active_at(forcing, t)
+        r = (LU[:, 0] + f) / _active_at(coeff.a, t)
+        negative += int(np.count_nonzero(r < -1e-10))
+        return r[:, None]
+
+    run = march(mask, w_init.values[:, None], rate, t_end, dt, limit,
+                n_frames, t0=t0)
+    traj = Trajectory(mask, run.times, run.frames[0])
+    return RoughSolution(traj, run.dt, run.n_steps,
+                         negative / (run.n_steps * mask.active_count))
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +249,14 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
 def _cylinder_lpq(forcing, traj: Trajectory, p: float, q: float,
                   t_lo: float, t_hi: float, nodes: np.ndarray) -> float:
     """||f||_{L^p L^q} over (t_lo, t_hi] x (ball cap), rectangle rule."""
-    ip = _inv(p)
     hd = traj.grid.h ** traj.grid.dim
     idx = traj.window(t_lo, t_hi)
     if idx.size == 0:
         raise DomainError("empty time window for the forcing norm")
     vals = []
     for k in idx:
-        f = _forcing_at(forcing, traj.times[k], traj.mask)
-        if np.isscalar(f):
-            f = np.full(traj.grid.n, float(f))
-        fa = np.abs(f[traj.mask.active][nodes])
+        f = _active_at(forcing, traj.times[k])
+        fa = np.abs(np.broadcast_to(f, nodes.shape)[nodes])
         if q == _INF:
             vals.append(float(fa.max()) if fa.size else 0.0)
         else:
@@ -363,7 +327,7 @@ def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     fp_norm = _cylinder_lpq(fplus, traj, consts.p, consts.q,
                             traj.times[0], traj.times[-1], nodes) \
         if forcing is not None else 0.0
-    expo = 1.0 - _inv(consts.p) - consts.d * _inv(consts.q) / 2.0
+    expo = 1.0 - reciprocal(consts.p) - consts.d * reciprocal(consts.q) / 2.0
     bound = (consts.K1 * kernel_prefactor * horizon ** expo * fp_norm
              + float(np.max(np.abs(w_init.values))))
     measured = float(np.max(np.abs(traj.values[1:]))) \

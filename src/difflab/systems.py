@@ -23,14 +23,14 @@ Three families share the explicit-Euler machinery:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
 from .errors import ParameterError, SolverError, StructuralError
-from .grid import DomainMask, Field, Trajectory, gradient, poisson_neumann, stable_dt
+from .grid import (Field, Trajectory, gradient, march, poisson_neumann,
+                   stable_dt)
 from .report import EstimateReport
 
 # ---------------------------------------------------------------------------
@@ -79,11 +79,6 @@ class SKTSolution:
     clipped_mass: float        # cumulative clipped negative mass
 
 
-def _frame_steps(n_steps: int, n_frames: int) -> np.ndarray:
-    return np.unique(np.rint(
-        np.linspace(0, n_steps, min(n_frames, n_steps + 1))).astype(int))
-
-
 def skt_solve(u_init: Field, v_init: Field, params: SKTParams,
               t_end: float, dt: float | None = None,
               n_frames: int = 65) -> SKTSolution:
@@ -109,77 +104,36 @@ def skt_solve(u_init: Field, v_init: Field, params: SKTParams,
         raise ParameterError("u and v must live on the same mask")
     if float(u_init.values.min()) < 0 or float(v_init.values.min()) < 0:
         raise ParameterError("initial data must be nonnegative")
-    if t_end <= 0:
-        raise ParameterError("t_end must be positive")
+    p = params
     h2 = mask.grid.h ** 2
     row = mask.stencil_row_max()
-    v_cap = params.v_ceiling(float(v_init.values.max()))
-    mu_head = params.d1 + 2.0 * params.sigma * v_cap
-    limit = h2 / (row * max(mu_head, params.d2, 1.0))
-    if dt is None:
-        dt = 0.9 * limit
-    if dt > limit * (1 + 1e-12):
-        raise ParameterError(f"dt={dt:.3e} violates the headroom limit {limit:.3e}")
-    n_steps = max(1, math.ceil(t_end / dt))
-    dt = t_end / n_steps
-    rec = _frame_steps(n_steps, n_frames)
-    rec_set = set(int(s) for s in rec if s > 0)
+    v_cap = p.v_ceiling(float(v_init.values.max()))
+    mu_head = p.d1 + 2.0 * p.sigma * v_cap
+    limit = h2 / (row * max(mu_head, p.d2, 1.0))
 
-    act = mask.active
-    hd = mask.grid.h ** mask.grid.dim
-    u = mask.scatter(u_init.values)
-    v = mask.scatter(v_init.values)
-    m = np.zeros_like(u)
-    int_u = np.zeros_like(u)
-    w = np.zeros_like(u)
-    clipped = 0.0
+    # state columns: u, v, m, int_u, w; u and v are clipped densities
+    def diffused(U):
+        u, v, m = U[:, 0], U[:, 1], U[:, 2]
+        return np.column_stack(((p.d1 + p.sigma * v) * u, v, m))
 
-    frames = {key: [arr[act].copy()] for key, arr in
-              (("u", u), ("v", v), ("m", m), ("iu", int_u), ("w", w))}
-    times = [0.0]
-    for k in range(1, n_steps + 1):
-        mu = params.d1 + params.sigma * v
-        mu_now = params.d1 + params.sigma * float(v[act].max())
-        if dt > h2 / (row * max(mu_now, params.d2, 1.0)) * (1 + 1e-9):
+    def rate(k, t, step, U, LU):
+        u, v, m = U[:, 0], U[:, 1], U[:, 2]
+        mu_now = p.d1 + p.sigma * float(v.max())
+        if step > h2 / (row * max(mu_now, p.d2, 1.0)) * (1 + 1e-9):
             raise SolverError(f"CFL breach at step {k}: mu reached {mu_now:.4g}")
-        int_u += dt * u
-        w += dt * (mu * u + m)
-        lap_uu = mask.laplacian_full(mu * u)
-        lap_v = mask.laplacian_full(v)
-        lap_m = mask.laplacian_full(m)
-        fu = u * (params.r_u - params.d11 * u - params.d12 * v)
-        fv = v * (params.r_v - params.d21 * u - params.d22 * v)
-        g = u * (params.d11 * u + params.d12 * v)
-        u = u + dt * (lap_uu + fu)
-        v = v + dt * (params.d2 * lap_v + fv)
-        m = m + dt * (lap_m + g)
-        for arr in (u, v):
-            neg = arr < 0
-            if neg.any():
-                clipped += -hd * float(arr[neg].sum())
-                arr[neg] = 0.0
-        u[~act] = 0.0
-        v[~act] = 0.0
-        m[~act] = 0.0
-        if k in rec_set:
-            for key, arr in (("u", u), ("v", v), ("m", m), ("iu", int_u),
-                             ("w", w)):
-                frames[key].append(arr[act].copy())
-            times.append(k * dt)
+        return np.column_stack((
+            LU[:, 0] + u * (p.r_u - p.d11 * u - p.d12 * v),
+            p.d2 * LU[:, 1] + v * (p.r_v - p.d21 * u - p.d22 * v),
+            LU[:, 2] + u * (p.d11 * u + p.d12 * v),
+            u, (p.d1 + p.sigma * v) * u + m))
 
-    times = np.asarray(times)
-    total_mass = hd * (frames["u"][-1].sum() + frames["v"][-1].sum())
-    if clipped > 1e-8 * max(total_mass, 1e-30):
-        raise SolverError(
-            f"clipped mass {clipped:.3e} exceeds 1e-8 of total {total_mass:.3e}")
-    return SKTSolution(
-        u=Trajectory(mask, times, np.stack(frames["u"])),
-        v=Trajectory(mask, times, np.stack(frames["v"])),
-        m=Trajectory(mask, times, np.stack(frames["m"])),
-        int_u=Trajectory(mask, times, np.stack(frames["iu"])),
-        w=Trajectory(mask, times, np.stack(frames["w"])),
-        params=params, dt=dt, steps=n_steps, clipped_mass=clipped,
-    )
+    state = np.column_stack([u_init.values, v_init.values]
+                            + [np.zeros(mask.active_count)] * 3)
+    run = march(mask, state, rate, t_end, dt, limit, n_frames,
+                diffused=diffused, clip=2)
+    u, v, m, int_u, w = (Trajectory(mask, run.times, f) for f in run.frames)
+    return SKTSolution(u=u, v=v, m=m, int_u=int_u, w=w, params=params,
+                       dt=run.dt, steps=run.n_steps, clipped_mass=run.clipped)
 
 
 @dataclass
@@ -223,13 +177,13 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
     u0 = sol.u.values[0]
     worst = 0.0
     scale = 0.0
-    for k in range(1, n_fr - 1):
-        dwdt = (w_vals[k + 1] - w_vals[k - 1]) / (times[k + 1] - times[k - 1])
-        lap_w = mask.gather(mask.laplacian_full(mask.scatter(w_vals[k])))
-        rhs = u0 + p.r_u * sol.int_u.values[k]
-        res = dwdt / nu_vals[k] - lap_w - rhs
-        worst = max(worst, float(np.max(np.abs(res))))
-        scale = max(scale, float(np.max(np.abs(rhs))))
+    if n_fr > 2:
+        dwdt = (w_vals[2:] - w_vals[:-2]) / (times[2:] - times[:-2])[:, None]
+        lap_w = (mask.laplacian_matrix() @ w_vals[1:-1].T).T
+        rhs = u0 + p.r_u * sol.int_u.values[1:-1]
+        res = dwdt / nu_vals[1:-1] - lap_w - rhs
+        worst = float(np.max(np.abs(res)))
+        scale = float(np.max(np.abs(rhs)))
     residual = EstimateReport(
         check="skt_evolution_identity",
         lhs=worst, rhs=max(scale, 1.0) * 0.1,
@@ -290,13 +244,9 @@ def convexified(sol: SKTSolution, aux: SKTAuxiliary,
     quad = (coords ** 2).sum(axis=1) / (2.0 * d)
     iu = sol.int_u.values[k]
     g = sol.params.r_u * (iu - iu.mean())
-    if float(np.max(np.abs(g))) > 0:
-        corr = poisson_neumann(Field(mask, g)).values
-    else:
-        corr = np.zeros_like(g)
+    corr = poisson_neumann(Field(mask, g)).values
     w_t = aux.w.values[k] + aux.coef * quad + corr
-    lap_w = mask.gather(mask.laplacian_full(mask.scatter(aux.w.values[k])))
-    lap_t = lap_w + aux.coef + g
+    lap_t = mask.laplacian_matrix() @ aux.w.values[k] + aux.coef + g
     return Field(mask, w_t), Field(mask, lap_t)
 
 
@@ -357,66 +307,24 @@ class QuadSolution:
 
 def quadratic_solve(inits, diffusions, t_end: float, dt: float | None = None,
                     n_frames: int = 65) -> QuadSolution:
-    """Quartet with reaction (-1)^i (u1 u3 - u2 u4) and diffusions d_i."""
+    """Quartet with reaction (-1)^i (u1 u3 - u2 u4) and diffusions d_i.
+
+    The reactions come from :func:`preset_quad4`; w is the trapezoid
+    integral of sum d_i u_i, the left-rectangle column plus
+    dt/2 (flux(t) - flux(0)) at each frame.
+    """
     if len(inits) != 4 or len(diffusions) != 4:
         raise ParameterError("need exactly four species")
+    spec = preset_quad4(diffusions)
+    run = _march_network(inits, spec, t_end, dt, n_frames, flux=True)
+    u, w_left = run.frames[:4], run.frames[4]
+    flux = np.tensordot(spec.diffusions, u, axes=1)
+    w = w_left + 0.5 * run.dt * (flux - flux[0])
     mask = inits[0].mask
-    if any(f.mask is not mask for f in inits):
-        raise ParameterError("all species must share one mask")
-    if any(float(f.values.min()) < 0 for f in inits):
-        raise ParameterError("initial data must be nonnegative")
-    dvec = [float(d) for d in diffusions]
-    if min(dvec) <= 0:
-        raise ParameterError("diffusions must be positive")
-    limit = stable_dt(mask, diffusion=max(dvec), safety=1.0)
-    if dt is None:
-        dt = 0.9 * limit
-    if dt > limit * (1 + 1e-12):
-        raise ParameterError(f"dt={dt:.3e} violates the stability limit")
-    n_steps = max(1, math.ceil(t_end / dt))
-    dt = t_end / n_steps
-    rec_set = set(int(s) for s in _frame_steps(n_steps, n_frames) if s > 0)
-
-    act = mask.active
-    hd = mask.grid.h ** mask.grid.dim
-    u = [mask.scatter(f.values) for f in inits]
-    w = np.zeros(mask.grid.n)
-    clipped = 0.0
-    frames = [[u[i][act].copy()] for i in range(4)]
-    frames_w = [w[act].copy()]
-    times = [0.0]
-
-    def weighted(us):
-        return sum(d * ui for d, ui in zip(dvec, us))
-
-    for k in range(1, n_steps + 1):
-        rate = u[0] * u[2] - u[1] * u[3]
-        flux_old = weighted(u)
-        new = []
-        for i in range(4):
-            sign = -1.0 if i % 2 == 0 else 1.0
-            ui = u[i] + dt * (dvec[i] * mask.laplacian_full(u[i]) + sign * rate)
-            neg = ui < 0
-            if neg.any():
-                clipped += -hd * float(ui[neg].sum())
-                ui[neg] = 0.0
-            ui[~act] = 0.0
-            new.append(ui)
-        u = new
-        w += 0.5 * dt * (flux_old + weighted(u))
-        if not np.isfinite(u[0]).all() or float(u[0].max()) > 1e9:
-            raise SolverError(f"blow-up at step {k}")
-        if k in rec_set:
-            for i in range(4):
-                frames[i].append(u[i][act].copy())
-            frames_w.append(w[act].copy())
-            times.append(k * dt)
-
-    times = np.asarray(times)
     return QuadSolution(
-        u=[Trajectory(mask, times, np.stack(frames[i])) for i in range(4)],
-        w=Trajectory(mask, times, np.stack(frames_w)),
-        dt=dt, steps=n_steps, clipped_mass=clipped,
+        u=[Trajectory(mask, run.times, ui) for ui in u],
+        w=Trajectory(mask, run.times, w),
+        dt=run.dt, steps=run.n_steps, clipped_mass=run.clipped,
     )
 
 
@@ -467,16 +375,13 @@ def quad_identity_report(sol: QuadSolution, diffusions) -> EstimateReport:
     total = sum(t.values for t in sol.u)
     sum0 = total[0]
     mu = quad_mu(sol, diffusions)
-    worst_lap = 0.0
-    worst_evo = 0.0
-    for k in range(1, times.size - 1):
-        lap_w = mask.gather(mask.laplacian_full(mask.scatter(sol.w.values[k])))
-        res_lap = lap_w - (total[k] - sum0)
-        worst_lap = max(worst_lap, float(np.max(np.abs(res_lap))))
-        dwdt = (sol.w.values[k + 1] - sol.w.values[k - 1]) \
-            / (times[k + 1] - times[k - 1])
-        res_evo = dwdt - mu[k] * (lap_w + sum0)
-        worst_evo = max(worst_evo, float(np.max(np.abs(res_evo))))
+    w = sol.w.values
+    worst_lap = worst_evo = 0.0
+    if times.size > 2:
+        lap_w = (mask.laplacian_matrix() @ w[1:-1].T).T
+        worst_lap = float(np.max(np.abs(lap_w - (total[1:-1] - sum0))))
+        dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
+        worst_evo = float(np.max(np.abs(dwdt - mu[1:-1] * (lap_w + sum0))))
     scale = float(np.max(np.abs(total)))
     return EstimateReport(
         check="quad_integral_identities",
@@ -508,14 +413,30 @@ def poly_max_coeff(reaction) -> float:
 
 def poly_eval(reaction, states: np.ndarray) -> np.ndarray:
     """Evaluate a term list at states of shape (N, m)."""
-    out = np.zeros(states.shape[0])
-    for c, powers in reaction:
-        term = np.full(states.shape[0], c)
-        for j, e in enumerate(powers):
+    return _eval_monomials(*_monomial_table([reaction]), states)[:, 0]
+
+
+def _monomial_table(reactions):
+    """Distinct monomials of some term lists, and coefficients C with
+    f_i = sum_j C[j, i] * monomial_j."""
+    keys = sorted({tuple(int(e) for e in powers)
+                   for reaction in reactions for _, powers in reaction})
+    row = {key: j for j, key in enumerate(keys)}
+    coeffs = np.zeros((len(keys), len(reactions)))
+    for i, reaction in enumerate(reactions):
+        for c, powers in reaction:
+            coeffs[row[tuple(int(e) for e in powers)], i] += c
+    return keys, coeffs
+
+
+def _eval_monomials(keys, coeffs, states: np.ndarray) -> np.ndarray:
+    """(N, len(reactions)) values of the table at states of shape (N, m)."""
+    mono = np.ones((states.shape[0], len(keys)))
+    for j, powers in enumerate(keys):
+        for col, e in enumerate(powers):
             if e:
-                term = term * states[:, j] ** e
-        out += term
-    return out
+                mono[:, j] *= states[:, col] ** e
+    return mono @ coeffs
 
 
 def _pad_terms(reaction, m: int):
@@ -557,6 +478,11 @@ class GeneralSystemSpec:
             raise ParameterError("A B = I fails at 1e-12")
         self.K = float(K)
         self.name = name
+        self._table = _monomial_table(self.reactions)
+
+    def rates(self, states: np.ndarray) -> np.ndarray:
+        """Reaction rates f(u), shape (N, m), at states of shape (N, m)."""
+        return _eval_monomials(*self._table, states)
 
     def to_dict(self) -> dict:
         """JSON-ready description (term lists become [coef, powers] pairs)."""
@@ -755,8 +681,7 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
             violations.append(fail("A2", -1, states[worst], a2_worst))
 
     # (A3) one-sided quadratic row bounds
-    f_vals = np.stack([poly_eval(r, states) for r in spec.reactions], axis=1)
-    rows = f_vals @ spec.A.T
+    rows = spec.rates(states) @ spec.A.T
     fitted_k = 0.0
     a3_worst = -np.inf
     growth_exponent = 0.0
@@ -823,70 +748,39 @@ def general_solve(inits, spec: GeneralSystemSpec, t_end: float,
     if companion:
         spec = spec.with_companion()
         inits = list(inits) + [Field.constant(inits[0].mask, 0.0)]
-    m = spec.m
-    if len(inits) != m:
-        raise ParameterError(f"need {m} initial fields")
+    if len(inits) != spec.m:
+        raise ParameterError(f"need {spec.m} initial fields")
+    run = _march_network(inits, spec, t_end, dt, n_frames)
+    u, v = run.frames, np.einsum("ij,jfn->ifn", spec.A, run.frames)
+    return GeneralSolution(
+        spec=spec, u=[Trajectory(inits[0].mask, run.times, f) for f in u],
+        v=[Trajectory(inits[0].mask, run.times, f) for f in v], dt=run.dt,
+        steps=run.n_steps, clipped_mass=run.clipped, companion_added=companion,
+        box_exceeded=run.peak > sampled_box[1])
+
+
+def _march_network(inits, spec: GeneralSystemSpec, t_end: float, dt,
+                   n_frames: int, flux: bool = False):
+    """Explicit Euler for du_i/dt = d_i lap u_i + f_i(u); with ``flux`` an
+    extra left-rectangle column accumulates sum_i d_i u_i."""
     mask = inits[0].mask
     if any(f.mask is not mask for f in inits):
         raise ParameterError("all species must share one mask")
     if any(float(f.values.min()) < 0 for f in inits):
         raise ParameterError("initial data must be nonnegative")
     limit = stable_dt(mask, diffusion=max(spec.diffusions), safety=1.0)
-    if dt is None:
-        dt = 0.9 * limit
-    if dt > limit * (1 + 1e-12):
-        raise ParameterError("dt violates the diffusion stability limit")
-    n_steps = max(1, math.ceil(t_end / dt))
-    dt = t_end / n_steps
-    rec_set = set(int(s) for s in _frame_steps(n_steps, n_frames) if s > 0)
+    m = spec.m
+    d = np.asarray(spec.diffusions)
 
-    act = mask.active
-    hd = mask.grid.h ** mask.grid.dim
-    u = np.stack([mask.scatter(f.values) for f in inits])   # (m, *grid)
-    clipped = 0.0
-    box_hi = sampled_box[1]
-    exceeded = False
-    frames = [[u[i][act].copy()] for i in range(m)]
-    times = [0.0]
+    def rate(k, t, step, U, LU):
+        u = U[:, :m]
+        out = LU * d + spec.rates(u)
+        return np.column_stack((out, u @ d)) if flux else out
 
-    flat_act = act.ravel()
-    for k in range(1, n_steps + 1):
-        states = u.reshape(m, -1).T[flat_act]
-        f_now = np.zeros_like(u)
-        for i in range(m):
-            vals = poly_eval(spec.reactions[i], states)
-            layer = np.zeros(flat_act.size)
-            layer[flat_act] = vals
-            f_now[i] = layer.reshape(mask.grid.n)
-        new = []
-        for i in range(m):
-            ui = u[i] + dt * (spec.diffusions[i] * mask.laplacian_full(u[i])
-                              + f_now[i])
-            neg = ui < 0
-            if neg.any():
-                clipped += -hd * float(ui[neg].sum())
-                ui[neg] = 0.0
-            ui[~act] = 0.0
-            new.append(ui)
-        u = np.stack(new)
-        top = float(u.max())
-        if not np.isfinite(top) or top > 1e9:
-            raise SolverError(f"blow-up at step {k}")
-        if top > box_hi:
-            exceeded = True
-        if k in rec_set:
-            for i in range(m):
-                frames[i].append(u[i][act].copy())
-            times.append(k * dt)
-
-    times = np.asarray(times)
-    u_traj = [Trajectory(mask, times, np.stack(frames[i])) for i in range(m)]
-    u_mat = np.stack([t.values for t in u_traj])             # (m, F, N)
-    v_mat = np.einsum("ij,jfn->ifn", spec.A, u_mat)
-    v_traj = [Trajectory(mask, times, v_mat[i]) for i in range(m)]
-    return GeneralSolution(spec=spec, u=u_traj, v=v_traj, dt=dt,
-                           steps=n_steps, clipped_mass=clipped,
-                           companion_added=companion, box_exceeded=exceeded)
+    state = np.column_stack([f.values for f in inits] +
+                            ([np.zeros(mask.active_count)] if flux else []))
+    return march(mask, state, rate, t_end, dt, limit, n_frames,
+                 diffused=(lambda U: U[:, :m]) if flux else None, clip=m)
 
 
 def transformed_residual_report(sol: GeneralSolution,
@@ -901,33 +795,24 @@ def transformed_residual_report(sol: GeneralSolution,
     spec = sol.spec
     mask = sol.u[0].mask
     times = sol.u[0].times
-    m = spec.m
-    c = spec.c_table()
-    worst = 0.0
-    scale = 1.0
     t_burn = burn_in * float(times[-1])
     lo = max(1, int(np.searchsorted(times, t_burn)))
     lo = min(lo, times.size - 3) if times.size > 3 else 1
-    for k in range(lo, times.size - 1):
-        states = np.stack([t.values[k] for t in sol.u], axis=1)
-        f_vals = np.stack([poly_eval(r, states) for r in spec.reactions],
-                          axis=1)
-        g = f_vals @ spec.A.T
-        laps = [mask.gather(mask.laplacian_full(
-            mask.scatter(sol.v[i].values[k]))) for i in range(m)]
-        for i in range(m):
-            dvdt = (sol.v[i].values[k + 1] - sol.v[i].values[k - 1]) \
-                / (times[k + 1] - times[k - 1])
-            diffusive = spec.diffusions[i] * laps[i]
-            res = dvdt - diffusive - g[:, i]
-            for kk in range(i):
-                if c[i, kk] != 0.0:
-                    res = res - c[i, kk] * laps[kk]
-            worst = max(worst, float(np.max(np.abs(res))))
-            # residual is judged against the size of the equation's terms
-            scale = max(scale, float(np.max(np.abs(dvdt))),
-                        float(np.max(np.abs(diffusive))),
-                        float(np.max(np.abs(g[:, i]))))
+    k = np.arange(lo, times.size - 1)
+    worst, scale = 0.0, 1.0
+    if k.size:
+        u = np.stack([t.values[k] for t in sol.u], axis=-1)      # (K, N, m)
+        v = np.stack([t.values for t in sol.v], axis=-1)         # (F, N, m)
+        g = spec.rates(u.reshape(-1, spec.m)).reshape(u.shape) @ spec.A.T
+        laps = np.stack([mask.laplacian_matrix() @ vk for vk in v[k]])
+        dvdt = (v[k + 1] - v[k - 1]) \
+            / (times[k + 1] - times[k - 1])[:, None, None]
+        diffusive = laps * np.asarray(spec.diffusions)
+        res = dvdt - diffusive - g - laps @ spec.c_table().T
+        worst = float(np.max(np.abs(res)))
+        # residual is judged against the size of the equation's terms
+        scale = max(1.0, *(float(np.max(np.abs(x)))
+                           for x in (dvdt, diffusive, g)))
     return EstimateReport(
         check="transformed_system_residual",
         lhs=worst, rhs=0.1 * scale,
@@ -956,11 +841,3 @@ def transform_consistency_report(sol: GeneralSolution) -> EstimateReport:
               "h": sol.u[0].grid.h},
         details={},
     )
-
-
-def reaction_rhs(spec: GeneralSystemSpec):
-    """Reaction-only vector field for ODE oracles: states (m,) -> (m,)."""
-    def rhs(_t, y):
-        states = np.asarray(y, dtype=float)[None, :]
-        return np.array([poly_eval(r, states)[0] for r in spec.reactions])
-    return rhs

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import ndimage
 
-from difflab import (DomainError, Field, GridSpec, ParabolicCylinder,
-                     ParameterError, SamplingError, Trajectory, ball_mask,
+from difflab import (DomainError, DomainMask, Field, GridSpec,
+                     ParabolicCylinder, ParameterError, SamplingError,
+                     Trajectory, ball_mask,
                      full_mask, gradient, graph_domain_mask, holder_norm,
                      holder_norm_field, laplacian_neumann, lipschitz_norm,
                      lp_norm, lpq_norm, oscillation, poisson_neumann,
@@ -103,6 +106,63 @@ def test_laplacian_self_adjoint_and_dissipative():
         assert abs(lu.values @ v.values - u.values @ lv.values) \
             <= TOL_MACHINE * scale
         assert laplacian_neumann(u).values @ u.values <= TOL_MACHINE * scale
+
+
+@st.composite
+def random_masks(draw):
+    """Largest edge-connected component of a random box pattern, with
+    random Dirichlet ghosts or none."""
+    shape = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+    size = int(np.prod(shape))
+
+    def bits():
+        return np.array(draw(st.lists(st.booleans(), min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    labels, ncomp = ndimage.label(bits())
+    assume(ncomp > 0)
+    active = labels == 1 + int(np.argmax(np.bincount(labels.ravel())[1:]))
+    ghosts = bits() if draw(st.booleans()) else None
+    grid = GridSpec.make(tuple((n - 1) / 8.0 for n in shape), shape)
+    return DomainMask(grid, active, ghosts)
+
+
+def _reference_laplacian(mask, full):
+    """Face-by-face ghost rule on a full-box array, one node at a time."""
+    n = mask.grid.n
+    out = np.zeros(n)
+    for node in zip(*np.nonzero(mask.active)):
+        for ax in range(len(n)):
+            for step in (-1, 1):
+                nb = list(node)
+                nb[ax] += step
+                nb = tuple(nb)
+                if not 0 <= nb[ax] < n[ax]:
+                    continue                    # box edge: Neumann
+                if mask.active[nb]:
+                    out[node] += full[nb] - full[node]
+                elif mask.dirichlet[nb]:
+                    out[node] -= 2.0 * full[node]
+    return out / mask.grid.h ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_masks(), st.integers(0, 2 ** 32 - 1))
+def test_laplacian_matrix_properties(mask, seed):
+    L = mask.laplacian_matrix()
+    scale = 1.0 / mask.grid.h ** 2
+    assert L.shape == (mask.active_count, mask.active_count)
+    assert abs(L - L.T).max() == 0.0
+    assert np.linalg.eigvalsh(L.toarray()).max() <= 1e-12 * scale
+    full = mask.scatter(np.random.default_rng(seed).standard_normal(
+        mask.active_count))
+    ref = _reference_laplacian(mask, full)
+    assert np.max(np.abs(mask.laplacian_full(full) - ref)) \
+        <= 1e-12 * scale * max(1.0, np.max(np.abs(full)))
+    if not mask.dirichlet.any():
+        assert np.all(L @ np.ones(mask.active_count) == 0.0)
+    assert mask.stencil_row_max() == pytest.approx(
+        float(np.max(-L.diagonal())) * mask.grid.h ** 2, rel=1e-12)
 
 
 def test_gradient_exact_on_linear_fields():

@@ -12,14 +12,18 @@ from difflab import (
     DomainMask,
     Field,
     GridSpec,
+    ParameterError,
     Trajectory,
+    admissible_graph_domain,
     ball_mask,
     export_csv,
     full_mask,
+    kernel_evolve,
     load_trajectory,
     parse_report,
     save_field,
     save_trajectory,
+    source_ball_center,
 )
 from difflab.cli import main
 from difflab.harness import (
@@ -231,6 +235,36 @@ def test_trajectory_round_trip(tmp_path):
     np.testing.assert_array_equal(back.mask.active, mask.active)
     np.testing.assert_array_equal(back.values, values)
     np.testing.assert_allclose(back.times, times, atol=1e-15)
+
+
+def test_graph_domain_kernel_round_trip_keeps_times_origin_and_ghosts(
+        tmp_path):
+    grid = GridSpec.make((2.0, 2.0), 33, origin=(-1.0, -1.0))
+    mask = admissible_graph_domain(grid, 1.0, 0.0)
+    assert mask.dirichlet.any()
+    kern = kernel_evolve(mask, tuple(source_ball_center(1.0, None, 2)),
+                         t_end=0.02, n_frames=16)    # geometric frame times
+    path = tmp_path / "kernel.bin"
+    save_trajectory(path, kern)
+    back = load_trajectory(path)
+    assert back.grid == grid
+    np.testing.assert_array_equal(back.times, kern.times)
+    np.testing.assert_array_equal(back.mask.active, mask.active)
+    np.testing.assert_array_equal(back.mask.dirichlet, mask.dirichlet)
+    np.testing.assert_array_equal(back.values, kern.values)
+
+
+def test_truncated_or_foreign_snapshot_raises(tmp_path):
+    mask = full_mask(GridSpec.make((1.0,), 9))
+    path = tmp_path / "traj.bin"
+    save_trajectory(path, Trajectory(mask, np.array([0.0, 0.1]),
+                                     np.ones((2, mask.active_count))))
+    data = path.read_bytes()
+    for bad in (data[:-1], data[:12], data + b"\0", b"not a snapshot",
+                b"\0" * len(data)):
+        path.write_bytes(bad)
+        with pytest.raises(ParameterError):
+            load_trajectory(path)
 
 
 def test_field_snapshot_and_csv_export(tmp_path):

@@ -12,6 +12,7 @@ from difflab import (
     GridSpec,
     ParameterError,
     SKTParams,
+    SolverError,
     StructuralError,
     full_mask,
     general_solve,
@@ -298,6 +299,19 @@ def test_quad_uniform_run_matches_ode_oracle():
     err = max(abs(float(sol.u[i].values[-1][0]) - ref.y[i, -1])
               for i in range(4))
     assert err <= ODE_TOL
+
+
+@pytest.mark.parametrize("solver", ["quadratic", "general"])
+def test_quartet_clipping_beyond_tolerance_raises(solver):
+    """A step that drives u1 far below zero clips far more than 1e-8 of
+    the mass; both quartet paths refuse the run."""
+    mask = point_mask()
+    inits = [Field.constant(mask, c) for c in (1.0, 0.0, 1e4, 0.0)]
+    with pytest.raises(SolverError, match="clipped mass"):
+        if solver == "quadratic":
+            quadratic_solve(inits, QUAD_DIFF, 0.1)
+        else:
+            general_solve(inits, preset_quad4(QUAD_DIFF), 0.1)
 
 
 def test_quad_lap_identity_residual_refines():
