@@ -39,10 +39,10 @@ from .systems import (GeneralSolution, GeneralSystemSpec, PRESET_SYSTEMS,
                       transform_consistency_report,
                       transformed_residual_report)
 from .systems import convexified as skt_convexified
-from .interp import (BallCover, Mollifier, build_covering, covering_radii,
+from .interp import (BallCover, build_covering, covering_radii,
                      cut_ball_check, default_overlap_cap,
                      interpolation_check, interpolation_theta,
-                     mollified_average, random_admissible_pair, star_center)
+                     random_admissible_pair)
 from .report import EstimateReport, RunReport, emit, parse_report
 from .fieldio import export_csv, load_trajectory, save_field, save_trajectory
 from .harness import (ExperimentConfig, kernel_calibration, preset_config,

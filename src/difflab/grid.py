@@ -350,7 +350,8 @@ class Field:
 
 
 class Trajectory:
-    """Equally spaced time frames of fields on one mask."""
+    """Time frames of fields on one mask; ``dt`` is the first gap, and time
+    quadrature uses ``frame_weights``."""
 
     def __init__(self, mask: DomainMask, times: np.ndarray, values: np.ndarray):
         times = np.asarray(times, dtype=float)
@@ -378,6 +379,13 @@ class Trajectory:
     @property
     def n_frames(self) -> int:
         return int(self.times.size)
+
+    def frame_weights(self) -> np.ndarray:
+        """Left-rectangle quadrature weight of each frame: its gap to the
+        next frame, the previous gap for the last frame, 0 for one frame."""
+        gaps = np.diff(self.times)
+        return np.append(gaps, gaps[-1:]) if gaps.size \
+            else np.zeros(self.times.size)
 
     def frame(self, k: int) -> Field:
         return Field(self.mask, self.values[k])

@@ -1,12 +1,14 @@
-"""One-sided interpolation machinery: mollified averages, the cut-ball
-estimate, a Besicovitch-style covering, and the global inequality
+"""One-sided interpolation machinery: the cut-ball estimate, a
+Besicovitch-style covering, and the global inequality
 
     ||u||_{L^q(Omega)} <= C ||w||^(1-theta) ||grad u||_{L^p}^theta
                           + C ||w||,
     theta = (2 - alpha - d/q) / (3 - alpha - d/p),
 
 for pairs with 0 <= u <= lap w (one-sided: no equality required).  The norm
-on w is C^alpha for alpha in (0,1) and the sup norm for alpha = 0.
+on w is C^alpha for alpha in (0,1) and the sup norm for alpha = 0; the
+threshold A and every cut-ball rung take the exact seminorm over all of
+their nodes (norms.pair_quotient_max).
 
 The verification domain Omega is a node subset strictly inside the carrier
 mask, so every Laplacian and gradient stencil uses real neighbours; the
@@ -20,199 +22,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import qmc
 
-from .errors import (GeometryError, ParameterError, PreconditionError,
-                     SamplingError)
+from .errors import ParameterError, PreconditionError, SamplingError
 from .grid import DomainMask, Field, gradient
 from .norms import pair_quotient_max
 from .report import EstimateReport
-
-_MOLLIFIER_CACHE: dict = {}
-
-
-def _bump(s):
-    """exp(-1/(1-s)) on s < 1, vanishing smoothly at s = 1 (s = 16|x|^2)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = s < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - s[inside]))
-    return out
-
-
-def _bump_d1(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = s < 1.0
-    si = s[inside]
-    out[inside] = -np.exp(-1.0 / (1.0 - si)) / (1.0 - si) ** 2
-    return out
-
-
-def _bump_d2(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = s < 1.0
-    si = s[inside]
-    g = np.exp(-1.0 / (1.0 - si))
-    out[inside] = g / (1.0 - si) ** 4 - 2.0 * g / (1.0 - si) ** 3
-    return out
-
-
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-class Mollifier:
-    """Normalized radial bump c_d exp(-1/(1-|4x|^2)) supported in B(0,1/4).
-
-    The normalization, ||lap chi||_{L^1}, and the double integral
-    integral integral |xi-eta|^alpha |lap chi(xi) - lap chi(eta)| are
-    computed once per dimension by radial quadrature (the double integral
-    by a deterministic low-discrepancy rule) and cached.
-    """
-
-    SUPPORT = 0.25
-
-    def __new__(cls, dim: int):
-        if dim in _MOLLIFIER_CACHE:
-            return _MOLLIFIER_CACHE[dim]
-        self = super().__new__(cls)
-        _MOLLIFIER_CACHE[dim] = self
-        return self
-
-    def __init__(self, dim: int):
-        if getattr(self, "_ready", False):
-            return
-        if dim < 1 or dim > 4:
-            raise ParameterError("dimension must be 1..4")
-        self.dim = dim
-        area = _sphere_area(dim)
-        mass, _ = integrate.quad(
-            lambda r: _bump(16.0 * r * r) * r ** (dim - 1),
-            0.0, self.SUPPORT, limit=200)
-        self.normalization = 1.0 / (area * mass)
-        lap_l1, _ = integrate.quad(
-            lambda r: abs(self._lap_radial(r)) * r ** (dim - 1),
-            0.0, self.SUPPORT, limit=200)
-        self.lap_l1 = area * lap_l1
-        self._ready = True
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """chi at points of shape (..., dim)."""
-        pts = np.asarray(points, dtype=float)
-        s = 16.0 * (pts * pts).sum(axis=-1)
-        return self.normalization * _bump(s)
-
-    def _lap_radial(self, r):
-        # lap chi = c [64 s g''(s) + 32 d g'(s)] with s = 16 r^2
-        s = 16.0 * np.asarray(r, dtype=float) ** 2
-        return self.normalization * (64.0 * s * _bump_d2(s)
-                                     + 32.0 * self.dim * _bump_d1(s))
-
-    def laplacian(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        r = np.sqrt((pts * pts).sum(axis=-1))
-        return self._lap_radial(r)
-
-    def alpha_pair_integral(self, alpha: float, n_points: int = 1 << 15) -> float:
-        """integral integral |xi-eta|^alpha |lap chi(xi)-lap chi(eta)|,
-        a dimensional constant (informational; low-discrepancy rule)."""
-        if not 0.0 < alpha < 1.0:
-            raise ParameterError("alpha must be in (0,1)")
-        sampler = qmc.Halton(d=2 * self.dim, scramble=False)
-        pts = (sampler.random(n_points) - 0.5) * (2 * self.SUPPORT)
-        xi, eta = pts[:, :self.dim], pts[:, self.dim:]
-        dist = np.sqrt(((xi - eta) ** 2).sum(axis=1))
-        vals = dist ** alpha * np.abs(self.laplacian(xi) - self.laplacian(eta))
-        volume = (2 * self.SUPPORT) ** (2 * self.dim)
-        return float(vals.mean() * volume)
-
-
-def star_center(mask: DomainMask, point, radius: float,
-                inward=None) -> np.ndarray:
-    """A core point for B(point, radius): the point itself when the
-    mollifier support B(point, R/4) lies inside the mask, otherwise the
-    point shifted inward by R/2 along ``inward`` (default: toward the
-    centroid of the active nodes within B(point, R))."""
-    point = np.asarray(point, dtype=float)
-    coords = mask.node_coords()
-    d2 = ((coords - point) ** 2).sum(axis=1)
-    if _support_inside(mask, point, radius):
-        return point
-    near = d2 <= radius * radius
-    if inward is None:
-        if not near.any():
-            raise GeometryError("no active nodes near the requested ball")
-        inward = coords[near].mean(axis=0) - point
-    inward = np.asarray(inward, dtype=float)
-    norm = float(np.linalg.norm(inward))
-    if norm <= 0:
-        raise GeometryError("cannot determine an inward direction")
-    shifted = point + (radius / 2.0) * inward / norm
-    if not _support_inside(mask, shifted, radius):
-        raise GeometryError(
-            f"no admissible core: support of radius {radius / 4:.4g} exits "
-            f"the mask even after the inward shift")
-    return shifted
-
-
-def _support_inside(mask: DomainMask, center, radius: float) -> bool:
-    """All box nodes within R/4 of center active (support of chi_R)."""
-    center = np.asarray(center, dtype=float)
-    d2 = np.zeros(mask.grid.n)
-    for ax in range(mask.grid.dim):
-        shape = [1] * mask.grid.dim
-        shape[ax] = -1
-        d2 = d2 + (mask.grid.axis_coords(ax).reshape(shape)
-                   - center[ax]) ** 2
-    support = d2 <= (radius / 4.0) ** 2 * (1 + 1e-12)
-    return bool(np.all(mask.active[support]))
-
-
-def mollified_average(u: Field, center, radius: float,
-                      moll: Mollifier | None = None) -> float:
-    """Node quadrature of integral u(center - x) chi_R(x) dx.
-
-    The discrete stencil weights are renormalized to unit mass so constants
-    average exactly; a support node outside the mask raises GeometryError.
-    """
-    mask = u.mask
-    if moll is None:
-        moll = Mollifier(mask.grid.dim)
-    center = np.asarray(center, dtype=float)
-    if center.shape != (mask.grid.dim,):
-        raise ParameterError("center must have one coordinate per axis")
-    if not _support_inside(mask, center, radius):
-        raise GeometryError(
-            f"mollifier support B(center, {radius / 4:.4g}) exits the mask")
-    coords = mask.node_coords()
-    rel = (center - coords) / radius          # chi_R(c - y) = R^-d chi((c-y)/R)
-    weights = moll(rel)
-    total = float(weights.sum())
-    if total <= 0:
-        raise SamplingError(
-            f"radius {radius:.4g} resolves no nodes (h = {mask.grid.h:.4g})")
-    return float((weights * u.values).sum() / total)
 
 
 # ---------------------------------------------------------------------------
 # cut-ball estimate
 
 
-def _holder_subset(coords: np.ndarray, vals: np.ndarray, alpha: float,
-                   cap: int = 4000) -> float:
-    """C^alpha norm (sup + seminorm) over a node subset; alpha = 0 is the
-    sup norm.  Subsets beyond ``cap`` nodes are thinned deterministically."""
+def _holder_subset(coords: np.ndarray, vals: np.ndarray,
+                   alpha: float) -> float:
+    """C^alpha norm (sup + exact seminorm) over a node subset; alpha = 0 is
+    the sup norm."""
     sup = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if alpha == 0.0 or vals.size < 2:
+    if alpha == 0.0:
         return sup
-    if vals.size > cap:
-        keep = np.random.default_rng(12345).choice(vals.size, cap,
-                                                   replace=False)
-        keep.sort()
-        coords, vals = coords[keep], vals[keep]
     return sup + pair_quotient_max(coords, vals, alpha)
 
 
@@ -375,7 +202,7 @@ def default_overlap_cap(dim: int) -> int:
 
 def _sorted_offsets(dim: int, max_steps: int):
     """Integer offsets with |v| <= max_steps, sorted by Euclidean norm,
-    with the end index of each distinct-norm group."""
+    with the distinct norms and the end index of each norm's group."""
     rng = np.arange(-max_steps, max_steps + 1)
     mesh = np.meshgrid(*([rng] * dim), indexing="ij")
     offs = np.stack([m.ravel() for m in mesh], axis=1)
@@ -387,7 +214,7 @@ def _sorted_offsets(dim: int, max_steps: int):
     norms = np.sqrt(norm2.astype(float))
     uniq = np.unique(norms)
     ends = np.searchsorted(norms, uniq, side="right") - 1
-    return offs, norms, uniq, ends
+    return offs, uniq, ends
 
 
 def covering_radii(u: Field, threshold: float, p: float, alpha: float,
@@ -410,38 +237,41 @@ def covering_radii(u: Field, threshold: float, p: float, alpha: float,
     h = mask.grid.h
     grad = gradient(u)
     gmass = h ** d * np.sqrt((grad ** 2).sum(axis=1)) ** p
-    gmass = np.where(domain, gmass, 0.0)
-    gfull = mask.scatter(gmass).ravel()
+    gfull = mask.scatter(np.where(domain, gmass, 0.0))
 
     steps = int(math.floor(r0 / h * (1 + 1e-12)))
     if steps < 1:
         raise ParameterError(f"r0 = {r0:.4g} is below the grid spacing")
-    offs, _, uniq, ends = _sorted_offsets(d, steps)
+    offs, uniq, ends = _sorted_offsets(d, steps)
     radii_ladder = uniq * h
     with np.errstate(divide="ignore"):
         thresholds = np.where(radii_ladder > 0,
                               threshold ** p * radii_ladder
                               ** (-p * exponent), np.inf)
 
-    all_idx = np.argwhere(mask.active)            # (N, dim)
-    dom_idx = all_idx[domain]
-    n_dom = dom_idx.shape[0]
-    shape = np.array(mask.grid.n)
-    out = np.full(n_dom, r0)
-    chunk = max(8, min(512, int(2_000_000 // max(offs.shape[0], 1))))
-    for lo in range(0, n_dom, chunk):
-        pos = dom_idx[lo:lo + chunk]              # (c, dim)
-        J = pos[:, None, :] + offs[None, :, :]    # (c, n_off, dim)
-        valid = np.all((J >= 0) & (J < shape), axis=-1)
-        flat = np.ravel_multi_index(
-            np.moveaxis(np.clip(J, 0, shape - 1), -1, 0), mask.grid.n)
-        vals = gfull[flat] * valid
-        csum = np.cumsum(vals, axis=1)[:, ends]   # (c, n_groups)
-        hit = csum >= thresholds[None, :]
-        first = np.argmax(hit, axis=1)
-        crossed = hit.any(axis=1)
-        res = np.where(crossed, radii_ladder[first], r0)
-        out[lo:lo + chunk] = np.minimum(res, r0)
+    # one accumulator over the domain's bounding box: add the shifted
+    # gradient mass of each offset in sorted order, so every node sums its
+    # ball in the order of a running sum over the sorted offsets, and test
+    # the domain nodes at the end of each distinct-norm group
+    dom_idx = np.argwhere(mask.active)[domain]    # (n_dom, dim)
+    out = np.full(dom_idx.shape[0], r0)
+    if not dom_idx.size:
+        return out
+    base = dom_idx.min(axis=0)
+    shape = tuple(dom_idx.max(axis=0) - base + 1)
+    gpad = np.pad(gfull, steps)
+    local = np.ravel_multi_index(tuple((dom_idx - base).T), shape)
+    acc = np.zeros(shape)
+    pending = np.ones(out.size, dtype=bool)
+    group = 0
+    for k, off in enumerate(offs):
+        lo = base + steps + off
+        acc += gpad[tuple(slice(l, l + n) for l, n in zip(lo, shape))]
+        if k == ends[group]:
+            hit = pending & (acc.ravel()[local] >= thresholds[group])
+            out[hit] = min(radii_ladder[group], r0)
+            pending &= ~hit
+            group += 1
     return out
 
 
@@ -550,7 +380,7 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
     grad = gradient(u)
     gmag = np.where(domain, np.sqrt((grad ** 2).sum(axis=1)), 0.0)
     grad_norm = (hd * float(np.sum(gmag ** p))) ** (1.0 / p)
-    a_norm = _holder_subset(coords[domain], w.values[domain], alpha, cap=6000)
+    a_norm = _holder_subset(coords[domain], w.values[domain], alpha)
     if a_norm <= 0:
         raise ParameterError("w vanishes on the domain; threshold A = 0")
 

@@ -1,16 +1,17 @@
 """Discrete norms: Lebesgue, mixed space-time, oscillation, parabolic Hoelder.
 
-Quadrature is the plain node sum times h^d (and dt in time), so constants
-carry an O(h) bias on boxes; the estimates calibrated against these norms use
-the same quadrature throughout, which is what matters for the checks.
+Quadrature is the plain node sum times h^d (and the frame gaps in time), so
+constants carry an O(h) bias on boxes; the estimates calibrated against these
+norms use the same quadrature throughout, which is what matters for the checks.
 
 The parabolic Hoelder seminorm uses the quotient
 
     |w(t,x) - w(s,y)| / ( |t-s|^(alpha/2) + |x-y|^alpha ).
 
-Pairs are enumerated exhaustively when the pair count fits the budget,
-otherwise sampled deterministically, stratified by space-time distance decade
-so both the near and the far regime are represented.
+When the pair count fits the budget the seminorm is exact over all pairs
+(branch-and-bound over block pairs, pair_quotient_max); otherwise pairs are
+sampled deterministically, stratified by space-time distance decade so both
+the near and the far regime are represented.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .errors import DomainError, ParameterError, SamplingError
 from .grid import Field, ParabolicCylinder, Trajectory
 
 _INF = float("inf")
-_BLOCK_PAIRS = 1 << 16      # pairs evaluated per block of pair_quotient_max
+_LEAF = 32                  # points per leaf of the pair_quotient_max tree
+_LEAF_PAIRS = 64            # leaf pairs evaluated per batch
 
 
 def reciprocal(p: float) -> float:
@@ -55,7 +57,8 @@ def lp_norm(field: Field, p: float) -> float:
 
 def lpq_norm(traj: Trajectory, p: float, q: float,
              t_lo: float | None = None, t_hi: float | None = None) -> float:
-    """L^p in time of the L^q space norm, rectangle rule with weight dt."""
+    """L^p in time of the L^q space norm, left-rectangle rule over the
+    frame gaps (Trajectory.frame_weights)."""
     p = _check_exponent(p, "p")
     q = _check_exponent(q, "q")
     if t_lo is None and t_hi is None:
@@ -74,8 +77,8 @@ def lpq_norm(traj: Trajectory, p: float, q: float,
         space = (hd * np.sum(vals ** q, axis=1)) ** (1.0 / q)
     if p == _INF:
         return float(space.max())
-    dt = traj.dt if traj.n_frames > 1 else 0.0
-    return float((dt * np.sum(space ** p)) ** (1.0 / p))
+    weights = traj.frame_weights()[idx]
+    return float(np.sum(weights * space ** p) ** (1.0 / p))
 
 
 def oscillation(traj: Trajectory, cyl: ParabolicCylinder) -> float:
@@ -103,6 +106,125 @@ def _pair_quotient(dw, dt_abs, dx, alpha):
     return np.divide(dw, dist, out=np.zeros_like(dw), where=dist > 1e-300)
 
 
+def _quotients(X, W, T, alpha, i, j):
+    """Quotient of each pair (i[k], j[k]): the squared distance summed axis
+    by axis, then sqrt, then _pair_quotient.  The arithmetic is symmetric in
+    i and j, so every evaluation order gives the same bits."""
+    d2 = np.zeros(i.shape)
+    for ax in range(X.shape[1]):
+        diff = X[i, ax] - X[j, ax]
+        d2 += diff * diff
+    dt_abs = None if T is None else np.abs(T[i] - T[j])
+    return _pair_quotient(np.abs(W[i] - W[j]), dt_abs, np.sqrt(d2), alpha)
+
+
+class _BlockTree:
+    """Binary space partition of a point set for pair_quotient_max.
+
+    Each node splits along its widest axis (time counts with the width
+    sqrt(T range), the parabolic scaling) at the distinct-value boundary
+    nearest the median, so on grids sibling boxes keep a positive gap.
+    Nodes of at most _LEAF points, or whose points all coincide, are
+    leaves.  Nodes are numbered breadth first; ``child[k]`` is the first of
+    node k's two consecutive children, -1 for a leaf, and node k owns the
+    points ``perm[start[k]:stop[k]]`` with their box, W range and T range.
+    """
+
+    def __init__(self, X, W, T):
+        keys = X.T if T is None else np.vstack([X.T, T])
+        keys = np.ascontiguousarray(keys, dtype=float)
+        self.perm = perm = np.arange(W.size)
+        spans, child = [(0, W.size)], []
+        for a, b in spans:                       # grows while it is walked
+            if b - a <= _LEAF:
+                child.append(-1)
+                continue
+            idx = perm[a:b]
+            pts = keys[:, idx]
+            widths = pts.max(axis=1) - pts.min(axis=1)
+            if T is not None:
+                widths[-1] = math.sqrt(widths[-1])
+            ax = int(np.argmax(widths))
+            if not widths[ax] > 0:               # coincident points (or NaN)
+                child.append(-1)
+                continue
+            # the median value's group [below, upto) holds the middle rank,
+            # so its two edges are the value boundaries nearest the median
+            key = pts[ax]
+            mid = np.partition(key, (b - a) // 2)[(b - a) // 2]
+            left = key < mid
+            below = np.count_nonzero(left)
+            upto = below + np.count_nonzero(key == mid)
+            if below == 0 or (upto < b - a and 2 * upto - (b - a)
+                              < (b - a) - 2 * below):
+                left = key <= mid
+            cut = np.count_nonzero(left)
+            perm[a:b] = np.concatenate([idx[left], idx[~left]])
+            child.append(len(spans))
+            spans += [(a, a + cut), (a + cut, b)]
+        self.start, self.stop = np.array(spans).T
+        self.size = self.stop - self.start
+        self.child = np.array(child)
+        # per-node ranges of (X, T, W) by one reduceat over [start, stop)
+        # pairs; the padding row makes stop == n a valid index
+        table = np.vstack([keys, W]).T[perm]
+        table = np.vstack([table, np.zeros(table.shape[1])])
+        cuts = np.column_stack([self.start, self.stop]).ravel()
+        lo = np.minimum.reduceat(table, cuts)[::2]
+        hi = np.maximum.reduceat(table, cuts)[::2]
+        dim = X.shape[1]
+        self.lo, self.hi = lo[:, :dim], hi[:, :dim]
+        self.wlo, self.whi = lo[:, -1], hi[:, -1]
+        self.tlo, self.thi = (lo[:, dim], hi[:, dim]) if T is not None \
+            else (None, None)
+
+    def bound(self, a, b, alpha):
+        """Upper bound of the quotient over every point pair of nodes a and
+        b: the largest W difference over the smallest parabolic distance of
+        the two boxes.  Rounding is monotone in each input, so the bound
+        holds in floating point; the 1e-12 slack covers a last-ulp
+        non-monotone ``**``."""
+        gap2 = np.zeros(a.shape)
+        for ax in range(self.lo.shape[1]):
+            gap = np.maximum(np.maximum(self.lo[b, ax] - self.hi[a, ax],
+                                        self.lo[a, ax] - self.hi[b, ax]), 0.0)
+            gap2 += gap * gap
+        dist = np.sqrt(gap2) ** alpha
+        if self.tlo is not None:
+            gap_t = np.maximum(np.maximum(self.tlo[b] - self.thi[a],
+                                          self.tlo[a] - self.thi[b]), 0.0)
+            dist = gap_t ** (alpha / 2.0) + dist
+        dw = np.maximum(self.whi[a] - self.wlo[b], self.whi[b] - self.wlo[a])
+        return np.divide(dw, dist * (1.0 - 1e-12),
+                         out=np.full(a.shape, _INF), where=dist > 0)
+
+    def split(self, a, b):
+        """Child pairs of the node pairs (a, b), a pair of leaves excepted:
+        a node paired with itself gives its two children's three pairs;
+        otherwise the node with more points is split (never a leaf)."""
+        same = a == b
+        c = self.child[a[same]]
+        a, b = a[~same], b[~same]
+        flip = (self.child[a] < 0) | ((self.child[b] >= 0)
+                                      & (self.size[b] > self.size[a]))
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        ca = self.child[a]
+        return (np.concatenate([c, c, c + 1, ca, ca + 1]),
+                np.concatenate([c, c + 1, c + 1, b, b]))
+
+    def leaf_pairs(self, a, b):
+        """Indices (into perm) of every point pair of the leaf pairs (a, b),
+        each unordered pair once."""
+        nb = self.size[b]
+        count = self.size[a] * nb
+        k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        nb_k = np.repeat(nb, count)
+        i = np.repeat(self.start[a], count) + k // nb_k
+        j = np.repeat(self.start[b], count) + k % nb_k
+        keep = (np.repeat(a != b, count)) | (i < j)
+        return i[keep], j[keep]
+
+
 def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
                       T: np.ndarray | None = None) -> float:
     """Largest Hoelder quotient over all point pairs:
@@ -110,22 +232,41 @@ def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
         max_{i<j} |W_i - W_j| / (|T_i - T_j|^(alpha/2) + |X_i - X_j|^alpha)
 
     with X of shape (n, dim); T None is the spatial quotient (every time
-    offset zero).  Row blocks sweep the upper triangle and squared
-    distances accumulate axis by axis, so no (block, n, dim) array exists.
+    offset zero).  Exact, by branch-and-bound over pairs of _BlockTree
+    nodes (a dual-tree search, Gray & Moore, NIPS 2000): the running best
+    starts from every point paired with the argmax and the argmin of W; a
+    node pair is dropped once its bound is <= the best, and the surviving
+    leaf pairs are evaluated point by point, largest bound first, with the
+    arithmetic of _quotients, so the result equals the brute-force maximum
+    bit for bit.
     """
     n = W.size
-    rows = max(1, _BLOCK_PAIRS // max(n, 1))
-    best = 0.0
-    for lo in range(0, n - 1, rows):
-        hi = min(lo + rows, n - 1)
-        d2 = np.zeros((hi - lo, n - lo - 1))
-        for ax in range(X.shape[1]):
-            diff = X[lo:hi, None, ax] - X[None, lo + 1:, ax]
-            d2 += diff * diff
-        dt_abs = None if T is None else np.abs(T[lo:hi, None] - T[None, lo + 1:])
-        dw = np.abs(W[lo:hi, None] - W[None, lo + 1:])
-        best = max(best, float(_pair_quotient(dw, dt_abs, np.sqrt(d2),
-                                              alpha).max()))
+    if n < 2:
+        return 0.0
+    everyone = np.arange(n)
+    best = max(float(_quotients(X, W, T, alpha, everyone,
+                                np.full(n, k)).max())
+               for k in (int(np.argmax(W)), int(np.argmin(W))))
+    tree = _BlockTree(X, W, T)
+    Xp, Wp = X[tree.perm], W[tree.perm]
+    Tp = None if T is None else T[tree.perm]
+    a = b = np.zeros(1, dtype=np.int64)
+    while a.size:
+        bound = tree.bound(a, b, alpha)
+        live = bound > best
+        a, b, bound = a[live], b[live], bound[live]
+        leaves = (tree.child[a] < 0) & (tree.child[b] < 0)
+        order = np.argsort(-bound[leaves], kind="stable")
+        la, lb, lbound = (v[leaves][order] for v in (a, b, bound))
+        for lo in range(0, la.size, _LEAF_PAIRS):
+            if lbound[lo] <= best:
+                break
+            i, j = tree.leaf_pairs(la[lo:lo + _LEAF_PAIRS],
+                                   lb[lo:lo + _LEAF_PAIRS])
+            if i.size:
+                best = max(best, float(_quotients(Xp, Wp, Tp, alpha,
+                                                  i, j).max()))
+        a, b = tree.split(a[~leaves], b[~leaves])
     return best
 
 

@@ -248,7 +248,8 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
 
 def _cylinder_lpq(forcing, traj: Trajectory, p: float, q: float,
                   t_lo: float, t_hi: float, nodes: np.ndarray) -> float:
-    """||f||_{L^p L^q} over (t_lo, t_hi] x (ball cap), rectangle rule."""
+    """||f||_{L^p L^q} over (t_lo, t_hi] x (ball cap), left-rectangle rule
+    over the frame gaps."""
     hd = traj.grid.h ** traj.grid.dim
     idx = traj.window(t_lo, t_hi)
     if idx.size == 0:
@@ -264,8 +265,8 @@ def _cylinder_lpq(forcing, traj: Trajectory, p: float, q: float,
     vals = np.asarray(vals)
     if p == _INF:
         return float(vals.max())
-    dt = traj.dt if traj.n_frames > 1 else 0.0
-    return float((dt * np.sum(vals ** p)) ** (1.0 / p))
+    weights = traj.frame_weights()[idx]
+    return float(np.sum(weights * vals ** p) ** (1.0 / p))
 
 
 def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,

@@ -263,7 +263,11 @@ def lp_energy_report(sol: SKTSolution, p: int,
         raise ParameterError("p must be >= 1")
     mask = sol.u.mask
     hd = mask.grid.h ** mask.grid.dim
-    dt = sol.u.dt
+    # trapezoid weights: (t_{k+1} - t_{k-1})/2 inside, half a gap at the ends
+    gaps = np.diff(sol.u.times) / 2.0
+    weights = np.zeros(sol.u.n_frames)
+    weights[:-1] += gaps
+    weights[1:] += gaps
     u_T = sol.u.values[-1]
     lhs = hd * float(np.sum(u_T ** (p + 1))) / (p + 1)
     grad_term = 0.0
@@ -271,9 +275,8 @@ def lp_energy_report(sol: SKTSolution, p: int,
     for k in range(sol.u.n_frames):
         uk = sol.u.values[k]
         g = gradient(Field(mask, uk ** ((p + 1) / 2.0)))
-        weight = dt if 0 < k < sol.u.n_frames - 1 else dt / 2.0
-        grad_term += weight * hd * float(np.sum(g ** 2))
-        source += weight * hd * float(np.sum(uk ** (p + 2)))
+        grad_term += weights[k] * hd * float(np.sum(g ** 2))
+        source += weights[k] * hd * float(np.sum(uk ** (p + 2)))
     lhs += sol.params.d1 * 4.0 * p / (p + 1) ** 2 * grad_term
     core = 1.0 + source
     mode = "calibration" if c_p is None else "verification"

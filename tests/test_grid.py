@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage
 
 from difflab import (DomainError, DomainMask, Field, GridSpec,
@@ -12,6 +12,7 @@ from difflab import (DomainError, DomainMask, Field, GridSpec,
                      holder_norm_field, laplacian_neumann, lipschitz_norm,
                      lp_norm, lpq_norm, oscillation, poisson_neumann,
                      restrict_mask, stable_dt)
+from difflab.norms import pair_quotient_max
 
 TOL_MACHINE = 1e-12
 TOL_STENCIL = 1e-10
@@ -368,6 +369,19 @@ def test_lpq_norm_constant_and_window():
         lpq_norm(flat, 2.0, 2.0, t_lo=5.0, t_hi=6.0)
 
 
+def test_lpq_norm_weights_unequal_frame_gaps():
+    """Each frame weighs its gap to the next one (the last frame its previous
+    gap), so a constant-mass trajectory integrates to mass * sum of gaps."""
+    mask = full_mask(_grid(17, 1))
+    times = np.array([0.0, 0.1, 0.3, 0.35, 0.6])
+    traj = Trajectory(mask, times, np.full((5, mask.active_count), 2.0))
+    weights = [0.1, 0.2, 0.05, 0.25, 0.25]
+    np.testing.assert_allclose(traj.frame_weights(), weights, rtol=1e-13)
+    mass = 2.0 * mask.grid.h * mask.active_count
+    assert lpq_norm(traj, 1.0, 1.0) == pytest.approx(mass * sum(weights),
+                                                     rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # oscillation
 
@@ -469,6 +483,42 @@ def test_holder_norm_coarsening_monotone():
     coarse = holder_norm(build(13, 3), 0.5, max_pairs=10_000_000)
     assert coarse <= fine * (1 + 1e-12)
     assert fine <= 1.2 * coarse
+
+
+def _brute_quotient_max(X, W, alpha, T=None):
+    """Every pair i < j with the arithmetic of the library: squared distance
+    summed axis by axis, sqrt, the power, then the guarded division."""
+    i, j = np.triu_indices(W.size, 1)
+    d2 = np.zeros(i.size)
+    for ax in range(X.shape[1]):
+        diff = X[i, ax] - X[j, ax]
+        d2 += diff * diff
+    dist = np.sqrt(d2) ** alpha
+    if T is not None:
+        dist = np.abs(T[i] - T[j]) ** (alpha / 2.0) + dist
+    dw = np.abs(W[i] - W[j])
+    q = np.divide(dw, dist, out=np.zeros_like(dw), where=dist > 1e-300)
+    return float(q.max()) if q.size else 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 3), n=st.integers(0, 200),
+       alpha=st.floats(0.0, 1.0, exclude_min=True), timed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=2, n=0, alpha=0.5, timed=False, seed=0)
+@example(dim=2, n=1, alpha=0.5, timed=True, seed=0)
+@example(dim=2, n=2, alpha=1.0, timed=False, seed=0)
+@example(dim=3, n=2, alpha=0.3, timed=True, seed=1)
+def test_pair_quotient_max_matches_brute_force(dim, n, alpha, timed, seed):
+    """Random subsets of a 6^dim grid (tied coordinates, duplicate points,
+    tied values and times): the branch-and-bound maximum is the brute-force
+    maximum, bit for bit."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 6, size=(n, dim)) / 7.0
+    W = np.round(rng.standard_normal(n), 1)
+    T = rng.integers(0, 4, size=n) * 0.01 if timed else None
+    assert pair_quotient_max(X, W, alpha, T) == \
+        _brute_quotient_max(X, W, alpha, T)
 
 
 def test_holder_norm_validation():

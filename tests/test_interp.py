@@ -1,21 +1,16 @@
-"""Tests for localized averaging, the cut-ball estimate, the gradient-mass
-covering, and the one-sided interpolation inequality."""
+"""Tests for the cut-ball estimate, the gradient-mass covering, and the
+one-sided interpolation inequality."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from difflab import (
     Field,
-    GeometryError,
     GridSpec,
-    Mollifier,
     ParameterError,
     PreconditionError,
-    SamplingError,
-    ball_mask,
     build_covering,
     covering_radii,
     cut_ball_check,
@@ -24,13 +19,10 @@ from difflab import (
     gradient,
     interpolation_check,
     interpolation_theta,
-    mollified_average,
     random_admissible_pair,
-    star_center,
 )
 
 TOL_MACHINE = 1e-12
-TOL_QUAD = 1e-9
 
 
 def unit_square(n):
@@ -40,82 +32,6 @@ def unit_square(n):
 def interior_domain(mask, lo=0.15, hi=0.85):
     coords = mask.node_coords()
     return np.all((coords > lo) & (coords < hi), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# mollifier and local averages
-
-
-def test_mollifier_is_cached_per_dimension():
-    assert Mollifier(2) is Mollifier(2)
-    assert Mollifier(1) is not Mollifier(2)
-    with pytest.raises(ParameterError):
-        Mollifier(5)
-
-
-def test_mollifier_shape_constants():
-    moll = Mollifier(2)
-    assert moll.normalization > 0
-    assert moll.lap_l1 > 0
-    # supported in B(0, 1/4): vanishes at and beyond the support radius
-    pts = np.array([[0.25, 0.0], [0.3, 0.1], [0.0, 0.0]])
-    vals = moll(pts)
-    assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] > 0
-    assert moll.alpha_pair_integral(0.5, n_points=1 << 12) > 0
-    with pytest.raises(ParameterError):
-        moll.alpha_pair_integral(1.0)
-
-
-def test_mollified_average_reproduces_constants_and_linears():
-    mask = full_mask(GridSpec.make((2.0,), 1025))
-    center = np.array([1.0])
-    const = Field.constant(mask, 3.7)
-    assert abs(mollified_average(const, center, 0.4) - 3.7) <= TOL_MACHINE
-    # symmetric weights cancel the odd part exactly
-    lin = Field.from_function(mask, lambda x: 2.0 * x[:, 0] - 0.3)
-    assert abs(mollified_average(lin, center, 0.4) - 1.7) <= TOL_MACHINE
-
-
-def test_mollified_average_matches_quadrature_oracle():
-    mask = full_mask(GridSpec.make((2.0,), 1025))
-    center, radius = 1.0, 0.4
-    u = Field.from_function(mask, lambda x: np.exp(-4.0 * (x[:, 0] - 1.0) ** 2))
-    moll = Mollifier(1)
-    val = mollified_average(u, np.array([center]), radius)
-    exact, _ = integrate.quad(
-        lambda y: math.exp(-4.0 * (y - center) ** 2)
-        * moll(np.array([[(center - y) / radius]]))[0] / radius,
-        center - radius / 4, center + radius / 4, limit=200)
-    assert abs(val - exact) <= TOL_QUAD
-
-
-def test_mollified_average_rejects_bad_geometry():
-    ball = ball_mask(GridSpec.make((2.0, 2.0), 65), (1.0, 1.0), 0.8)
-    # support pokes through the curved boundary into inactive nodes
-    with pytest.raises(GeometryError):
-        mollified_average(Field.constant(ball, 1.0), (0.25, 1.0), 0.4)
-    mask = unit_square(33)
-    # a radius below the resolution catches no nodes at an off-grid center
-    with pytest.raises(SamplingError):
-        mollified_average(Field.constant(mask, 1.0), (0.515, 0.515), 0.01)
-    with pytest.raises(ParameterError):
-        mollified_average(Field.constant(mask, 1.0), (0.5,), 0.2)
-
-
-def test_star_center_interior_point_is_fixed():
-    mask = ball_mask(GridSpec.make((2.0, 2.0), 65), (1.0, 1.0), 0.8)
-    np.testing.assert_allclose(star_center(mask, (1.0, 1.0), 0.4),
-                               [1.0, 1.0])
-
-
-def test_star_center_shifts_boundary_points_inward():
-    mask = ball_mask(GridSpec.make((2.0, 2.0), 65), (1.0, 1.0), 0.8)
-    point = np.array([1.0, 1.75])
-    moved = star_center(mask, point, 0.4)
-    assert abs(np.linalg.norm(moved - point) - 0.2) <= TOL_MACHINE
-    assert moved[1] < point[1]          # pushed toward the ball's interior
-    with pytest.raises(GeometryError):
-        star_center(mask, (1.9, 1.9), 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +279,32 @@ def test_interpolation_scaling_invariance():
                   / base.details["fitted_constant"] - 1.0)
         assert rel <= 1e-9
         assert scaled.details["n_balls"] == base.details["n_balls"]
+
+
+def test_threshold_is_exact_seminorm_on_criterion_10_domain():
+    """Threshold A on the criterion-10 geometry (seed 1002) is sup |w| plus
+    the Hoelder seminorm over every pair of domain nodes; a thinned node
+    subset would report less."""
+    mask = full_mask(GridSpec.make((1.0, 1.0, 1.0), 32))
+    coords = mask.node_coords()
+    domain = np.all((coords > 0.15) & (coords < 0.85), axis=1)
+    u, w = random_admissible_pair(mask, domain, np.random.default_rng(1002))
+    q = 2.0 * (3.0 - ALPHA) / (2.0 - ALPHA)
+    rep = interpolation_check(u, w, p=2.0, q=q, alpha=ALPHA, r0=0.15,
+                              domain=domain)
+    X, W = coords[domain], w.values[domain]
+    semi = 0.0
+    for lo in range(0, W.size - 1, 64):       # a row block against later rows
+        rows = slice(lo, lo + 64)
+        d2 = np.zeros((X[rows].shape[0], W.size - lo - 1))
+        for ax in range(3):
+            diff = X[rows, None, ax] - X[None, lo + 1:, ax]
+            d2 += diff * diff
+        dist = np.sqrt(d2) ** ALPHA
+        dw = np.abs(W[rows, None] - W[None, lo + 1:])
+        semi = max(semi, float(np.divide(dw, dist, out=np.zeros_like(dw),
+                                         where=dist > 1e-300).max()))
+    assert rep.details["holder_norm_w"] == float(np.max(np.abs(W))) + semi
 
 
 def test_interpolation_rejects_onesided_violation():
