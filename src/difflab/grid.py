@@ -85,6 +85,10 @@ class GridSpec:
     def node_count(self) -> int:
         return math.prod(self.n)
 
+    def record(self) -> dict:
+        """The grid entry of a report: dim, node counts and spacing."""
+        return {"dim": self.dim, "n": list(self.n), "h": self.h}
+
     def meshgrid(self) -> list[np.ndarray]:
         """Full coordinate arrays, one per axis, each of shape ``n``."""
         axes = [self.axis_coords(ax) for ax in range(self.dim)]
@@ -350,7 +354,7 @@ class Field:
 
 
 class Trajectory:
-    """Time frames of fields on one mask; ``dt`` is the first gap, and time
+    """Time frames of fields on one mask; the frame gaps may differ, and time
     quadrature uses ``frame_weights``."""
 
     def __init__(self, mask: DomainMask, times: np.ndarray, values: np.ndarray):
@@ -369,12 +373,6 @@ class Trajectory:
     @property
     def t0(self) -> float:
         return float(self.times[0])
-
-    @property
-    def dt(self) -> float:
-        if self.times.size < 2:
-            return 0.0
-        return float(self.times[1] - self.times[0])
 
     @property
     def n_frames(self) -> int:
@@ -448,15 +446,12 @@ def gradient(field: Field) -> np.ndarray:
         mask.active_count, mask.grid.dim)
 
 
-def poisson_neumann(rhs: Field, rtol: float = 1e-10,
-                    maxiter: int | None = None) -> Field:
+def poisson_neumann(rhs: Field) -> Field:
     """Solve laplacian(u) = rhs on the mask with Neumann ghosts.
 
     The right-hand side must have (near) zero node mean; the solution is
     returned with zero node mean.  A direct sparse solve with the first node
     pinned, then the mean removed; the relative residual is checked to 1e-9.
-    ``rtol`` and ``maxiter`` are accepted for compatibility and unused: the
-    direct solve has no iteration to stop.
     """
     mask = rhs.mask
     b = rhs.values

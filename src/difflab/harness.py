@@ -408,8 +408,7 @@ def _run_heatkernel(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
         check="kernel_mass_conservation",
         lhs=drift, rhs=1e-9, passed=bool(drift <= 1e-9),
         params={"frames": int(kern.n_frames)},
-        grid={"dim": mask.grid.dim, "n": list(mask.grid.n),
-              "h": mask.grid.h},
+        grid=mask.grid.record(),
         details={"mass_first": float(masses[0]),
                  "mass_last": float(masses[-1])},
     )
@@ -481,7 +480,7 @@ def _run_skt(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     sol = skt_solve(u0, v0, params, cfg.t_end, dt=cfg.solver_dt(),
                     n_frames=cfg.n_frames)
     aux = skt_auxiliary(sol)
-    gridd = {"dim": mask.grid.dim, "n": list(mask.grid.n), "h": mask.grid.h}
+    gridd = mask.grid.record()
 
     neg = -min(float(sol.u.values.min()), float(sol.v.values.min()))
     positivity = EstimateReport(
@@ -606,6 +605,15 @@ _PIPELINES = {
 # entry points
 
 
+def _as_config(config) -> ExperimentConfig:
+    """An ExperimentConfig as is; a dict, path or JSON text parsed."""
+    if isinstance(config, ExperimentConfig):
+        return config
+    if isinstance(config, dict):
+        return ExperimentConfig(config)
+    return ExperimentConfig.from_json(config)
+
+
 def run_experiment(config) -> RunReport:
     """Run one experiment described by a config (dict, path, or JSON text).
 
@@ -614,12 +622,7 @@ def run_experiment(config) -> RunReport:
     """
     import time as _time
 
-    if isinstance(config, ExperimentConfig):
-        cfg = config
-    elif isinstance(config, dict):
-        cfg = ExperimentConfig(config)
-    else:
-        cfg = ExperimentConfig.from_json(config)
+    cfg = _as_config(config)
     rng = np.random.default_rng(cfg.seed)
     t0 = _time.perf_counter()
     checks = _PIPELINES[cfg.experiment](cfg, rng)
@@ -632,12 +635,7 @@ def run_experiment(config) -> RunReport:
 
 def run_with_refinement(config, levels: int) -> list[RunReport]:
     """Base run plus ``levels`` mesh halvings (reports in order)."""
-    if isinstance(config, ExperimentConfig):
-        cfg = config
-    elif isinstance(config, dict):
-        cfg = ExperimentConfig(config)
-    else:
-        cfg = ExperimentConfig.from_json(config)
+    cfg = _as_config(config)
     reports = []
     for k in range(levels + 1):
         sub = cfg if k == 0 else cfg.refined(k)

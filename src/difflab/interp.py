@@ -146,7 +146,7 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
         passed=bool(ineq_ok and slope_ok),
         params={"p": p, "q": q, "alpha": alpha, "C": C, "mode": mode,
                 "center": [float(c) for c in center]},
-        grid={"dim": d, "n": list(mask.grid.n), "h": mask.grid.h},
+        grid=mask.grid.record(),
         details={"ladder": rows, "slopes": slopes,
                  "grad_exponent": e_grad, "w_exponent": e_w},
     )
@@ -346,7 +346,6 @@ def _validate_hypotheses(dim: int, p: float, q: float, alpha: float):
 def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
                         r0: float, C: float | None = None,
                         domain: np.ndarray | None = None,
-                        overlap_cap: int | None = None,
                         lap_w: np.ndarray | None = None) -> EstimateReport:
     """Full pipeline for the one-sided interpolation inequality.
 
@@ -368,8 +367,7 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
     theta = _validate_hypotheses(d, p, q, alpha)
     if domain is None:
         domain = np.ones(mask.active_count, dtype=bool)
-    if overlap_cap is None:
-        overlap_cap = default_overlap_cap(d)
+    overlap_cap = default_overlap_cap(d)
     lap_w = _lap_values(lap_w, w)
     _check_one_sided(u, lap_w, domain)
 
@@ -416,7 +414,7 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
         passed=bool(ineq_ok and overlap_ok),
         params={"p": p, "q": q, "alpha": alpha, "theta": theta, "r0": r0,
                 "C": C, "mode": mode, "overlap_cap": overlap_cap},
-        grid={"dim": d, "n": list(mask.grid.n), "h": mask.grid.h},
+        grid=mask.grid.record(),
         details={"holder_norm_w": a_norm, "grad_norm": grad_norm,
                  "fitted_constant": fitted,
                  "n_balls": cover.n_balls,

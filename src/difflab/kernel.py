@@ -196,7 +196,7 @@ def kernel_norm_report(kern: KernelField, p_list=(1.0, 2.0, _INF),
         check="kernel_decay_slopes",
         lhs=worst, rhs=tol, passed=bool(worst <= tol),
         params={"p_list": ["inf" if p == _INF else p for p in p_list]},
-        grid={"dim": d, "n": list(kern.grid.n), "h": kern.grid.h},
+        grid=kern.grid.record(),
         details={"rows": rows},
     )
 
@@ -220,7 +220,7 @@ def moment_report(kern: KernelField, tol: float = 0.05) -> EstimateReport:
         check="kernel_moment_slope",
         lhs=slope, rhs=0.5, passed=bool(err <= tol),
         params={"tol": tol},
-        grid={"dim": kern.grid.dim, "n": list(kern.grid.n), "h": kern.grid.h},
+        grid=kern.grid.record(),
         details={"fitted_constant": const,
                  "regime": [float(t[0]), float(t[-1])]},
     )
@@ -350,7 +350,7 @@ def gaussian_lower_bound_check(kern: KernelField, radius: float,
         passed=bool(violations == 0),
         params={"radius": radius, "slack": slack,
                 "t_window": [float(kern.times[sel[0]]), float(t_cap)]},
-        grid={"dim": d, "n": list(grid.n), "h": grid.h},
+        grid=grid.record(),
         details={"violations": violations, "points_checked": n_checked,
                  "frames_checked": int(sel.size)},
     )

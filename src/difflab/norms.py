@@ -4,14 +4,12 @@ Quadrature is the plain node sum times h^d (and the frame gaps in time), so
 constants carry an O(h) bias on boxes; the estimates calibrated against these
 norms use the same quadrature throughout, which is what matters for the checks.
 
-The parabolic Hoelder seminorm uses the quotient
+The parabolic Hoelder seminorm is the largest quotient
 
-    |w(t,x) - w(s,y)| / ( |t-s|^(alpha/2) + |x-y|^alpha ).
+    |w(t,x) - w(s,y)| / ( |t-s|^(alpha/2) + |x-y|^alpha )
 
-When the pair count fits the budget the seminorm is exact over all pairs
-(branch-and-bound over block pairs, pair_quotient_max); otherwise pairs are
-sampled deterministically, stratified by space-time distance decade so both
-the near and the far regime are represented.
+over every pair of space-time nodes, computed exactly by branch-and-bound
+over block pairs (pair_quotient_max).
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
 
-from .errors import DomainError, ParameterError, SamplingError
+from .errors import DomainError, ParameterError
 from .grid import Field, ParabolicCylinder, Trajectory
 
 _INF = float("inf")
@@ -270,104 +267,24 @@ def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
     return best
 
 
-def _sampled_quotient(traj: Trajectory, alpha: float, max_pairs: int,
-                      seed: int) -> float:
-    mask = traj.mask
-    grid = traj.grid
-    rng = np.random.default_rng(seed)
-    coords = mask.node_coords()
-    times = traj.times
-    n_frames, n_nodes = traj.values.shape
-
-    # active-node lookup: full-grid index -> row in the active arrays
-    lookup = -np.ones(grid.n, dtype=np.int64)
-    lookup[mask.active] = np.arange(n_nodes)
-
-    best = 0.0
-
-    # guaranteed local pairs: axis neighbours in the last frame and
-    # same-node consecutive frames
-    w = traj.values
-    if n_frames > 1:
-        dw = np.abs(np.diff(w, axis=0)).max(axis=1)
-        q = dw / (traj.dt ** (alpha / 2.0))
-        best = max(best, float(q.max()))
-    # the Laplacian's off-diagonal entries are exactly the face pairs
-    i, j = sparse.triu(mask.laplacian_matrix(), 1).nonzero()
-    if i.size:
-        dval = np.abs(w[-1][j] - w[-1][i])
-        best = max(best, float(dval.max()) / grid.h ** alpha)
-
-    # stratified random pairs across space-time distance decades
-    t_span = max(times[-1] - times[0], 0.0)
-    rho_min = min(grid.h, math.sqrt(traj.dt)) if n_frames > 1 else grid.h
-    rho_max = math.sqrt(((coords.max(axis=0) - coords.min(axis=0)) ** 2).sum())
-    rho_max = max(rho_max + math.sqrt(t_span), 2 * rho_min)
-    n_bins = 8
-    edges = np.geomspace(rho_min, rho_max, n_bins + 1)
-    budget = max(max_pairs // n_bins, 1000)
-    origin = np.asarray(grid.origin)
-
-    for b in range(n_bins):
-        m = 2 * budget
-        i = rng.integers(0, n_frames * n_nodes, size=m)
-        fi, ni = i // n_nodes, i % n_nodes
-        r = rng.uniform(edges[b], edges[b + 1], size=m)
-        s = rng.uniform(0.0, 1.0, size=m)
-        d_space = s * r
-        d_time = ((1.0 - s) * r) ** 2 * rng.choice([-1.0, 1.0], size=m)
-        direction = rng.normal(size=(m, grid.dim))
-        direction /= np.maximum(np.linalg.norm(direction, axis=1), 1e-30)[:, None]
-        xj = coords[ni] + direction * d_space[:, None]
-        tj = times[fi] + d_time
-        fj = np.rint((tj - times[0]) / traj.dt).astype(np.int64) \
-            if n_frames > 1 else np.zeros(m, dtype=np.int64)
-        fj = np.clip(fj, 0, n_frames - 1)
-        ij = np.rint((xj - origin) / grid.h).astype(np.int64)
-        ok = np.all((ij >= 0) & (ij < np.asarray(grid.n)), axis=1)
-        nj = np.full(m, -1, dtype=np.int64)
-        if ok.any():
-            nj[ok] = lookup[tuple(ij[ok].T)]
-        ok &= nj >= 0
-        if not ok.any():
-            continue
-        fi, ni, fj, nj = fi[ok], ni[ok], fj[ok], nj[ok]
-        dt_abs = np.abs(times[fj] - times[fi])
-        dx = np.linalg.norm(coords[nj] - coords[ni], axis=1)
-        dw = np.abs(traj.values[fj, nj] - traj.values[fi, ni])
-        q = _pair_quotient(dw, dt_abs, dx, alpha)
-        if q.size:
-            best = max(best, float(q.max()))
-    return best
-
-
-def holder_norm(traj: Trajectory, alpha: float,
-                max_pairs: int = 1_000_000, seed: int = 7) -> float:
-    """Parabolic C^alpha norm: sup |w| plus the sup of the pair quotient."""
+def holder_norm(traj: Trajectory, alpha: float) -> float:
+    """Parabolic C^alpha norm: sup |w| plus the largest pair quotient over
+    every pair of space-time nodes (exact, pair_quotient_max)."""
     if not 0 < alpha <= 1:
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
-    if max_pairs < 1000:
-        raise SamplingError("pair budget too small to be meaningful")
-    n_points = traj.n_frames * traj.mask.active_count
+    n_frames, n_nodes = traj.values.shape
+    T = np.repeat(traj.times, n_nodes)
+    X = np.tile(traj.mask.node_coords(), (n_frames, 1))
     sup = float(np.max(np.abs(traj.values)))
-    if n_points * (n_points - 1) // 2 <= max_pairs:
-        n_frames, n_nodes = traj.values.shape
-        T = np.repeat(traj.times, n_nodes)
-        X = np.tile(traj.mask.node_coords(), (n_frames, 1))
-        semi = pair_quotient_max(X, traj.values.reshape(-1), alpha, T)
-    else:
-        semi = _sampled_quotient(traj, alpha, max_pairs, seed)
-    return sup + semi
+    return sup + pair_quotient_max(X, traj.values.reshape(-1), alpha, T)
 
 
-def holder_norm_field(field: Field, alpha: float,
-                      max_pairs: int = 1_000_000, seed: int = 7) -> float:
+def holder_norm_field(field: Field, alpha: float) -> float:
     """Spatial C^alpha norm of a single field (one-frame trajectory)."""
     traj = Trajectory(field.mask, np.array([0.0]), field.values[None, :])
-    return holder_norm(traj, alpha, max_pairs=max_pairs, seed=seed)
+    return holder_norm(traj, alpha)
 
 
-def lipschitz_norm(field: Field, max_pairs: int = 1_000_000,
-                   seed: int = 7) -> float:
+def lipschitz_norm(field: Field) -> float:
     """sup |w| + Lipschitz constant over node pairs (alpha = 1)."""
-    return holder_norm_field(field, 1.0, max_pairs=max_pairs, seed=seed)
+    return holder_norm_field(field, 1.0)

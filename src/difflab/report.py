@@ -106,22 +106,16 @@ def jsonable(obj):
 
 
 def emit(report: RunReport, out_dir, stem: str = "report",
-         formats=("json", "csv"), include_timing: bool = False) -> list:
-    """Write the report files and return their paths."""
+         include_timing: bool = False) -> list:
+    """Write ``<stem>.json`` and ``<stem>.csv`` and return their paths."""
     import pathlib
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    if "json" in formats:
-        p = out / f"{stem}.json"
-        p.write_text(report.to_json(include_timing=include_timing))
-        paths.append(p)
-    if "csv" in formats:
-        p = out / f"{stem}.csv"
-        p.write_text(report.to_csv())
-        paths.append(p)
-    return paths
+    js, csv = out / f"{stem}.json", out / f"{stem}.csv"
+    js.write_text(report.to_json(include_timing=include_timing))
+    csv.write_text(report.to_csv())
+    return [js, csv]
 
 
 def parse_report(text: str) -> RunReport:

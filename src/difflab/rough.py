@@ -287,7 +287,7 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
         return EstimateReport(
             check="oscillation_decay", lhs=0.0, rhs=1.0 - consts.delta,
             passed=True, params={"R": cyl.radius, "degenerate": True},
-            grid=_grid_info(traj), details={"osc_full": osc_full})
+            grid=traj.grid.record(), details={"osc_full": osc_full})
     osc_quarter = oscillation(traj, quarter)
     lhs = osc_quarter / osc_full
     rhs = 1.0 - consts.delta
@@ -307,14 +307,10 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
         lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs + 1e-12),
         params={"R": cyl.radius, "beta": consts.beta, "delta": consts.delta,
                 "f_norm": f_norm},
-        grid=_grid_info(traj),
+        grid=traj.grid.record(),
         details={"osc_full": osc_full, "osc_quarter": osc_quarter,
                  "dtw_negative_fraction": sol.dtw_negative_fraction},
     )
-
-
-def _grid_info(traj: Trajectory) -> dict:
-    return {"dim": traj.grid.dim, "n": list(traj.grid.n), "h": traj.grid.h}
 
 
 def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
@@ -339,7 +335,7 @@ def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
         passed=bool(measured <= bound * (1 + 1e-9) + 1e-12),
         params={"K1": consts.K1, "kernel_prefactor": kernel_prefactor,
                 "horizon": horizon, "f_plus_norm": fp_norm},
-        grid=_grid_info(traj),
+        grid=traj.grid.record(),
         details={"dtw_negative_fraction": sol.dtw_negative_fraction},
     )
 
@@ -385,7 +381,7 @@ def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
         lhs=measured, rhs=bound,
         passed=bool(measured <= bound * (1 + 1e-9) + 1e-12),
         params={"K2": k2, "K3": k3, "eps": eps, "R": cyl.radius},
-        grid=_grid_info(traj),
+        grid=traj.grid.record(),
         details={"w_init_lip": lip, "f_norm": f_norm},
     )
 
@@ -454,11 +450,12 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     amp = w_sup + lip
     tracer = []
     t_end = float(traj.times[-1])
+    last_gap = traj.frame_weights()[-1]   # tracer cylinders end at t_end
     for k in range(max_tracer_steps + 1):
         radius = rf * 4.0 ** (-k)
         cyl_k = ParabolicCylinder(t_end, tuple(tracer_center), radius,
                                   consts.beta)
-        if radius < 2 * traj.grid.h or cyl_k.window < 2 * traj.dt:
+        if radius < 2 * traj.grid.h or cyl_k.window < 2 * last_gap:
             break
         osc_k = oscillation(traj, cyl_k)
         bound_k = c1 * amp * lam ** k
@@ -472,7 +469,7 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
         passed=bool(passed and tracer_ok),
         params={"alpha": alpha, "c_star": c_star, "mode": mode,
                 "eps": eps, "r0": r0},
-        grid=_grid_info(traj),
+        grid=traj.grid.record(),
         details={
             "core": core_a,
             "alpha_practical": al_pr,

@@ -189,7 +189,7 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
         lhs=worst, rhs=max(scale, 1.0) * 0.1,
         passed=bool(worst <= max(scale, 1.0) * 0.1),
         params={"dt_saved": dt_s, "frames": int(n_fr)},
-        grid={"dim": mask.grid.dim, "n": list(mask.grid.n), "h": mask.grid.h},
+        grid=mask.grid.record(),
         details={"residual_inf": worst, "rhs_scale": scale},
     )
 
@@ -222,8 +222,7 @@ def nu_bounds_report(sol: SKTSolution, aux: SKTAuxiliary) -> EstimateReport:
         lhs=breach, rhs=1e-12,
         passed=bool(breach <= 1e-12),
         params={"lo": lo, "hi": hi},
-        grid={"dim": sol.u.grid.dim, "n": list(sol.u.grid.n),
-              "h": sol.u.grid.h},
+        grid=sol.u.grid.record(),
         details={"nu_min": nu_min, "nu_max": nu_max},
     )
 
@@ -289,7 +288,7 @@ def lp_energy_report(sol: SKTSolution, p: int,
         check="lp_energy",
         lhs=lhs, rhs=c_p * core, passed=passed,
         params={"p": p, "C_p": c_p, "mode": mode},
-        grid={"dim": mask.grid.dim, "n": list(mask.grid.n), "h": mask.grid.h},
+        grid=mask.grid.record(),
         details={"gradient_coefficient": 4.0 * p / (p + 1) ** 2,
                  "source_integral": source},
     )
@@ -340,8 +339,7 @@ def quad_mass_report(sol: QuadSolution) -> EstimateReport:
         check="quad_mass_conservation",
         lhs=drift, rhs=1e-10, passed=bool(drift <= 1e-10),
         params={"initial_mass": float(totals[0])},
-        grid={"dim": sol.w.grid.dim, "n": list(sol.w.grid.n),
-              "h": sol.w.grid.h},
+        grid=sol.w.grid.record(),
         details={"clipped_mass": sol.clipped_mass},
     )
 
@@ -364,8 +362,7 @@ def quad_mu_report(sol: QuadSolution, diffusions) -> EstimateReport:
         check="quad_mu_bounds",
         lhs=breach, rhs=1e-12, passed=bool(breach <= 1e-12),
         params={"lo": lo, "hi": hi},
-        grid={"dim": sol.w.grid.dim, "n": list(sol.w.grid.n),
-              "h": sol.w.grid.h},
+        grid=sol.w.grid.record(),
         details={"mu_min": float(mu.min()), "mu_max": float(mu.max())},
     )
 
@@ -391,7 +388,7 @@ def quad_identity_report(sol: QuadSolution, diffusions) -> EstimateReport:
         lhs=max(worst_lap, worst_evo), rhs=0.1 * max(scale, 1.0),
         passed=bool(max(worst_lap, worst_evo) <= 0.1 * max(scale, 1.0)),
         params={"frames": int(times.size)},
-        grid={"dim": mask.grid.dim, "n": list(mask.grid.n), "h": mask.grid.h},
+        grid=mask.grid.record(),
         details={"lap_identity_inf": worst_lap, "evolution_inf": worst_evo},
     )
 
@@ -822,7 +819,7 @@ def transformed_residual_report(sol: GeneralSolution,
         passed=bool(worst <= 0.1 * scale),
         params={"system": spec.name, "frames": int(times.size),
                 "burn_in": burn_in},
-        grid={"dim": mask.grid.dim, "n": list(mask.grid.n), "h": mask.grid.h},
+        grid=mask.grid.record(),
         details={"companion_added": sol.companion_added,
                  "box_exceeded": sol.box_exceeded},
     )
@@ -840,7 +837,6 @@ def transform_consistency_report(sol: GeneralSolution) -> EstimateReport:
         check="transform_roundtrip",
         lhs=err, rhs=1e-12, passed=bool(err <= 1e-12),
         params={"system": spec.name},
-        grid={"dim": sol.u[0].grid.dim, "n": list(sol.u[0].grid.n),
-              "h": sol.u[0].grid.h},
+        grid=sol.u[0].grid.record(),
         details={},
     )

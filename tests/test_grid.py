@@ -6,8 +6,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage
 
 from difflab import (DomainError, DomainMask, Field, GridSpec,
-                     ParabolicCylinder, ParameterError, SamplingError,
-                     Trajectory, ball_mask,
+                     ParabolicCylinder, ParameterError, Trajectory,
+                     ball_mask,
                      full_mask, gradient, graph_domain_mask, holder_norm,
                      holder_norm_field, laplacian_neumann, lipschitz_norm,
                      lp_norm, lpq_norm, oscillation, poisson_neumann,
@@ -302,7 +302,7 @@ def _ramp_trajectory(n=17, frames=9):
 def test_trajectory_accessors():
     traj = _ramp_trajectory()
     assert traj.n_frames == 9
-    assert traj.dt == pytest.approx(0.1)
+    assert np.diff(traj.times) == pytest.approx(0.1)
     assert traj.t0 == 0.0
     f = traj.frame(3)
     assert isinstance(f, Field)
@@ -359,7 +359,7 @@ def test_lpq_norm_constant_and_window():
                       np.full_like(traj.values, 2.0))
     hd = traj.grid.h
     n = traj.mask.active_count
-    expected = 2.0 * (hd * n) ** 0.5 * (traj.dt * traj.n_frames) ** 0.5
+    expected = 2.0 * (hd * n) ** 0.5 * (0.1 * traj.n_frames) ** 0.5
     assert lpq_norm(flat, 2.0, 2.0) == pytest.approx(expected, rel=1e-13)
     assert lpq_norm(flat, float("inf"), float("inf")) == 2.0
     # restricting the window drops frames
@@ -451,9 +451,26 @@ def test_holder_norm_time_jump():
     alpha = 0.6
     expected = 1.0 + 1.0 / 0.25 ** (alpha / 2.0)
     assert holder_norm(traj, alpha) == pytest.approx(expected, rel=1e-12)
+    # unequal frame gaps: the jump sits across the long last gap, so the
+    # quotient divides by (1 - 0.01)^(alpha/2), not by the first gap
+    mask = full_mask(_grid(501, 1))
+    times = np.array([0.0, 0.01, 1.0])
+    vals = np.vstack([np.zeros(501), np.zeros(501), np.ones(501)])
+    traj = Trajectory(mask, times, vals)
+    X, W, T = _space_time_points(traj)
+    got = holder_norm(traj, 0.5)
+    assert got == 1.0 + _brute_quotient_max(X, W, 0.5, T)
+    assert got == pytest.approx(1.0 + 1.0 / 0.99 ** 0.25, rel=1e-12)
 
 
-def test_holder_norm_sampling_close_to_exhaustive():
+def _space_time_points(traj):
+    """Coordinates, values and times of every space-time node."""
+    n_frames, n_nodes = traj.values.shape
+    return (np.tile(traj.mask.node_coords(), (n_frames, 1)),
+            traj.values.reshape(-1), np.repeat(traj.times, n_nodes))
+
+
+def test_holder_norm_is_exact_over_all_pairs():
     rng = np.random.default_rng(4)
     mask = full_mask(_grid(17, 2))
     times = 0.02 * np.arange(5)
@@ -462,10 +479,9 @@ def test_holder_norm_sampling_close_to_exhaustive():
                        for t in times])
     traj = Trajectory(mask, times, smooth + 0.01 * rng.standard_normal(
         (5, mask.active_count)))
-    exact = holder_norm(traj, 0.4, max_pairs=2_000_000)
-    sampled = holder_norm(traj, 0.4, max_pairs=1_000_000)
-    assert sampled <= exact * (1 + 1e-12)
-    assert sampled >= 0.9 * exact
+    sup = float(np.max(np.abs(traj.values)))
+    X, W, T = _space_time_points(traj)
+    assert holder_norm(traj, 0.4) == sup + _brute_quotient_max(X, W, 0.4, T)
 
 
 def test_holder_norm_coarsening_monotone():
@@ -479,8 +495,8 @@ def test_holder_norm_coarsening_monotone():
                          for t in times])
         return Trajectory(mask, times, vals)
 
-    fine = holder_norm(build(25, 5), 0.5, max_pairs=10_000_000)
-    coarse = holder_norm(build(13, 3), 0.5, max_pairs=10_000_000)
+    fine = holder_norm(build(25, 5), 0.5)
+    coarse = holder_norm(build(13, 3), 0.5)
     assert coarse <= fine * (1 + 1e-12)
     assert fine <= 1.2 * coarse
 
@@ -527,5 +543,3 @@ def test_holder_norm_validation():
         holder_norm(traj, 0.0)
     with pytest.raises(ParameterError):
         holder_norm(traj, 1.5)
-    with pytest.raises(SamplingError):
-        holder_norm(traj, 0.5, max_pairs=10)
