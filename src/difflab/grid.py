@@ -15,7 +15,8 @@ fluxes, once per mask: a sparse matrix on the active nodes with the ghost
 rules folded into its diagonal.  On a pure-Neumann mask the node sum of the
 Laplacian telescopes to zero exactly, which is what makes explicit diffusion
 steps conserve mass to roundoff.  Every solver in the lab advances its
-active-node state through :func:`march`, one sparse product per step.
+species-major active-node state through :func:`march`, one sparse product
+per step for all diffused species.
 """
 
 from __future__ import annotations
@@ -418,11 +419,6 @@ class ParabolicCylinder:
 # operators
 
 
-def laplacian_neumann(field: Field) -> Field:
-    """Divergence-form Laplacian with the mask's ghost rules."""
-    return Field(field.mask, field.mask.laplacian_matrix() @ field.values)
-
-
 def stable_dt(mask: DomainMask, diffusion: float = 1.0,
               safety: float = 0.9) -> float:
     """Largest explicit-Euler step kept positive on this mask.
@@ -477,36 +473,63 @@ def poisson_neumann(rhs: Field) -> Field:
 # explicit time marching
 
 
+def _block_diagonal(lap: sparse.csr_matrix, j: int) -> sparse.csr_matrix:
+    """j copies of ``lap`` down the diagonal, so that one 1-D product applies
+    it to every row of a contiguous (j, N) block.  Each row keeps its
+    entries and their order, so the products equal ``lap @ row`` exactly."""
+    if j == 1:
+        return lap
+    n, nnz = lap.shape[0], lap.nnz
+    indptr = np.concatenate([lap.indptr[:-1] + i * nnz for i in range(j)]
+                            + [[j * nnz]])
+    indices = np.concatenate([lap.indices + i * n for i in range(j)])
+    return sparse.csr_matrix((np.tile(lap.data, j), indices, indptr),
+                             shape=(j * n, j * n))
+
+
 class Marched(NamedTuple):
     """What :func:`march` recorded."""
 
     times: np.ndarray       # (F,) frame times
     steps: np.ndarray       # (F,) step index of each frame
-    frames: np.ndarray      # (k, F, N): column j of the state, frame by frame
+    frames: np.ndarray      # (k, F, N): row j of the state, frame by frame
     dt: float
     n_steps: int
     clipped: float          # node-quadrature mass removed by clipping
-    peak: float             # largest clipped-column value after any step
+    peak: float             # largest clipped-row value after any step
 
 
 def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
           dt: float | None, limit: float, frames, t0: float = 0.0,
           diffused=None, clip: int = 0) -> Marched:
-    """Explicit Euler for an (N, k) active-node state from t0 to t_end.
+    """Explicit Euler for a species-major (k, N) active-node state.
 
-    Each step applies the mask's Laplacian once, LU = L @ diffused(U) (L @ U
-    when ``diffused`` is None), and advances U += dt * rate(k, t, dt, U, LU)
-    with k the 1-based step index and t its start time.  ``dt`` defaults to
-    0.9 ``limit`` and may not exceed the stability ``limit``; the step count
-    is ceil((t_end - t0)/dt) and dt shrinks to divide the span exactly.
+    The state U is one C-contiguous (k, N) block whose rows are species,
+    and R, the rate, one more (k, N) block allocated once per solve.  Step
+    k (1-based, start time t)
+
+    * takes the (j, N) block of rows to diffuse: U itself when ``diffused``
+      is None, else ``diffused(U, R)``, a contiguous view of U or of rows
+      of R that it fills;
+    * applies L to each of those rows by one 1-D product with j copies of
+      L down a block diagonal, giving the (j, N) block LU;
+    * calls ``rate(k, t, dt, U, LU, top, R)``, where ``top`` holds the
+      maxima of the first ``clip`` rows of U at the start of the step.  The
+      rate fills R in place (it may read what ``diffused`` left there) and
+      returns it, or returns LU when the rate is the Laplacian itself;
+    * scales the returned block by dt in place and adds it to U.
+
+    ``dt`` defaults to 0.9 ``limit`` and may not exceed the stability
+    ``limit``; the step count is ceil((t_end - t0)/dt) and dt shrinks to
+    divide the span exactly.
 
     ``frames`` is a frame count, spread linearly over the steps, or a
     function of the final dt returning the times to record, snapped to the
     nearest step; the initial state is always frame 0.
 
-    The first ``clip`` columns are densities: negative values are clipped to
+    The first ``clip`` rows are densities: negative values are clipped to
     zero after every step and the removed node-quadrature mass may not
-    exceed 1e-8 of the final mass of those columns; a density above 1e9 or
+    exceed 1e-8 of the final mass of those rows; a density above 1e9 or
     non-finite aborts the run as a blow-up.
     """
     span = t_end - t0
@@ -525,33 +548,44 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
     else:
         record = np.rint(np.linspace(0, n_steps, min(frames, n_steps + 1)))
     record = np.union1d(0, record.astype(int))
-    wanted = set(int(k) for k in record[1:])
 
     lap = mask.laplacian_matrix()
     hd = mask.grid.h ** mask.grid.dim
-    U = np.array(state, dtype=float)
-    stack = [U.T.copy()]
+    U = np.array(state, dtype=float, order="C")
+    R = np.empty_like(U)
+    stack = np.empty((U.shape[0], record.size, U.shape[1]))
+    stack[:, 0] = U
+    head = U[:clip]
+    top = head.max(axis=1)
     clipped = 0.0
     peak = -math.inf
+    slot = 1
+    block_lap = None
     for k in range(1, n_steps + 1):
-        LU = lap @ (U if diffused is None else diffused(U))
-        U += dt * rate(k, t0 + (k - 1) * dt, dt, U, LU)
+        rows = U if diffused is None else diffused(U, R)
+        if block_lap is None:
+            block_lap = _block_diagonal(lap, rows.shape[0])
+        LU = (block_lap @ rows.reshape(-1)).reshape(rows.shape)
+        step = rate(k, t0 + (k - 1) * dt, dt, U, LU, top, R)
+        step *= dt
+        U += step
         if clip:
-            head = U[:, :clip]
-            neg = head < 0
-            if neg.any():
+            if head.min() < 0:
+                neg = head < 0
                 clipped -= hd * float(head[neg].sum())
                 head[neg] = 0.0
-            top = float(head.max())
-            if not top <= 1e9:
+            np.max(head, axis=1, out=top)
+            high = float(top.max())
+            if not high <= 1e9:
                 raise SolverError(f"blow-up at step {k}")
-            peak = max(peak, top)
-        if k in wanted:
-            stack.append(U.T.copy())
+            peak = max(peak, high)
+        if slot < record.size and k == record[slot]:
+            stack[:, slot] = U
+            slot += 1
     if clip:
-        total = hd * float(U[:, :clip].sum())
+        total = hd * float(head.sum())
         if clipped > 1e-8 * max(total, 1e-30):
             raise SolverError(f"clipped mass {clipped:.3e} exceeds 1e-8 of "
                               f"total {total:.3e}")
-    return Marched(t0 + record * dt, record, np.stack(stack, axis=1), dt,
-                   n_steps, clipped, peak)
+    return Marched(t0 + record * dt, record, stack, dt, n_steps, clipped,
+                   peak)

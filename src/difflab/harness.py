@@ -40,7 +40,7 @@ import pathlib
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .grid import Field, GridSpec, ParabolicCylinder, full_mask
 from .interp import (cut_ball_check, interpolation_check,
                      random_admissible_pair)
@@ -48,8 +48,8 @@ from .kernel import (fitted_moment_prefactor, fitted_prefactor,
                      kernel_evolve, kernel_norm_report, moment_report)
 from .norms import reciprocal
 from .report import EstimateReport, RunReport, emit, jsonable
-from .rough import (ConstantsBundle, RoughCoefficient, explicit_constants,
-                    forcing_constant, oscillation_decay_check, solve_rough,
+from .rough import (RoughCoefficient, explicit_constants, forcing_constant,
+                    oscillation_decay_check, solve_rough,
                     supremum_bound_check)
 from . import systems
 from .systems import (PRESET_SYSTEMS, SKTParams, quad_identity_report,
@@ -263,6 +263,14 @@ class ExperimentConfig:
         self.eps = _num(e, "estimate", "eps", lo=0, strict_lo=True, hi=0.5)
         self.frozen_c = (None if e.get("C") is None
                          else _num(e, "estimate", "C", lo=0, strict_lo=True))
+        try:
+            self.constants = explicit_constants(self.dim, self.p, self.q,
+                                                self.a0, self.c0)
+        except ParameterError as exc:
+            raise ConfigError(
+                f"grid.dim = {self.dim}, estimate.p = {self.p:g} and "
+                f"estimate.q = {self.q:g} admit no constants bundle: "
+                f"{exc}") from exc
 
         self.system = merged["system"]
         out = merged["output"]
@@ -297,9 +305,6 @@ class ExperimentConfig:
     def grid_spec(self) -> GridSpec:
         return GridSpec.make((self.extent,) * self.dim, self.n)
 
-    def constants(self) -> ConstantsBundle:
-        return explicit_constants(self.dim, self.p, self.q, self.a0, self.c0)
-
     def solver_dt(self):
         return None if self.dt == "auto" else self.dt
 
@@ -307,7 +312,7 @@ class ExperimentConfig:
         """Config block embedded in every report (JSON-safe)."""
         block = copy.deepcopy(self.resolved)
         block["estimate"]["q"] = self.q          # resolve 'auto'
-        block["constants"] = self.constants().to_dict()
+        block["constants"] = self.constants.to_dict()
         return jsonable(block)
 
     def refined(self, k: int) -> "ExperimentConfig":
@@ -425,7 +430,7 @@ def _run_heatkernel(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
 
 def _run_oscdecay(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     mask = full_mask(cfg.grid_spec())
-    consts = cfg.constants()
+    consts = cfg.constants
     cyl_window = consts.beta * cfg.radius ** 2
     if cfg.t_end < cyl_window * (1 + 1e-9):
         raise ConfigError(

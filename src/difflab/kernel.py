@@ -104,8 +104,9 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
     hd = grid.h ** d
     full = np.zeros(grid.n)
     full[source] = 1.0 / hd
-    run = march(mask, mask.gather(full)[:, None],
-                lambda k, t, step, U, LU: LU, t_end, dt, cfl, frames)
+    run = march(mask, mask.gather(full)[None],
+                lambda k, t, step, U, LU, top, out: LU, t_end, dt, cfl,
+                frames)
     values = run.frames[0]
 
     # positivity and mass, frame by frame

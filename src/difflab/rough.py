@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, PreconditionError
-from .grid import DomainMask, Field, ParabolicCylinder, Trajectory, march
+from .grid import Field, ParabolicCylinder, Trajectory, march
 from .norms import holder_norm, lipschitz_norm, oscillation, reciprocal
 from .report import EstimateReport
 
@@ -187,13 +187,6 @@ class RoughCoefficient:
             else float(self.a)
         return float(np.min(vals)), float(np.max(vals))
 
-    def at(self, t: float, mask: DomainMask) -> np.ndarray:
-        """Full-box array of coefficient values at time t (1 off-mask)."""
-        vals = _active_at(self.a, t)
-        if np.isscalar(vals):
-            return np.full(mask.grid.n, vals)
-        return mask.scatter(vals, fill=1.0)
-
 
 def _active_at(data, t: float):
     """Active-node values of a Trajectory (piecewise constant in time, left
@@ -228,14 +221,16 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
     limit = coeff.a0 * mask.grid.h ** 2 / mask.stencil_row_max()
     negative = 0
 
-    def rate(k, t, step, U, LU):
+    def rate(k, t, step, U, LU, top, out):
         nonlocal negative
         f = 0.0 if forcing is None else _active_at(forcing, t)
-        r = (LU[:, 0] + f) / _active_at(coeff.a, t)
+        r = out[0]
+        np.add(LU[0], f, out=r)
+        r /= _active_at(coeff.a, t)
         negative += int(np.count_nonzero(r < -1e-10))
-        return r[:, None]
+        return out
 
-    run = march(mask, w_init.values[:, None], rate, t_end, dt, limit,
+    run = march(mask, w_init.values[None], rate, t_end, dt, limit,
                 n_frames, t0=t0)
     traj = Trajectory(mask, run.times, run.frames[0])
     return RoughSolution(traj, run.dt, run.n_steps,

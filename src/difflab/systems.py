@@ -86,8 +86,10 @@ def skt_solve(u_init: Field, v_init: Field, params: SKTParams,
 
     The step limit accounts for the effective diffusion d1 + sigma*v with a
     factor-two headroom on the v ceiling (and for the unit-diffusion
-    companion m); the limit is re-checked while v evolves and a breach
-    aborts with the step index.
+    companion m); the limit is re-checked at every step against the v
+    maximum of the step-start state (the post-clip maximum the march took
+    after the previous step, max v_init at step 1), and a breach aborts
+    with the step index.
 
     The companion m (dm/dt - lap m = u (d11 u + d12 v), m(0) = 0) is
     advanced with the same steps, and the time integrals int_u and
@@ -111,24 +113,44 @@ def skt_solve(u_init: Field, v_init: Field, params: SKTParams,
     mu_head = p.d1 + 2.0 * p.sigma * v_cap
     limit = h2 / (row * max(mu_head, p.d2, 1.0))
 
-    # state columns: u, v, m, int_u, w; u and v are clipped densities
-    def diffused(U):
-        u, v, m = U[:, 0], U[:, 1], U[:, 2]
-        return np.column_stack(((p.d1 + p.sigma * v) * u, v, m))
+    # state rows: u, v, m, int_u, w; u and v are clipped densities
+    def diffused(U, out):
+        flux = out[4]                  # (d1 + sigma v) u, the w rate less m
+        np.multiply(U[1], p.sigma, out=flux)
+        flux += p.d1
+        flux *= U[0]
+        out[2:4] = U[1:3]
+        return out[2:]                 # v, m, flux
 
-    def rate(k, t, step, U, LU):
-        u, v, m = U[:, 0], U[:, 1], U[:, 2]
-        mu_now = p.d1 + p.sigma * float(v.max())
+    def rate(k, t, step, U, LU, top, out):
+        mu_now = p.d1 + p.sigma * float(top[1])
         if step > h2 / (row * max(mu_now, p.d2, 1.0)) * (1 + 1e-9):
             raise SolverError(f"CFL breach at step {k}: mu reached {mu_now:.4g}")
-        return np.column_stack((
-            LU[:, 0] + u * (p.r_u - p.d11 * u - p.d12 * v),
-            p.d2 * LU[:, 1] + v * (p.r_v - p.d21 * u - p.d22 * v),
-            LU[:, 2] + u * (p.d11 * u + p.d12 * v),
-            u, (p.d1 + p.sigma * v) * u + m))
+        u, v, m = U[:3]
+        lap_v, lap_m, lap_flux = LU[:3]
+        ru, rv, rm, ri, rw = out       # ri is scratch until its own turn
+        np.multiply(u, p.d11, out=rm)
+        np.multiply(v, p.d12, out=ri)
+        np.subtract(p.r_u, rm, out=ru)
+        ru -= ri
+        ru *= u
+        ru += lap_flux
+        rm += ri
+        rm *= u
+        rm += lap_m
+        np.multiply(u, p.d21, out=rv)
+        np.subtract(p.r_v, rv, out=rv)
+        np.multiply(v, p.d22, out=ri)
+        rv -= ri
+        rv *= v
+        np.multiply(lap_v, p.d2, out=ri)
+        rv += ri
+        np.copyto(ri, u)
+        rw += m
+        return out
 
-    state = np.column_stack([u_init.values, v_init.values]
-                            + [np.zeros(mask.active_count)] * 3)
+    state = np.zeros((5, mask.active_count))
+    state[0], state[1] = u_init.values, v_init.values
     run = march(mask, state, rate, t_end, dt, limit, n_frames,
                 diffused=diffused, clip=2)
     u, v, m, int_u, w = (Trajectory(mask, run.times, f) for f in run.frames)
@@ -312,7 +334,7 @@ def quadratic_solve(inits, diffusions, t_end: float, dt: float | None = None,
     """Quartet with reaction (-1)^i (u1 u3 - u2 u4) and diffusions d_i.
 
     The reactions come from :func:`preset_quad4`; w is the trapezoid
-    integral of sum d_i u_i, the left-rectangle column plus
+    integral of sum d_i u_i, the left-rectangle row plus
     dt/2 (flux(t) - flux(0)) at each frame.
     """
     if len(inits) != 4 or len(diffusions) != 4:
@@ -413,7 +435,7 @@ def poly_max_coeff(reaction) -> float:
 
 def poly_eval(reaction, states: np.ndarray) -> np.ndarray:
     """Evaluate a term list at states of shape (N, m)."""
-    return _eval_monomials(*_monomial_table([reaction]), states)[:, 0]
+    return _eval_monomials(*_monomial_table([reaction]), states.T)[0]
 
 
 def _monomial_table(reactions):
@@ -430,13 +452,14 @@ def _monomial_table(reactions):
 
 
 def _eval_monomials(keys, coeffs, states: np.ndarray) -> np.ndarray:
-    """(N, len(reactions)) values of the table at states of shape (N, m)."""
-    mono = np.ones((states.shape[0], len(keys)))
+    """(len(reactions), N) values of the table at species-major states of
+    shape (m, N)."""
+    mono = np.ones((len(keys), states.shape[1]))
     for j, powers in enumerate(keys):
-        for col, e in enumerate(powers):
+        for row, e in enumerate(powers):
             if e:
-                mono[:, j] *= states[:, col] ** e
-    return mono @ coeffs
+                mono[j] *= states[row] if e == 1 else states[row] ** e
+    return coeffs.T @ mono
 
 
 def _pad_terms(reaction, m: int):
@@ -481,7 +504,8 @@ class GeneralSystemSpec:
         self._table = _monomial_table(self.reactions)
 
     def rates(self, states: np.ndarray) -> np.ndarray:
-        """Reaction rates f(u), shape (N, m), at states of shape (N, m)."""
+        """Reaction rates f(u), shape (m, N), at species-major states of
+        shape (m, N)."""
         return _eval_monomials(*self._table, states)
 
     def to_dict(self) -> dict:
@@ -681,7 +705,7 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
             violations.append(fail("A2", -1, states[worst], a2_worst))
 
     # (A3) one-sided quadratic row bounds
-    rows = spec.rates(states) @ spec.A.T
+    rows = spec.rates(states.T).T @ spec.A.T
     fitted_k = 0.0
     a3_worst = -np.inf
     growth_exponent = 0.0
@@ -762,7 +786,7 @@ def general_solve(inits, spec: GeneralSystemSpec, t_end: float,
 def _march_network(inits, spec: GeneralSystemSpec, t_end: float, dt,
                    n_frames: int, flux: bool = False):
     """Explicit Euler for du_i/dt = d_i lap u_i + f_i(u); with ``flux`` an
-    extra left-rectangle column accumulates sum_i d_i u_i."""
+    extra left-rectangle row accumulates sum_i d_i u_i."""
     mask = inits[0].mask
     if any(f.mask is not mask for f in inits):
         raise ParameterError("all species must share one mask")
@@ -772,15 +796,18 @@ def _march_network(inits, spec: GeneralSystemSpec, t_end: float, dt,
     m = spec.m
     d = np.asarray(spec.diffusions)
 
-    def rate(k, t, step, U, LU):
-        u = U[:, :m]
-        out = LU * d + spec.rates(u)
-        return np.column_stack((out, u @ d)) if flux else out
+    def rate(k, t, step, U, LU, top, out):
+        for i in range(m):             # row by row: faster than broadcasting
+            np.multiply(LU[i], d[i], out=out[i])
+        out[:m] += spec.rates(U[:m])
+        if flux:
+            np.dot(d, U[:m], out=out[m])
+        return out
 
-    state = np.column_stack([f.values for f in inits] +
-                            ([np.zeros(mask.active_count)] if flux else []))
+    state = np.stack([f.values for f in inits] +
+                     ([np.zeros(mask.active_count)] if flux else []))
     return march(mask, state, rate, t_end, dt, limit, n_frames,
-                 diffused=(lambda U: U[:, :m]) if flux else None, clip=m)
+                 diffused=(lambda U, out: U[:m]) if flux else None, clip=m)
 
 
 def transformed_residual_report(sol: GeneralSolution,
@@ -803,7 +830,7 @@ def transformed_residual_report(sol: GeneralSolution,
     if k.size:
         u = np.stack([t.values[k] for t in sol.u], axis=-1)      # (K, N, m)
         v = np.stack([t.values for t in sol.v], axis=-1)         # (F, N, m)
-        g = spec.rates(u.reshape(-1, spec.m)).reshape(u.shape) @ spec.A.T
+        g = spec.rates(u.reshape(-1, spec.m).T).T.reshape(u.shape) @ spec.A.T
         laps = np.stack([mask.laplacian_matrix() @ vk for vk in v[k]])
         dvdt = (v[k + 1] - v[k - 1]) \
             / (times[k + 1] - times[k - 1])[:, None, None]

@@ -9,9 +9,10 @@ from difflab import (DomainError, DomainMask, Field, GridSpec,
                      ParabolicCylinder, ParameterError, Trajectory,
                      ball_mask,
                      full_mask, gradient, graph_domain_mask, holder_norm,
-                     holder_norm_field, laplacian_neumann, lipschitz_norm,
+                     holder_norm_field, lipschitz_norm,
                      lp_norm, lpq_norm, oscillation, poisson_neumann,
-                     restrict_mask, stable_dt)
+                     restrict_mask, SolverError, stable_dt)
+from difflab.grid import march
 from difflab.norms import pair_quotient_max
 
 TOL_MACHINE = 1e-12
@@ -69,20 +70,20 @@ def test_field_validation():
 def test_laplacian_constant_is_zero():
     for mask in (full_mask(_grid(17, 2)),
                  ball_mask(_grid(33, 2), (0.5, 0.5), 0.3)):
-        lap = laplacian_neumann(Field.constant(mask, 4.2))
-        assert np.max(np.abs(lap.values)) <= 1e-13
+        lap = mask.laplacian_matrix() @ Field.constant(mask, 4.2).values
+        assert np.max(np.abs(lap)) <= 1e-13
 
 
 def test_laplacian_quadratic_exact_in_interior():
     # centered second differences are exact on quadratics
     mask = full_mask(_grid(33, 1))
     u = Field.from_function(mask, lambda x: x[:, 0] ** 2)
-    lap = laplacian_neumann(u).values
+    lap = mask.laplacian_matrix() @ u.values
     assert np.max(np.abs(lap[1:-1] - 2.0)) <= TOL_STENCIL
 
     mask2 = full_mask(_grid(17, 2))
     u2 = Field.from_function(mask2, lambda x: x[:, 0] ** 2 + x[:, 1] ** 2)
-    lap2 = mask2.scatter(laplacian_neumann(u2).values)
+    lap2 = mask2.scatter(mask2.laplacian_matrix() @ u2.values)
     assert np.max(np.abs(lap2[1:-1, 1:-1] - 4.0)) <= TOL_STENCIL
 
 
@@ -91,9 +92,9 @@ def test_laplacian_conserves_node_sum_on_neumann_masks():
     for mask in (full_mask(_grid(17, 3)),
                  ball_mask(_grid(33, 2), (0.5, 0.5), 0.34)):
         u = _random_field(mask, seed=3)
-        lap = laplacian_neumann(u)
+        lap = mask.laplacian_matrix() @ u.values
         scale = np.max(np.abs(u.values)) / mask.grid.h ** 2
-        assert abs(np.sum(lap.values)) <= TOL_MACHINE * scale
+        assert abs(np.sum(lap)) <= TOL_MACHINE * scale
 
 
 def test_laplacian_self_adjoint_and_dissipative():
@@ -102,11 +103,11 @@ def test_laplacian_self_adjoint_and_dissipative():
                            boundary="dirichlet")):
         u = _random_field(mask, seed=1)
         v = _random_field(mask, seed=2)
-        lu, lv = laplacian_neumann(u), laplacian_neumann(v)
+        lu = mask.laplacian_matrix() @ u.values
+        lv = mask.laplacian_matrix() @ v.values
         scale = mask.active_count / mask.grid.h ** 2
-        assert abs(lu.values @ v.values - u.values @ lv.values) \
-            <= TOL_MACHINE * scale
-        assert laplacian_neumann(u).values @ u.values <= TOL_MACHINE * scale
+        assert abs(lu @ v.values - u.values @ lv) <= TOL_MACHINE * scale
+        assert lu @ u.values <= TOL_MACHINE * scale
 
 
 @st.composite
@@ -197,8 +198,114 @@ def test_explicit_step_preserves_positivity_at_stable_dt():
                            boundary="dirichlet")):
         u = _random_field(mask, seed=5, lo=0.0, hi=1.0)
         dt = stable_dt(mask)
-        stepped = u.values + dt * laplacian_neumann(u).values
+        stepped = u.values + dt * (mask.laplacian_matrix() @ u.values)
         assert stepped.min() >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# explicit march
+
+
+def _constant_rate(c):
+    """A march rate that adds c to every row at every step."""
+    def rate(k, t, dt, U, LU, top, out):
+        out.fill(c)
+        return out
+    return rate
+
+
+def test_march_rejects_dt_above_limit():
+    mask = full_mask(_grid(9, 1))
+    with pytest.raises(ParameterError, match="stability limit"):
+        march(mask, np.ones((1, 9)), _constant_rate(0.0), 1.0, 0.011, 0.01,
+              3)
+
+
+def test_march_blow_up_guard_names_the_step():
+    mask = full_mask(_grid(9, 1))
+
+    def doubling(k, t, dt, U, LU, top, out):
+        np.divide(U, dt, out=out)
+        return out
+
+    # the density doubles each step: 2^29 < 1e9 < 2^30
+    with pytest.raises(SolverError, match="blow-up at step 30"):
+        march(mask, np.ones((1, 9)), doubling, 1.0, 0.01, 1.0, 3, clip=1)
+    with pytest.raises(SolverError, match="blow-up at step 1"):
+        march(mask, np.ones((1, 9)), _constant_rate(np.nan), 1.0, 0.01, 1.0,
+              3, clip=1)
+
+
+def test_march_frame_schedules_snap_to_steps():
+    mask = full_mask(_grid(9, 1))
+    state = np.stack([np.linspace(0.0, 1.0, 9), np.full(9, 2.0)])
+    run = march(mask, state, _constant_rate(1.0), 1.0, 0.01, 1.0, 7)
+    assert run.n_steps == 100
+    assert run.frames.shape == (2, 7, 9)
+    assert np.array_equal(run.steps, np.rint(np.linspace(0, 100, 7)))
+    assert np.array_equal(run.times, run.steps * run.dt)
+    assert np.array_equal(run.frames[:, 0], state)
+    assert np.allclose(run.frames, state[:, None]
+                       + run.times[None, :, None], rtol=0, atol=1e-12)
+    # times before t0 snap to step 1, past t_end to the last step; frame 0
+    # is the initial state even when the schedule omits it
+    run = march(mask, state, _constant_rate(1.0), 1.0, 0.01, 1.0,
+                lambda dt: [-1.0, 0.5, 0.5, 2.0])
+    assert np.array_equal(run.steps, [0, 1, 50, 100])
+    assert run.frames.shape == (2, 4, 9)
+    assert np.array_equal(run.frames[:, 0], state)
+
+
+def test_march_diffuses_the_returned_rows_and_reports_step_start_maxima():
+    mask = full_mask(_grid(17, 1))
+    lap = mask.laplacian_matrix()
+    x = mask.node_coords()[:, 0]
+    state = np.stack([1.0 + np.cos(np.pi * x), 2.0 + x, np.zeros(17)])
+    seen = []
+
+    def diffused(U, out):
+        np.multiply(U[0], U[1], out=out[1])
+        out[2] = U[1]
+        return out[1:]
+
+    def rate(k, t, dt, U, LU, top, out):
+        assert np.array_equal(top, U[:2].max(axis=1))
+        # one product over the block equals the row-by-row products
+        assert np.array_equal(LU, [lap @ (U[0] * U[1]), lap @ U[1]])
+        seen.append(top.copy())
+        out[:2] = 0.0
+        np.copyto(out[2], LU[0])
+        return out
+
+    run = march(mask, state, rate, 0.01, None, 1e-3, 3,
+                diffused=diffused, clip=2)
+    assert len(seen) == run.n_steps
+    assert np.array_equal(seen[0], state[:2].max(axis=1))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_march_clipped_mass_gate(rows):
+    mask = full_mask(_grid(9, 1))
+    hd = mask.grid.h
+    state = np.ones((rows + 1, 9))
+
+    def dip(depth):
+        # the last clipped row loses ``depth`` at node 0 on step 1; the
+        # unclipped row behind it may go negative freely
+        def rate(k, t, dt, U, LU, top, out):
+            out.fill(0.0)
+            out[-1] = -5.0 / dt
+            if k == 1:
+                out[rows - 1, 0] = -(1.0 + depth) / dt
+            return out
+        return rate
+
+    run = march(mask, state, dip(1e-9), 1.0, 0.25, 1.0, 2, clip=rows)
+    assert run.clipped == pytest.approx(1e-9 * hd, rel=1e-6)
+    assert run.frames[rows - 1, -1, 0] == 0.0
+    assert run.frames[-1, -1, 0] < 0.0
+    with pytest.raises(SolverError, match="clipped mass"):
+        march(mask, state, dip(1.0), 1.0, 0.25, 1.0, 2, clip=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +342,7 @@ def test_poisson_round_trip():
     rhs = Field(mask, raw - raw.mean())
     sol = poisson_neumann(rhs)
     assert abs(np.mean(sol.values)) <= TOL_MACHINE
-    resid = laplacian_neumann(sol).values - rhs.values
+    resid = mask.laplacian_matrix() @ sol.values - rhs.values
     assert np.max(np.abs(resid)) <= TOL_SOLVER * np.max(np.abs(rhs.values))
 
 

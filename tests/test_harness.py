@@ -104,6 +104,16 @@ def test_config_errors_name_the_offending_field(override, fragment):
         ExperimentConfig(data)
 
 
+def test_config_rejects_nonpositive_gamma_before_any_solve():
+    # 3-D skt with the 2-D preset's p = 2, q = 3: gamma = 2 - 2/p - d/q = 0
+    data = {"experiment": "skt", "seed": 0, "grid": {"dim": 3}}
+    fields = r"grid\.dim = 3, estimate\.p = 2 and estimate\.q = 3"
+    with pytest.raises(ConfigError, match=fields):
+        ExperimentConfig(data)
+    with pytest.raises(ConfigError, match="gamma"):
+        run_experiment(data)
+
+
 def test_config_resolves_auto_exponent():
     cfg = ExperimentConfig({"experiment": "interp", "seed": 0})
     alpha = cfg.alpha

@@ -14,6 +14,7 @@ from difflab import (ConstantsBundle, Field, GridSpec, ParabolicCylinder,
                      k3_constant, kernel_evolve, oscillation_decay_check,
                      shrunk_radius, solve_rough, supremum_bound_check,
                      unit_ball_volume)
+from difflab.rough import _active_at
 
 INF = float("inf")
 ORACLE_RTOL = 5e-12      # twelve significant digits
@@ -160,7 +161,7 @@ def test_rough_coefficient_validation():
     with pytest.raises(ParameterError):
         RoughCoefficient(1.0, 1.0, 0.9)
     coeff = RoughCoefficient(Field.constant(mask, 1.5), 1.0, 2.0)
-    assert np.all(coeff.at(0.0, mask) == 1.5)
+    assert np.all(_active_at(coeff.a, 0.0) == 1.5)
 
 
 def test_rough_coefficient_time_frames():
@@ -168,8 +169,8 @@ def test_rough_coefficient_time_frames():
     a_traj = Trajectory(mask, np.array([0.0, 0.5]),
                         np.vstack([np.ones(9), 2.0 * np.ones(9)]))
     coeff = RoughCoefficient(a_traj, 1.0, 2.0)
-    assert np.all(coeff.at(0.4, mask) == 1.0)   # left frame rule
-    assert np.all(coeff.at(0.6, mask) == 2.0)
+    assert np.all(_active_at(coeff.a, 0.4) == 1.0)   # left frame rule
+    assert np.all(_active_at(coeff.a, 0.6) == 2.0)
 
 
 def test_solve_constant_state_is_fixed_point():
