@@ -346,13 +346,6 @@ class Field:
         vals = np.asarray(fn(coords), dtype=float).reshape(-1)
         return cls(mask, vals)
 
-    @classmethod
-    def from_full(cls, mask: DomainMask, full: np.ndarray) -> "Field":
-        return cls(mask, np.asarray(full, dtype=float)[mask.active])
-
-    def to_full(self, fill: float = np.nan) -> np.ndarray:
-        return self.mask.scatter(self.values, fill=fill)
-
 
 class Trajectory:
     """Time frames of fields on one mask; the frame gaps may differ, and time

@@ -1,8 +1,11 @@
 """Experiment harness: JSON configs in, reproducible reports out.
 
 A config names one of the built-in experiment presets and overrides its
-defaults.  ``run_experiment`` builds the grid, draws every random object
-from the config seed, runs the preset pipeline, and returns a
+defaults.  The preset table is the schema: an override may only name a
+field the preset has, and each ``system`` field is read once against the
+type of its default, so a bad config fails before any solve and the echo
+is what ran.  ``run_experiment`` builds the grid, draws every random
+object from the config seed, runs the preset pipeline, and returns a
 :class:`~difflab.report.RunReport` whose config block embeds the resolved
 settings and the explicit-constants bundle in force.  Reports are
 deterministic: the same config and seed produce byte-identical JSON/CSV.
@@ -37,13 +40,14 @@ import copy
 import json
 import math
 import pathlib
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .grid import Field, GridSpec, ParabolicCylinder, full_mask
-from .interp import (cut_ball_check, interpolation_check,
-                     random_admissible_pair)
+from .interp import (_validate_hypotheses, cut_ball_check,
+                     interpolation_check, random_admissible_pair)
 from .kernel import (fitted_moment_prefactor, fitted_prefactor,
                      kernel_evolve, kernel_norm_report, moment_report)
 from .norms import reciprocal
@@ -65,84 +69,70 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # preset defaults
 
-_PRESETS: dict[str, dict] = {
+# every preset is this base with its own entries laid over each block
+_BASE = {
+    "seed": 0,
+    "grid": {"dim": 2, "extent": 1.0},
+    "time": {"dt": "auto"},
+    "estimate": {"p": "inf", "q": "inf", "alpha": 0.0,
+                 "a0": 1.0, "c0": 2.0, "radius": 0.3, "r0": 0.25,
+                 "eps": 0.25, "C": None},
+    "output": {"dir": None, "stem": "report"},
+}
+
+_OWN = {
     "heatkernel": {
-        "experiment": "heatkernel",
-        "seed": 0,
-        "grid": {"dim": 2, "n": 96, "extent": 1.0},
-        "time": {"t_end": 0.3, "dt": "auto", "n_frames": 96},
+        "grid": {"n": 96},
+        "time": {"t_end": 0.3, "n_frames": 96},
         "system": {"p_list": [1.0, 2.0, "inf"], "slope_tol": 0.1,
                    "moment_tol": 0.05, "source": "center"},
-        "estimate": {"p": "inf", "q": "inf", "alpha": 0.0,
-                     "a0": 1.0, "c0": 2.0, "radius": 0.3, "r0": 0.25,
-                     "eps": 0.25, "C": None},
-        "output": {"dir": None, "stem": "report"},
     },
     "oscdecay": {
-        "experiment": "oscdecay",
-        "seed": 0,
-        "grid": {"dim": 2, "n": 33, "extent": 1.0},
-        "time": {"t_end": 0.06, "dt": "auto", "n_frames": 129},
+        "grid": {"n": 33},
+        "time": {"t_end": 0.06, "n_frames": 129},
         "system": {"forcing": "none", "f_amp": 1.0, "w_amp": 1.0,
                    "n_bumps": 6},
-        "estimate": {"p": "inf", "q": "inf", "alpha": 0.0,
-                     "a0": 1.0, "c0": 2.0, "radius": 0.3, "r0": 0.25,
-                     "eps": 0.25, "C": None},
-        "output": {"dir": None, "stem": "report"},
     },
     "skt": {
-        "experiment": "skt",
-        "seed": 0,
-        "grid": {"dim": 2, "n": 32, "extent": 1.0},
-        "time": {"t_end": 0.25, "dt": "auto", "n_frames": 33},
+        "grid": {"n": 32},
+        "time": {"t_end": 0.25, "n_frames": 33},
         "system": {"d1": 0.1, "d2": 0.2, "sigma": 0.5,
                    "r_u": 1.0, "r_v": 1.0,
                    "d11": 1.0, "d12": 0.5, "d21": 0.5, "d22": 1.0,
                    "u_amp": 0.8, "v_amp": 0.8, "n_bumps": 5,
                    "energy_p": 2},
-        "estimate": {"p": 2.0, "q": 3.0, "alpha": 0.0,
-                     "a0": 1.0, "c0": 2.0, "radius": 0.3, "r0": 0.3,
-                     "eps": 0.25, "C": None},
-        "output": {"dir": None, "stem": "report"},
+        "estimate": {"p": 2.0, "q": 3.0, "r0": 0.3},
     },
     "quad4": {
-        "experiment": "quad4",
-        "seed": 0,
-        "grid": {"dim": 2, "n": 32, "extent": 1.0},
-        "time": {"t_end": 0.5, "dt": "auto", "n_frames": 33},
+        "grid": {"n": 32},
+        "time": {"t_end": 0.5, "n_frames": 33},
         "system": {"diffusions": [1.0, 1.5, 0.5, 2.0], "amp": 1.0,
                    "n_bumps": 4},
-        "estimate": {"p": "inf", "q": "inf", "alpha": 0.0,
-                     "a0": 1.0, "c0": 2.0, "radius": 0.3, "r0": 0.25,
-                     "eps": 0.25, "C": None},
-        "output": {"dir": None, "stem": "report"},
     },
     "general": {
-        "experiment": "general",
-        "seed": 0,
-        "grid": {"dim": 2, "n": 24, "extent": 1.0},
-        "time": {"t_end": 0.1, "dt": "auto", "n_frames": 65},
+        "grid": {"n": 24},
+        "time": {"t_end": 0.1, "n_frames": 65},
         "system": {"name": "uum", "m": 2, "b": [1.0, 2.0],
                    "sp": 2, "sq": 1, "diffusions": None,
                    "amp": 1.0, "n_bumps": 4,
                    "samples": 20000, "box": [0.0, 10.0]},
-        "estimate": {"p": "inf", "q": "inf", "alpha": 0.0,
-                     "a0": 1.0, "c0": 2.0, "radius": 0.3, "r0": 0.25,
-                     "eps": 0.25, "C": None},
-        "output": {"dir": None, "stem": "report"},
     },
     "interp": {
-        "experiment": "interp",
-        "seed": 0,
-        "grid": {"dim": 3, "n": 24, "extent": 1.0},
-        "time": {"t_end": 0.0, "dt": "auto", "n_frames": 2},
+        "grid": {"dim": 3, "n": 24},
+        "time": {"t_end": 0.0, "n_frames": 2},
         "system": {"n_bumps": 6, "margin": 0.5, "domain_radius": 0.3},
-        "estimate": {"p": 2.0, "q": "auto", "alpha": 0.3,
-                     "a0": 1.0, "c0": 2.0, "radius": 0.3, "r0": 0.2,
-                     "eps": 0.25, "C": None},
-        "output": {"dir": None, "stem": "report"},
+        "estimate": {"p": 2.0, "q": "auto", "alpha": 0.3, "r0": 0.2},
     },
 }
+
+
+# the one schema: an override may only name a leaf these dicts have, and
+# each ``system`` leaf is read against the type of its default here
+_PRESETS: dict[str, dict] = {
+    name: {"experiment": name, **_BASE,
+           **{block: {**_BASE.get(block, {}), **entries}
+              for block, entries in own.items()}}
+    for name, own in _OWN.items()}
 
 
 def preset_names() -> list[str]:
@@ -163,10 +153,14 @@ def preset_config(name: str) -> dict:
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
+    """``base`` with ``override`` laid over it; a key ``base`` lacks fails."""
     out = copy.deepcopy(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
-        if key in out and isinstance(out[key], dict):
+        if key not in out:
+            raise ConfigError(f"unknown config field {where}; valid here: "
+                              + ", ".join(sorted(out)))
+        if isinstance(out[key], dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"{where} must be an object, got "
                                   f"{type(val).__name__}")
@@ -204,6 +198,30 @@ def _num(data: dict, section: str, key: str, *, lo=None, hi=None,
     return val
 
 
+def _system(name: str, sysc: dict) -> dict:
+    """Each ``system`` leaf read against its preset default: a number, an
+    integer >= 1, or a list of numbers for a list or null default ("inf"
+    allowed in ``p_list``, integers in ``b``).  Pipelines check strings."""
+    out = {}
+    for key, default in _PRESETS[name]["system"].items():
+        val = sysc[key]
+        if isinstance(default, str) or (default is None and val is None):
+            out[key] = val
+        elif isinstance(default, int):
+            out[key] = _num(sysc, "system", key, lo=1, integer=True)
+        elif isinstance(default, float):
+            out[key] = _num(sysc, "system", key)
+        elif not isinstance(val, list):
+            raise ConfigError(f"system.{key} must be a list of numbers, "
+                              f"got {type(val).__name__}")
+        else:
+            out[key] = [float(_num({f"{key}[{i}]": v}, "system",
+                                   f"{key}[{i}]", allow_inf=key == "p_list",
+                                   integer=key == "b"))
+                        for i, v in enumerate(val)]
+    return out
+
+
 class ExperimentConfig:
     """Validated, fully resolved experiment configuration."""
 
@@ -211,14 +229,12 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         name = data.get("experiment")
-        if name is None:
-            raise ConfigError("config is missing the 'experiment' field")
+        if not isinstance(name, str):
+            raise ConfigError("config needs an 'experiment' field naming "
+                              "a preset")
         merged = _merge(preset_config(name), data)
         if "seed" not in data:
             raise ConfigError("config is missing the mandatory 'seed' field")
-        for block in ("grid", "time", "system", "estimate", "output"):
-            if not isinstance(merged[block], dict):
-                raise ConfigError(f"{block} must be an object")
 
         self.experiment = name
         self.seed = _num(merged, "", "seed", lo=0, integer=True)
@@ -261,7 +277,7 @@ class ExperimentConfig:
         self.radius = _num(e, "estimate", "radius", lo=0, strict_lo=True)
         self.r0 = _num(e, "estimate", "r0", lo=0, strict_lo=True)
         self.eps = _num(e, "estimate", "eps", lo=0, strict_lo=True, hi=0.5)
-        self.frozen_c = (None if e.get("C") is None
+        self.frozen_c = (None if e["C"] is None
                          else _num(e, "estimate", "C", lo=0, strict_lo=True))
         try:
             self.constants = explicit_constants(self.dim, self.p, self.q,
@@ -271,13 +287,22 @@ class ExperimentConfig:
                 f"grid.dim = {self.dim}, estimate.p = {self.p:g} and "
                 f"estimate.q = {self.q:g} admit no constants bundle: "
                 f"{exc}") from exc
+        if name in ("skt", "interp"):      # they run interpolation_check
+            try:
+                _validate_hypotheses(self.dim, self.p, self.q, alpha)
+            except ParameterError as exc:
+                raise ConfigError(
+                    f"grid.dim = {self.dim}, estimate.p = {self.p:g}, "
+                    f"estimate.q = {self.q:g} and estimate.alpha = "
+                    f"{alpha:g} fail the interpolation hypotheses: "
+                    f"{exc}") from exc
 
-        self.system = merged["system"]
+        self.system = merged["system"] = _system(name, merged["system"])
         out = merged["output"]
-        if out.get("dir") is not None and not isinstance(out["dir"], str):
+        if out["dir"] is not None and not isinstance(out["dir"], str):
             raise ConfigError("output.dir must be a string path or null")
-        self.out_dir = out.get("dir")
-        self.stem = out.get("stem", "report")
+        self.out_dir = out["dir"]
+        self.stem = out["stem"]
         if not isinstance(self.stem, str) or not self.stem:
             raise ConfigError("output.stem must be a non-empty string")
         self.resolved = merged
@@ -321,15 +346,11 @@ class ExperimentConfig:
             raise ConfigError(f"refinement level must be >= 0, got {k}")
         data = copy.deepcopy(self.resolved)
         factor = 2 ** k
-        n = data["grid"]["n"]
-        if isinstance(n, list):
-            data["grid"]["n"] = [(int(m) - 1) * factor + 1 for m in n]
-        else:
-            data["grid"]["n"] = (int(n) - 1) * factor + 1
-        data["time"]["n_frames"] = (int(data["time"]["n_frames"]) - 1) \
-            * factor + 1
-        if data["time"]["dt"] != "auto":
-            data["time"]["dt"] = float(data["time"]["dt"]) / factor ** 2
+        n = [(m - 1) * factor + 1 for m in self.n]
+        data["grid"]["n"] = n if isinstance(data["grid"]["n"], list) else n[0]
+        data["time"]["n_frames"] = (self.n_frames - 1) * factor + 1
+        if self.dt != "auto":
+            data["time"]["dt"] = self.dt / factor ** 2
         return ExperimentConfig(data)
 
 
@@ -399,7 +420,7 @@ def kernel_calibration(mask, t_end: float, q: float,
 def _run_heatkernel(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     mask = full_mask(cfg.grid_spec())
     sysc = cfg.system
-    src = sysc.get("source", "center")
+    src = sysc["source"]
     if src == "center":
         src = tuple(0.5 * e for e in mask.grid.extent)
     elif not isinstance(src, (list, tuple)):
@@ -417,11 +438,9 @@ def _run_heatkernel(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
         details={"mass_first": float(masses[0]),
                  "mass_last": float(masses[-1])},
     )
-    p_list = tuple(math.inf if p in ("inf", "Infinity") else float(p)
-                   for p in sysc.get("p_list", (1.0, 2.0, math.inf)))
-    norms = kernel_norm_report(kern, p_list=p_list,
-                               tol=float(sysc.get("slope_tol", 0.1)))
-    moments = moment_report(kern, tol=float(sysc.get("moment_tol", 0.05)))
+    p_list = sysc["p_list"]
+    norms = kernel_norm_report(kern, p_list=p_list, tol=sysc["slope_tol"])
+    moments = moment_report(kern, tol=sysc["moment_tol"])
     prefs = {f"prefactor_p{p:g}": fitted_prefactor(kern, p) for p in p_list}
     prefs["moment_prefactor"] = fitted_moment_prefactor(kern, cfg.eps)
     norms.details.update({k: float(v) for k, v in prefs.items()})
@@ -441,17 +460,15 @@ def _run_oscdecay(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
                        * rng.random(mask.active_count))
     coeff = RoughCoefficient(Field(mask, a_vals), cfg.a0, cfg.c0)
     w0 = Field(mask, 0.5 + 0.5 * _random_bumps(
-        mask, rng, int(sysc.get("n_bumps", 6)),
-        float(sysc.get("w_amp", 1.0))))
+        mask, rng, sysc["n_bumps"], sysc["w_amp"]))
     forcing = None
     prefactor = None
-    if sysc.get("forcing", "none") == "random":
-        f_vals = _random_bumps(mask, rng, int(sysc.get("n_bumps", 6)),
-                               float(sysc.get("f_amp", 1.0)))
+    if sysc["forcing"] == "random":
+        f_vals = _random_bumps(mask, rng, sysc["n_bumps"], sysc["f_amp"])
         forcing = Field(mask, f_vals)
         prefactor = kernel_calibration(mask, cyl_window, cfg.q,
                                        cfg.eps)["decay"]
-    elif sysc.get("forcing", "none") != "none":
+    elif sysc["forcing"] != "none":
         raise ConfigError("system.forcing must be 'none' or 'random'")
     sol = solve_rough(w0, coeff, forcing=forcing, t_end=cfg.t_end,
                       dt=cfg.solver_dt(), n_frames=cfg.n_frames)
@@ -473,15 +490,9 @@ def _run_oscdecay(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
 def _run_skt(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     mask = full_mask(cfg.grid_spec())
     sysc = cfg.system
-    params = SKTParams(
-        d1=float(sysc["d1"]), d2=float(sysc["d2"]),
-        sigma=float(sysc["sigma"]), r_u=float(sysc["r_u"]),
-        r_v=float(sysc["r_v"]), d11=float(sysc["d11"]),
-        d12=float(sysc["d12"]), d21=float(sysc["d21"]),
-        d22=float(sysc["d22"]))
-    n_bumps = int(sysc.get("n_bumps", 5))
-    u0 = _positive_bumps(mask, rng, n_bumps, float(sysc.get("u_amp", 0.8)))
-    v0 = _positive_bumps(mask, rng, n_bumps, float(sysc.get("v_amp", 0.8)))
+    params = SKTParams(**{f.name: sysc[f.name] for f in fields(SKTParams)})
+    u0 = _positive_bumps(mask, rng, sysc["n_bumps"], sysc["u_amp"])
+    v0 = _positive_bumps(mask, rng, sysc["n_bumps"], sysc["v_amp"])
     sol = skt_solve(u0, v0, params, cfg.t_end, dt=cfg.solver_dt(),
                     n_frames=cfg.n_frames)
     aux = skt_auxiliary(sol)
@@ -513,7 +524,7 @@ def _run_skt(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
 
     checks = [positivity, v_cap, clip,
               systems.nu_bounds_report(sol, aux), aux.residual,
-              systems.lp_energy_report(sol, int(sysc.get("energy_p", 2)))]
+              systems.lp_energy_report(sol, sysc["energy_p"])]
 
     w_t, lap_t = systems.convexified(sol, aux, sol.u.n_frames - 1)
     u_T = Field(mask, sol.u.values[-1])
@@ -528,11 +539,9 @@ def _run_skt(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
 def _run_quad4(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     mask = full_mask(cfg.grid_spec())
     sysc = cfg.system
-    diff = tuple(float(d) for d in sysc.get("diffusions",
-                                            (1.0, 1.5, 0.5, 2.0)))
-    amp = float(sysc.get("amp", 1.0))
-    n_bumps = int(sysc.get("n_bumps", 4))
-    inits = [_positive_bumps(mask, rng, n_bumps, amp) for _ in range(4)]
+    diff = sysc["diffusions"]
+    inits = [_positive_bumps(mask, rng, sysc["n_bumps"], sysc["amp"])
+             for _ in range(4)]
     sol = quadratic_solve(inits, diff, cfg.t_end, dt=cfg.solver_dt(),
                           n_frames=cfg.n_frames)
     return [quad_mass_report(sol), quad_mu_report(sol, diff),
@@ -540,33 +549,24 @@ def _run_quad4(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
 
 
 def _general_spec(sysc: dict):
-    name = sysc.get("name", "uum")
+    name = sysc["name"]
     if name not in PRESET_SYSTEMS:
         raise ConfigError(f"system.name must be one of "
                           f"{sorted(PRESET_SYSTEMS)}, got {name!r}")
-    kwargs = {}
-    if sysc.get("diffusions") is not None:
-        kwargs["diffusions"] = tuple(float(d) for d in sysc["diffusions"])
-    if name == "uum":
-        kwargs["m"] = int(sysc.get("m", 2))
-        kwargs["b"] = tuple(float(b) for b in sysc.get("b", (1.0, 2.0)))
-    elif name == "p_q_2s3":
-        kwargs["sp"] = int(sysc.get("sp", 2))
-        kwargs["sq"] = int(sysc.get("sq", 1))
-    return PRESET_SYSTEMS[name](**kwargs)
+    keys = {"uum": ("m", "b"), "p_q_2s3": ("sp", "sq")}.get(name, ())
+    if sysc["diffusions"] is not None:
+        keys += ("diffusions",)
+    return PRESET_SYSTEMS[name](**{k: sysc[k] for k in keys})
 
 
 def _run_general(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     sysc = cfg.system
     spec = _general_spec(sysc)
-    box = tuple(float(b) for b in sysc.get("box", (0.0, 10.0)))
-    structural = structural_checks(
-        spec, n_samples=int(sysc.get("samples", 20000)), box=box,
-        raise_on_violation=False)
+    box = sysc["box"]
+    structural = structural_checks(spec, n_samples=sysc["samples"], box=box,
+                                   raise_on_violation=False)
     mask = full_mask(cfg.grid_spec())
-    amp = float(sysc.get("amp", 1.0))
-    n_bumps = int(sysc.get("n_bumps", 4))
-    inits = [_positive_bumps(mask, rng, n_bumps, amp)
+    inits = [_positive_bumps(mask, rng, sysc["n_bumps"], sysc["amp"])
              for _ in range(spec.m)]
     sol = systems.general_solve(inits, spec, cfg.t_end, dt=cfg.solver_dt(),
                                 n_frames=cfg.n_frames, sampled_box=box)
@@ -579,7 +579,7 @@ def _run_interp(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     mask = full_mask(cfg.grid_spec())
     sysc = cfg.system
     center = tuple(0.5 * e for e in mask.grid.extent)
-    dom_r = float(sysc.get("domain_radius", 0.3)) * cfg.extent
+    dom_r = sysc["domain_radius"] * cfg.extent
     max_r = 0.5 * cfg.extent - 2.5 * mask.grid.h
     if dom_r > max_r:
         raise ConfigError(
@@ -587,8 +587,7 @@ def _run_interp(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
             f"fitting strictly inside the box (max {max_r:.4g})")
     domain = mask.ball_nodes(center, dom_r)
     u, w = random_admissible_pair(
-        mask, domain, rng, n_bumps=int(sysc.get("n_bumps", 6)),
-        margin=float(sysc.get("margin", 0.5)))
+        mask, domain, rng, n_bumps=sysc["n_bumps"], margin=sysc["margin"])
     full = interpolation_check(u, w, p=cfg.p, q=cfg.q, alpha=cfg.alpha,
                                r0=cfg.r0, C=cfg.frozen_c, domain=domain)
     ladder = cut_ball_check(u, w, center, cfg.radius, p=cfg.p, q=cfg.q,

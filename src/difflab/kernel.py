@@ -80,14 +80,16 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
 
     ``source`` is a node index tuple or a point (snapped to the nearest
     active node).  Frames are recorded geometrically in time unless
-    ``record_times`` is given.  Raises on CFL violation, mass drift or
-    negative undershoot beyond roundoff.
+    ``record_times`` is given.  ``dt`` defaults to 0.9 of the stability
+    limit, the smaller of h^2/(row max) and h^2/(2d), and may not exceed
+    it.  Raises on a dt above the limit, mass drift or negative undershoot
+    beyond roundoff.
     """
     grid = mask.grid
     d = grid.dim
-    cfl = grid.h ** 2 / (2.0 * d)
-    if dt is None:
-        dt = min(stable_dt(mask), 0.9 * cfl)
+    # Dirichlet faces raise the row max above 2d, so the mask's own limit
+    # can be the tighter one
+    limit = min(stable_dt(mask, safety=1.0), grid.h ** 2 / (2.0 * d))
 
     if not isinstance(source, tuple) or len(source) != d or \
             not all(isinstance(s, (int, np.integer)) for s in source):
@@ -105,7 +107,7 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
     full = np.zeros(grid.n)
     full[source] = 1.0 / hd
     run = march(mask, mask.gather(full)[None],
-                lambda k, t, step, U, LU, top, out: LU, t_end, dt, cfl,
+                lambda k, t, step, U, LU, top, out: LU, t_end, dt, limit,
                 frames)
     values = run.frames[0]
 

@@ -56,9 +56,6 @@ class ConstantsBundle:
     alpha: float
     K1: float
 
-    def ball_volume(self) -> float:
-        return unit_ball_volume(self.d)
-
     def to_dict(self) -> dict:
         from dataclasses import asdict
         return asdict(self)

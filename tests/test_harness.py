@@ -77,6 +77,8 @@ def test_preset_catalogue():
 def test_config_requires_experiment_and_seed():
     with pytest.raises(ConfigError, match="experiment"):
         ExperimentConfig({"seed": 0})
+    with pytest.raises(ConfigError, match="experiment"):
+        ExperimentConfig({"experiment": ["skt"], "seed": 0})
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig({"experiment": "skt"})
 
@@ -97,6 +99,12 @@ def test_config_requires_experiment_and_seed():
     ({"seed": 1.5}, "seed"),
     ({"output": {"stem": ""}}, "output.stem"),
     ({"grid": "tiny"}, "grid"),
+    ({"grid": {"N": 65}}, "grid.N"),
+    ({"sytem": {"d1": 0.2}}, "sytem"),
+    ({"system": {"n_bumps": 2.5}}, "system.n_bumps"),
+    ({"system": {"n_bumps": True}}, "system.n_bumps"),
+    ({"system": {"n_bumps": 0}}, "system.n_bumps"),
+    ({"system": {"d1": "x"}}, "system.d1"),
 ])
 def test_config_errors_name_the_offending_field(override, fragment):
     data = {"experiment": "skt", "seed": 0, **override}
@@ -112,6 +120,24 @@ def test_config_rejects_nonpositive_gamma_before_any_solve():
         ExperimentConfig(data)
     with pytest.raises(ConfigError, match="gamma"):
         run_experiment(data)
+
+
+def test_config_checks_interpolation_hypotheses_before_any_solve():
+    # q = 5 is below (3 - alpha)/(2 - alpha) p = 6, which the skt
+    # pipeline's interpolation check needs
+    data = {"experiment": "skt", "seed": 0, "estimate": {"p": 4, "q": 5}}
+    fields = (r"grid\.dim = 2, estimate\.p = 4, estimate\.q = 5 and "
+              r"estimate\.alpha = 0 fail the interpolation hypotheses")
+    with pytest.raises(ConfigError, match=fields):
+        ExperimentConfig(data)
+
+
+def test_general_rejects_fractional_reactant_exponents():
+    # uum takes integer exponents; 1.5 must not run as 1
+    data = {"experiment": "general", "seed": 0, "system": {"b": [1.5, 2]}}
+    with pytest.raises(ConfigError, match=r"system\.b\[0\] must be an "
+                                          r"integer, got 1\.5"):
+        ExperimentConfig(data)
 
 
 def test_config_resolves_auto_exponent():
@@ -325,6 +351,10 @@ def test_cli_rejects_broken_configs_with_exit_one(tmp_path, capsys):
     path.write_text(json.dumps({"experiment": "nope", "seed": 0}))
     assert main(["run", str(path)]) == 1
     assert "valid presets" in capsys.readouterr().err
+    path.write_text(json.dumps({"experiment": "oscdecay", "seed": 0,
+                                "system": {"w_amp": "x"}}))
+    assert main(["run", str(path)]) == 1
+    assert "config error: system.w_amp" in capsys.readouterr().err
 
 
 def test_cli_run_refine_and_out(tmp_path, capsys):

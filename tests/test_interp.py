@@ -281,6 +281,33 @@ def test_interpolation_scaling_invariance():
         assert scaled.details["n_balls"] == base.details["n_balls"]
 
 
+def test_cover_ratios_match_a_per_ball_loop():
+    """The chain sums add each kept ball's u^q and |grad u|^p mass; a loop
+    over the balls and their members gives the same sums to 1e-12."""
+    mask, domain, u, w = admissible_case()
+    p, r0 = 2.0, 0.1
+    rep = interpolation_check(u, w, p=p, q=Q_MIN, alpha=ALPHA, r0=r0,
+                              domain=domain)
+    cover = build_covering(u, rep.details["holder_norm_w"], p, ALPHA, r0,
+                           domain)
+    assert cover.n_balls == rep.details["n_balls"] and cover.max_overlap > 1
+    hd = mask.grid.h ** 2
+    coords = mask.node_coords()[domain]
+    u_q = u.values[domain] ** Q_MIN
+    g_p = np.sqrt((gradient(u) ** 2).sum(axis=1))[domain] ** p
+    sum_u = sum_g = 0.0
+    for ci, r in zip(cover.centers, cover.radii):
+        members = ((coords - coords[ci]) ** 2).sum(axis=1) \
+            <= r * r * (1 + 1e-12)
+        sum_u += hd * float(u_q[members].sum())
+        sum_g += hd * float(g_p[members].sum())
+    want_u = sum_u / (hd * float(u_q.sum()))
+    want_g = sum_g / (hd * float(g_p.sum()))
+    assert rep.details["cover_lq_ratio"] == pytest.approx(want_u, rel=1e-12)
+    assert rep.details["grad_chain_ratio"] == pytest.approx(want_g,
+                                                            rel=1e-12)
+
+
 def test_threshold_is_exact_seminorm_on_criterion_10_domain():
     """Threshold A on the criterion-10 geometry (seed 1002) is sup |w| plus
     the Hoelder seminorm over every pair of domain nodes; a thinned node

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from difflab import (Field, GridSpec, PreconditionError, SamplingError,
-                     admissible_graph_domain, ball_mask, domain_volume,
+from difflab import (Field, GridSpec, ParameterError, PreconditionError,
+                     SamplingError, admissible_graph_domain, ball_mask,
+                     domain_volume,
                      fit_power, fitted_moment_prefactor, fitted_prefactor,
                      full_mask, gaussian_heat, gaussian_lower_bound_check,
                      gaussian_moment_1d, gaussian_running_sup,
@@ -235,6 +236,17 @@ def test_gaussian_lower_bound_on_graph_domain():
     assert rep.details["violations"] == 0
     assert rep.lhs <= rep.rhs
     assert rep.details["points_checked"] > 10_000
+
+
+def test_kernel_dt_limit_counts_dirichlet_faces():
+    """A graph domain's Dirichlet faces make the 2-D row max 6, so the
+    limit is h^2/6, not h^2/4: 1.2 times it is refused before any step."""
+    grid = GridSpec.make((2.0, 2.0), 33, origin=(-1.0, -1.0))
+    dom = admissible_graph_domain(grid, 1.0, 0.0)
+    assert dom.stencil_row_max() == 6.0
+    src = tuple(source_ball_center(1.0, None, 2))
+    with pytest.raises(ParameterError, match="stability limit"):
+        kernel_evolve(dom, src, 0.05, dt=1.2 * grid.h ** 2 / 6.0)
 
 
 def test_gaussian_lower_bound_rejects_misplaced_source():
