@@ -198,28 +198,45 @@ def _num(data: dict, section: str, key: str, *, lo=None, hi=None,
     return val
 
 
-def _system(name: str, sysc: dict) -> dict:
+def _system(name: str, sysc: dict, dim: int) -> dict:
     """Each ``system`` leaf read against its preset default: a number, an
-    integer >= 1, or a list of numbers for a list or null default ("inf"
-    allowed in ``p_list``, integers in ``b``).  Pipelines check strings."""
+    integer >= 1, or a list of numbers for a list or null default
+    (_numbers).  Shapes are checked too: ``source`` is "center" or ``dim``
+    numbers, ``box`` two numbers lo < hi, and ``domain_radius`` is
+    positive.  Pipelines check the other strings."""
     out = {}
     for key, default in _PRESETS[name]["system"].items():
         val = sysc[key]
-        if isinstance(default, str) or (default is None and val is None):
+        if key == "source":
+            out[key] = val if val == "center" else _numbers(key, val, dim)
+        elif isinstance(default, str) or (default is None and val is None):
             out[key] = val
         elif isinstance(default, int):
             out[key] = _num(sysc, "system", key, lo=1, integer=True)
         elif isinstance(default, float):
-            out[key] = _num(sysc, "system", key)
-        elif not isinstance(val, list):
-            raise ConfigError(f"system.{key} must be a list of numbers, "
-                              f"got {type(val).__name__}")
+            out[key] = _num(sysc, "system", key, strict_lo=True,
+                            lo=0 if key == "domain_radius" else None)
         else:
-            out[key] = [float(_num({f"{key}[{i}]": v}, "system",
-                                   f"{key}[{i}]", allow_inf=key == "p_list",
-                                   integer=key == "b"))
-                        for i, v in enumerate(val)]
+            out[key] = _numbers(key, val, 2 if key == "box" else None)
+    box = out.get("box")
+    if box is not None and not box[0] < box[1]:
+        raise ConfigError(f"system.box must be [lo, hi] with lo < hi, "
+                          f"got {box}")
     return out
+
+
+def _numbers(key: str, val, length: int | None) -> list:
+    """``system.key`` as a list of numbers, of ``length`` entries if given
+    ("inf" allowed in ``p_list``, integers in ``b``)."""
+    if not isinstance(val, list):
+        raise ConfigError(f"system.{key} must be a list of numbers, "
+                          f"got {type(val).__name__}")
+    if length is not None and len(val) != length:
+        raise ConfigError(f"system.{key} has {len(val)} entries, needs "
+                          f"{length}")
+    return [float(_num({f"{key}[{i}]": v}, "system", f"{key}[{i}]",
+                       allow_inf=key == "p_list", integer=key == "b"))
+            for i, v in enumerate(val)]
 
 
 class ExperimentConfig:
@@ -297,7 +314,8 @@ class ExperimentConfig:
                     f"{alpha:g} fail the interpolation hypotheses: "
                     f"{exc}") from exc
 
-        self.system = merged["system"] = _system(name, merged["system"])
+        self.system = merged["system"] = _system(name, merged["system"],
+                                                   self.dim)
         out = merged["output"]
         if out["dir"] is not None and not isinstance(out["dir"], str):
             raise ConfigError("output.dir must be a string path or null")
@@ -423,8 +441,6 @@ def _run_heatkernel(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     src = sysc["source"]
     if src == "center":
         src = tuple(0.5 * e for e in mask.grid.extent)
-    elif not isinstance(src, (list, tuple)):
-        raise ConfigError("system.source must be 'center' or a point")
     kern = kernel_evolve(mask, src, cfg.t_end, dt=cfg.solver_dt(),
                          n_frames=cfg.n_frames)
     hd = mask.grid.h ** mask.grid.dim

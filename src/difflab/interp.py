@@ -8,7 +8,11 @@ Besicovitch-style covering, and the global inequality
 for pairs with 0 <= u <= lap w (one-sided: no equality required).  The norm
 on w is C^alpha for alpha in (0,1) and the sup norm for alpha = 0; the
 threshold A and every cut-ball rung take the exact seminorm over all of
-their nodes (norms.pair_quotient_max).
+their nodes (norms.pair_quotient_max, which keeps the block tree of each
+node set, so every case after the first on the same domain or rung only
+recomputes the W ranges).  The covering marks each kept ball from its grid
+box, so it costs what its balls hold rather than a scan of the domain per
+ball.
 
 The verification domain Omega is a node subset strictly inside the carrier
 mask, so every Laplacian and gradient stencil uses real neighbours; the
@@ -41,6 +45,18 @@ def _holder_subset(coords: np.ndarray, vals: np.ndarray,
     if alpha == 0.0:
         return sup
     return sup + pair_quotient_max(coords, vals, alpha)
+
+
+def _dist2(columns: np.ndarray, point) -> np.ndarray:
+    """Squared distance of every node to ``point``, summed axis by axis over
+    the contiguous coordinate columns ``coords.T``: the same additions in
+    the same order as ((coords - point) ** 2).sum(axis=1), so the same
+    bits, without the (n, d) temporary."""
+    out = np.zeros(columns.shape[1])
+    for col, c in zip(columns, point, strict=True):
+        diff = col - c
+        out += diff * diff
+    return out
 
 
 def _check_one_sided(u: Field, lap_w: np.ndarray, selector: np.ndarray):
@@ -99,7 +115,7 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
     hd = mask.grid.h ** d
     coords = mask.node_coords()
     center = np.asarray(center, dtype=float)
-    dist2 = ((coords - center) ** 2).sum(axis=1)
+    dist2 = _dist2(np.ascontiguousarray(coords.T), center)
     grad = gradient(u)
     gmag = np.sqrt((grad ** 2).sum(axis=1))
 
@@ -280,28 +296,50 @@ def build_covering(u: Field, threshold: float, p: float, alpha: float,
     """Radii by first crossing, then a greedy largest-first selection:
     a ball is kept only if its center is not yet covered.  Two kept centers
     are therefore farther apart than the larger radius, which pins the
-    overlap multiplicity (audited by the caller against a budget)."""
+    overlap multiplicity (audited by the caller against a budget).
+
+    Only still-uncovered nodes are visited, and a kept ball of radius r
+    tests just the domain nodes of its grid box of half-width
+    floor(r/h) + 1 around the center, with the distance test of a scan
+    over all nodes, so centers, radii and counts are those of that scan."""
     mask = u.mask
     if domain is None:
         domain = np.ones(mask.active_count, dtype=bool)
     node_radii = covering_radii(u, threshold, p, alpha, r0, domain)
     coords = mask.node_coords()[domain]
     n = coords.shape[0]
+    # each domain node's grid index, and the domain position of every grid
+    # node (-1 off the domain), so a ball's candidates come from its box
+    grid_idx = np.argwhere(mask.active)[domain]
+    where = np.full(mask.grid.n, -1, dtype=np.int64)
+    where[tuple(grid_idx.T)] = np.arange(n)
+    h = mask.grid.h
     order = np.lexsort((np.arange(n), -node_radii))
-    covered = np.zeros(n, dtype=bool)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    covered = np.zeros(n, dtype=bool)         # in the greedy order
     counts = np.zeros(n, dtype=np.int32)
     centers = []
     radii = []
-    for i in order:
-        if covered[i]:
-            continue
+    k = 0
+    while k < n:
+        k += int(np.argmin(covered[k:]))
+        if covered[k]:
+            break
+        i = order[k]
         r = node_radii[i]
-        members = ((coords - coords[i]) ** 2).sum(axis=1) \
-            <= r * r * (1 + 1e-12)
-        covered |= members
-        counts += members
+        reach = int(math.floor(r / h)) + 1
+        box = tuple(slice(max(c - reach, 0), c + reach + 1)
+                    for c in grid_idx[i])
+        cand = where[box].ravel()
+        cand = cand[cand >= 0]
+        members = cand[((coords[cand] - coords[i]) ** 2).sum(axis=1)
+                       <= r * r * (1 + 1e-12)]
+        covered[rank[members]] = True
+        counts[members] += 1
         centers.append(i)
         radii.append(r)
+        k += 1
     return BallCover(
         centers=np.asarray(centers, dtype=np.int64),
         radii=np.asarray(radii),
@@ -436,6 +474,7 @@ def random_admissible_pair(mask: DomainMask, domain: np.ndarray,
     Laplacian at every domain node is a pure interior stencil.
     """
     coords = mask.node_coords()
+    columns = np.ascontiguousarray(coords.T)
     d = mask.grid.dim
     extent = [mask.grid.extent[ax] for ax in range(d)]
     lo = np.array([mask.grid.origin[ax] for ax in range(d)])
@@ -447,7 +486,7 @@ def random_admissible_pair(mask: DomainMask, domain: np.ndarray,
             c = lo + rng.uniform(0.15, 0.85, size=d) * (hi - lo)
             s = rng.uniform(0.08, 0.22) * float(np.max(extent))
             a = rng.uniform(-1.0, 1.0)
-            out += a * np.exp(-((coords - c) ** 2).sum(axis=1) / (2 * s * s))
+            out += a * np.exp(-_dist2(columns, c) / (2 * s * s))
         return out
 
     lap = mask.laplacian_matrix()
@@ -455,7 +494,7 @@ def random_admissible_pair(mask: DomainMask, domain: np.ndarray,
     lap_phi = lap @ phi
     kappa = (margin + max(0.0, -float(lap_phi[domain].min()))) / d
     center = coords[domain].mean(axis=0)
-    w_vals = phi + 0.5 * kappa * ((coords - center) ** 2).sum(axis=1)
+    w_vals = phi + 0.5 * kappa * _dist2(columns, center)
     w = Field(mask, w_vals)
     lap_w = lap @ w_vals
     if float(lap_w[domain].min()) <= 0:

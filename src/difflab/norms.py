@@ -9,12 +9,13 @@ The parabolic Hoelder seminorm is the largest quotient
     |w(t,x) - w(s,y)| / ( |t-s|^(alpha/2) + |x-y|^alpha )
 
 over every pair of space-time nodes, computed exactly by branch-and-bound
-over block pairs (pair_quotient_max).
+over block pairs (pair_quotient_max).  The block tree (leaves of at most
+_LEAF = 8 points) depends on the points only; the trees of the last
+_TREES_KEPT = 8 point sets are kept, matched by their exact bytes, so
+repeated calls on one node set with new values skip the build.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import DomainError, ParameterError
 from .grid import Field, ParabolicCylinder, Trajectory
 
 _INF = float("inf")
-_LEAF = 32                  # points per leaf of the pair_quotient_max tree
+_LEAF = 8                   # points per leaf of the pair_quotient_max tree
 _LEAF_PAIRS = 64            # leaf pairs evaluated per batch
 
 
@@ -116,7 +117,7 @@ def _quotients(X, W, T, alpha, i, j):
 
 
 class _BlockTree:
-    """Binary space partition of a point set for pair_quotient_max.
+    """Binary space partition of a point set (X, T) for pair_quotient_max.
 
     Each node splits along its widest axis (time counts with the width
     sqrt(T range), the parabolic scaling) at the distinct-value boundary
@@ -124,63 +125,86 @@ class _BlockTree:
     Nodes of at most _LEAF points, or whose points all coincide, are
     leaves.  Nodes are numbered breadth first; ``child[k]`` is the first of
     node k's two consecutive children, -1 for a leaf, and node k owns the
-    points ``perm[start[k]:stop[k]]`` with their box, W range and T range.
+    points ``perm[start[k]:stop[k]]`` with their box and T range.
+
+    The tree is built one level at a time: every span of a level gets its
+    widths, median and split from whole-level array passes, and a stable
+    partition moves its left points ahead of its right ones.  The tree
+    depends on (X, T) only; W enters through ``ranges``, so one tree
+    serves every W on the same points (see _tree).
     """
 
-    def __init__(self, X, W, T):
+    def __init__(self, X, T):
         keys = X.T if T is None else np.vstack([X.T, T])
         keys = np.ascontiguousarray(keys, dtype=float)
-        self.perm = perm = np.arange(W.size)
-        spans, child = [(0, W.size)], []
-        for a, b in spans:                       # grows while it is walked
-            if b - a <= _LEAF:
-                child.append(-1)
-                continue
-            idx = perm[a:b]
-            pts = keys[:, idx]
-            widths = pts.max(axis=1) - pts.min(axis=1)
+        n = X.shape[0]
+        self.perm = perm = np.arange(n)
+        starts, stops, childs = [], [], []
+        a, b = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
+        n_nodes = 1
+        while a.size:
+            child = np.full(a.size, -1, dtype=np.int64)
+            big = np.flatnonzero(b - a > _LEAF)
+            _, pos, offs, _ = _segments(a[big], b[big])
+            pts = keys[:, perm[pos]]
+            widths = (np.maximum.reduceat(pts, offs, axis=1)
+                      - np.minimum.reduceat(pts, offs, axis=1))
             if T is not None:
-                widths[-1] = math.sqrt(widths[-1])
-            ax = int(np.argmax(widths))
-            if not widths[ax] > 0:               # coincident points (or NaN)
-                child.append(-1)
-                continue
+                widths[-1] = np.sqrt(widths[-1])
+            ax = np.argmax(widths, axis=0)
+            # a zero (or NaN) widest width means coincident points: a leaf
+            split = widths[ax, np.arange(big.size)] > 0
+            big, ax = big[split], ax[split]
+            seg, pos, offs, size = _segments(a[big], b[big])
+            idx = perm[pos]
+            key = keys[ax[seg], idx]
             # the median value's group [below, upto) holds the middle rank,
             # so its two edges are the value boundaries nearest the median
-            key = pts[ax]
-            mid = np.partition(key, (b - a) // 2)[(b - a) // 2]
-            left = key < mid
-            below = np.count_nonzero(left)
-            upto = below + np.count_nonzero(key == mid)
-            if below == 0 or (upto < b - a and 2 * upto - (b - a)
-                              < (b - a) - 2 * below):
-                left = key <= mid
-            cut = np.count_nonzero(left)
-            perm[a:b] = np.concatenate([idx[left], idx[~left]])
-            child.append(len(spans))
-            spans += [(a, a + cut), (a + cut, b)]
-        self.start, self.stop = np.array(spans).T
+            ranked = np.lexsort((key, seg))
+            mid = key[ranked[offs + size // 2]][seg]
+            less = key < mid
+            below = np.bincount(seg[less], minlength=big.size)
+            upto = below + np.bincount(seg[key == mid], minlength=big.size)
+            upper = (below == 0) | ((upto < size)
+                                    & (2 * upto - size < size - 2 * below))
+            left = np.where(upper[seg], key <= mid, less)
+            cut = np.bincount(seg[left], minlength=big.size)
+            perm[pos] = idx[np.lexsort((~left, seg))]
+            child[big] = n_nodes + 2 * np.arange(big.size)
+            starts.append(a)
+            stops.append(b)
+            childs.append(child)
+            n_nodes += 2 * big.size
+            lo, hi = a[big], b[big]
+            a = np.column_stack([lo, lo + cut]).ravel()
+            b = np.column_stack([lo + cut, hi]).ravel()
+        self.start = np.concatenate(starts)
+        self.stop = np.concatenate(stops)
         self.size = self.stop - self.start
-        self.child = np.array(child)
-        # per-node ranges of (X, T, W) by one reduceat over [start, stop)
-        # pairs; the padding row makes stop == n a valid index
-        table = np.vstack([keys, W]).T[perm]
-        table = np.vstack([table, np.zeros(table.shape[1])])
-        cuts = np.column_stack([self.start, self.stop]).ravel()
-        lo = np.minimum.reduceat(table, cuts)[::2]
-        hi = np.maximum.reduceat(table, cuts)[::2]
+        self.child = np.concatenate(childs)
+        self.cuts = np.column_stack([self.start, self.stop]).ravel()
+        lo, hi = self.ranges(keys.T[perm])
         dim = X.shape[1]
         self.lo, self.hi = lo[:, :dim], hi[:, :dim]
-        self.wlo, self.whi = lo[:, -1], hi[:, -1]
         self.tlo, self.thi = (lo[:, dim], hi[:, dim]) if T is not None \
             else (None, None)
+        self.X = X[perm]
+        self.T = None if T is None else T[perm]
 
-    def bound(self, a, b, alpha):
+    def ranges(self, values):
+        """Per-node minimum and maximum of per-point ``values`` (in perm
+        order) by one reduceat over the [start, stop) pairs; the padding
+        row makes stop == n a valid index."""
+        table = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
+        return (np.minimum.reduceat(table, self.cuts)[::2],
+                np.maximum.reduceat(table, self.cuts)[::2])
+
+    def bound(self, a, b, alpha, wlo, whi):
         """Upper bound of the quotient over every point pair of nodes a and
-        b: the largest W difference over the smallest parabolic distance of
-        the two boxes.  Rounding is monotone in each input, so the bound
-        holds in floating point; the 1e-12 slack covers a last-ulp
-        non-monotone ``**``."""
+        b: the largest W difference (from the per-node W range wlo, whi)
+        over the smallest parabolic distance of the two boxes.  Rounding
+        is monotone in each input, so the bound holds in floating point;
+        the 1e-12 slack covers a last-ulp non-monotone ``**``."""
         gap2 = np.zeros(a.shape)
         for ax in range(self.lo.shape[1]):
             gap = np.maximum(np.maximum(self.lo[b, ax] - self.hi[a, ax],
@@ -191,7 +215,7 @@ class _BlockTree:
             gap_t = np.maximum(np.maximum(self.tlo[b] - self.thi[a],
                                           self.tlo[a] - self.thi[b]), 0.0)
             dist = gap_t ** (alpha / 2.0) + dist
-        dw = np.maximum(self.whi[a] - self.wlo[b], self.whi[b] - self.wlo[a])
+        dw = np.maximum(whi[a] - wlo[b], whi[b] - wlo[a])
         return np.divide(dw, dist * (1.0 - 1e-12),
                          out=np.full(a.shape, _INF), where=dist > 0)
 
@@ -222,6 +246,36 @@ class _BlockTree:
         return i[keep], j[keep]
 
 
+def _segments(a, b):
+    """The positions a[s]..b[s]-1 of consecutive spans s laid end to end:
+    each position's span, the positions, and each span's offset and size
+    in that layout."""
+    size = b - a
+    offs = np.cumsum(size) - size
+    seg = np.repeat(np.arange(size.size), size)
+    return seg, np.arange(size.sum()) + np.repeat(a - offs, size), offs, size
+
+
+# block trees of the most recent point sets, keyed by the exact dtype,
+# shape and bytes of X and T; oldest use first
+_TREES: dict = {}
+_TREES_KEPT = 8
+
+
+def _tree(X, T):
+    """The _BlockTree of (X, T), reused while the same points come back.
+    The key holds the full bytes, so only equal point sets share a tree."""
+    key = tuple(None if v is None else (v.dtype.str, v.shape, v.tobytes())
+                for v in (X, T))
+    tree = _TREES.pop(key, None)
+    if tree is None:
+        tree = _BlockTree(X, T)
+        if len(_TREES) >= _TREES_KEPT:
+            del _TREES[next(iter(_TREES))]
+    _TREES[key] = tree
+    return tree
+
+
 def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
                       T: np.ndarray | None = None) -> float:
     """Largest Hoelder quotient over all point pairs:
@@ -233,9 +287,12 @@ def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
     nodes (a dual-tree search, Gray & Moore, NIPS 2000): the running best
     starts from every point paired with the argmax and the argmin of W; a
     node pair is dropped once its bound is <= the best, and the surviving
-    leaf pairs are evaluated point by point, largest bound first, with the
-    arithmetic of _quotients, so the result equals the brute-force maximum
-    bit for bit.
+    leaf pairs (at most _LEAF points a leaf) are evaluated point by point,
+    largest bound first, with the arithmetic of _quotients, so the result
+    equals the brute-force maximum bit for bit.  The tree of (X, T) is
+    reused across calls on the same points (the last _TREES_KEPT point
+    sets, matched by their bytes); only the per-node W ranges are
+    recomputed.  Any tree gives the exact maximum, so reuse changes no bit.
     """
     n = W.size
     if n < 2:
@@ -244,12 +301,12 @@ def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
     best = max(float(_quotients(X, W, T, alpha, everyone,
                                 np.full(n, k)).max())
                for k in (int(np.argmax(W)), int(np.argmin(W))))
-    tree = _BlockTree(X, W, T)
-    Xp, Wp = X[tree.perm], W[tree.perm]
-    Tp = None if T is None else T[tree.perm]
+    tree = _tree(X, T)
+    Wp = W[tree.perm]
+    wlo, whi = tree.ranges(Wp)
     a = b = np.zeros(1, dtype=np.int64)
     while a.size:
-        bound = tree.bound(a, b, alpha)
+        bound = tree.bound(a, b, alpha, wlo, whi)
         live = bound > best
         a, b, bound = a[live], b[live], bound[live]
         leaves = (tree.child[a] < 0) & (tree.child[b] < 0)
@@ -261,7 +318,7 @@ def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
             i, j = tree.leaf_pairs(la[lo:lo + _LEAF_PAIRS],
                                    lb[lo:lo + _LEAF_PAIRS])
             if i.size:
-                best = max(best, float(_quotients(Xp, Wp, Tp, alpha,
+                best = max(best, float(_quotients(tree.X, Wp, tree.T, alpha,
                                                   i, j).max()))
         a, b = tree.split(a[~leaves], b[~leaves])
     return best

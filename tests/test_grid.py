@@ -13,6 +13,7 @@ from difflab import (DomainError, DomainMask, Field, GridSpec,
                      lp_norm, lpq_norm, oscillation, poisson_neumann,
                      restrict_mask, SolverError, stable_dt)
 from difflab.grid import march
+from difflab import norms
 from difflab.norms import pair_quotient_max
 
 TOL_MACHINE = 1e-12
@@ -632,6 +633,11 @@ def _brute_quotient_max(X, W, alpha, T=None):
 @example(dim=2, n=1, alpha=0.5, timed=True, seed=0)
 @example(dim=2, n=2, alpha=1.0, timed=False, seed=0)
 @example(dim=3, n=2, alpha=0.3, timed=True, seed=1)
+@example(dim=3, n=8, alpha=0.3, timed=False, seed=2)
+@example(dim=2, n=9, alpha=0.7, timed=True, seed=3)
+@example(dim=1, n=16, alpha=0.5, timed=False, seed=4)
+@example(dim=3, n=17, alpha=0.3, timed=True, seed=5)
+@example(dim=2, n=33, alpha=1.0, timed=False, seed=6)
 def test_pair_quotient_max_matches_brute_force(dim, n, alpha, timed, seed):
     """Random subsets of a 6^dim grid (tied coordinates, duplicate points,
     tied values and times): the branch-and-bound maximum is the brute-force
@@ -642,6 +648,66 @@ def test_pair_quotient_max_matches_brute_force(dim, n, alpha, timed, seed):
     T = rng.integers(0, 4, size=n) * 0.01 if timed else None
     assert pair_quotient_max(X, W, alpha, T) == \
         _brute_quotient_max(X, W, alpha, T)
+
+
+def test_pair_quotient_max_reuses_trees_exactly():
+    """Trees are kept per point set: the same X with a new W, two different
+    X of one shape in turn, and more point sets than the memo keeps (so it
+    evicts and rebuilds) all give the brute-force maximum, bit for bit."""
+    rng = np.random.default_rng(11)
+    grid_pts = np.stack(np.meshgrid(*[np.arange(6) / 5.0] * 3,
+                                    indexing="ij"), -1).reshape(-1, 3)
+    sets = [grid_pts[rng.choice(216, 120, replace=False)]
+            for _ in range(norms._TREES_KEPT + 3)]
+    twin = sets[0].copy()           # same first half, second reversed
+    twin[60:] = twin[:59:-1]
+    for X in sets[:1] + [twin] + sets + sets[:3]:
+        for _ in range(2):                  # same X, a different W
+            W = np.round(rng.standard_normal(X.shape[0]), 1)
+            T = rng.integers(0, 3, X.shape[0]) * 0.01
+            for alpha, times in ((0.3, None), (0.8, T)):
+                assert pair_quotient_max(X, W, alpha, times) == \
+                    _brute_quotient_max(X, W, alpha, times)
+    assert len(norms._TREES) <= norms._TREES_KEPT
+
+
+@pytest.mark.parametrize("dim, n, timed, seed", [
+    (1, 300, False, 0), (2, 250, True, 1), (3, 400, False, 2),
+    (3, 300, True, 3), (2, 120, False, 4)])
+def test_block_tree_invariants(dim, n, timed, seed):
+    """Children partition their parent's span, leaves hold at most _LEAF
+    points or coincident ones, boxes are the points' ranges, and each split
+    separates the widest axis at the distinct-value boundary nearest the
+    median."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 7, size=(n, dim)) / 6.0
+    T = rng.integers(0, 5, size=n) * 0.01 if timed else None
+    tree = norms._BlockTree(X, T)
+    keys = X if T is None else np.column_stack([X, T])
+    assert np.array_equal(np.sort(tree.perm), np.arange(n))
+    assert np.array_equal(tree.X, X[tree.perm])
+    assert (tree.start[0], tree.stop[0]) == (0, n)
+    for k in range(tree.start.size):
+        pts = keys[tree.perm[tree.start[k]:tree.stop[k]]]
+        assert np.array_equal(tree.lo[k], pts[:, :dim].min(axis=0))
+        assert np.array_equal(tree.hi[k], pts[:, :dim].max(axis=0))
+        widths = pts.max(axis=0) - pts.min(axis=0)
+        c = tree.child[k]
+        if c < 0:
+            assert pts.shape[0] <= norms._LEAF or not widths.any()
+            continue
+        assert pts.shape[0] > norms._LEAF and widths.any()
+        assert tree.start[c] == tree.start[k]
+        assert tree.stop[c] == tree.start[c + 1]
+        assert tree.stop[c + 1] == tree.stop[k]
+        if timed:
+            widths[-1] = np.sqrt(widths[-1])
+        key = pts[:, int(np.argmax(widths))]
+        m, cut = key.size, tree.size[c]
+        assert key[:cut].max() < key[cut:].min()
+        s = np.sort(key)
+        bounds = np.flatnonzero(s[1:] > s[:-1]) + 1
+        assert abs(2 * cut - m) == np.abs(2 * bounds - m).min()
 
 
 def test_holder_norm_validation():

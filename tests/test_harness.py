@@ -105,11 +105,29 @@ def test_config_requires_experiment_and_seed():
     ({"system": {"n_bumps": True}}, "system.n_bumps"),
     ({"system": {"n_bumps": 0}}, "system.n_bumps"),
     ({"system": {"d1": "x"}}, "system.d1"),
+    ({"experiment": "interp", "system": {"domain_radius": -0.1}},
+     "system.domain_radius must be > 0"),
+    ({"experiment": "heatkernel", "system": {"source": ["a", 1]}},
+     "system.source"),
+    ({"experiment": "heatkernel", "system": {"source": [0.5]}},
+     "system.source has 1 entries"),
+    ({"experiment": "general", "system": {"box": [1.0]}},
+     "system.box has 1 entries"),
+    ({"experiment": "general", "system": {"box": [2.0, 1.0]}},
+     "system.box must be"),
 ])
 def test_config_errors_name_the_offending_field(override, fragment):
     data = {"experiment": "skt", "seed": 0, **override}
     with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
         ExperimentConfig(data)
+
+
+def test_interp_rejects_nonpositive_domain_radius_before_any_solve():
+    # a negative radius kept one domain node, on which both checks passed
+    data = {"experiment": "interp", "seed": 0, "grid": {"n": 9},
+            "system": {"domain_radius": -0.1}}
+    with pytest.raises(ConfigError, match=r"system\.domain_radius"):
+        run_experiment(data)
 
 
 def test_config_rejects_nonpositive_gamma_before_any_solve():

@@ -17,10 +17,13 @@ from difflab import (
     default_overlap_cap,
     full_mask,
     gradient,
+    graph_domain_mask,
     interpolation_check,
     interpolation_theta,
     random_admissible_pair,
 )
+
+from difflab.interp import _dist2
 
 TOL_MACHINE = 1e-12
 
@@ -182,6 +185,72 @@ def test_covering_overlap_stays_under_budget():
     assert cover.n_balls == cover.centers.size == cover.radii.size
     # greedy invariant: multiplicities count every selected ball
     assert cover.counts.min() >= 1
+
+
+def _greedy_cover_all_nodes(u, threshold, p, alpha, r0, domain):
+    """The greedy cover by a scan of every domain node, each kept ball
+    testing the distance to every domain node."""
+    node_radii = covering_radii(u, threshold, p, alpha, r0, domain)
+    coords = u.mask.node_coords()[domain]
+    n = coords.shape[0]
+    covered = np.zeros(n, dtype=bool)
+    counts = np.zeros(n, dtype=np.int32)
+    centers, radii = [], []
+    for i in np.lexsort((np.arange(n), -node_radii)):
+        if covered[i]:
+            continue
+        r = node_radii[i]
+        members = ((coords - coords[i]) ** 2).sum(axis=1) \
+            <= r * r * (1 + 1e-12)
+        covered |= members
+        counts += members
+        centers.append(i)
+        radii.append(r)
+    return centers, radii, counts
+
+
+@pytest.mark.parametrize("case", ["line", "square", "cube", "graph"])
+def test_build_covering_matches_all_node_greedy(case):
+    """Balls marked from their grid box give the all-node greedy cover:
+    the same centers, radii and multiplicities.  The radii are lattice
+    distances below a generous cap, so nodes sit exactly on ball
+    boundaries."""
+    if case == "graph":
+        grid = GridSpec.make((1.0, 1.0), 41)
+        mask = graph_domain_mask(
+            grid, 0.45, lambda x: 0.03 * np.sin(6.0 * x[:, 0]),
+            center=(0.5, 0.5))
+        domain = None
+    else:
+        dim, n = {"line": (1, 201), "square": (2, 33), "cube": (3, 15)}[case]
+        mask = full_mask(GridSpec.make((1.0,) * dim, n))
+        domain = interior_domain(mask, 0.1, 0.8)
+    rng = np.random.default_rng(4)
+    u = Field(mask, 0.1 + rng.random(mask.active_count))
+    p, alpha, r0 = 2.0, 0.3, 0.45
+    domain_all = (np.ones(mask.active_count, dtype=bool) if domain is None
+                  else domain)
+    for threshold in (0.02, 0.05, 0.2):
+        cover = build_covering(u, threshold, p, alpha, r0, domain)
+        assert np.unique(cover.radii).size > 1
+        assert cover.radii.max() < r0
+        centers, radii, counts = _greedy_cover_all_nodes(
+            u, threshold, p, alpha, r0, domain_all)
+        assert cover.centers.tolist() == centers
+        assert cover.radii.tolist() == radii
+        assert np.array_equal(cover.counts, counts)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 65), (2, 33), (3, 17)])
+def test_dist2_matches_row_sums(dim, n):
+    """Squared distances summed column by column are the bits of the row
+    sum over the (n, d) difference array."""
+    coords = full_mask(GridSpec.make((1.0,) * dim, n)).node_coords()
+    columns = np.ascontiguousarray(coords.T)
+    rng = np.random.default_rng(dim)
+    for point in rng.uniform(-0.2, 1.2, size=(5, dim)):
+        assert np.array_equal(_dist2(columns, point),
+                              ((coords - point) ** 2).sum(axis=1))
 
 
 def test_covering_validation():
