@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import ndimage, sparse
+from scipy.sparse import _sparsetools
 from scipy.sparse import linalg as splinalg
 
 from .errors import GeometryError, ParameterError, SolverError
@@ -348,14 +349,18 @@ class Field:
 
 
 class Trajectory:
-    """Time frames of fields on one mask; the frame gaps may differ, and time
-    quadrature uses ``frame_weights``."""
+    """Time frames of fields on one mask; the frame times are finite and
+    strictly increasing, the gaps may differ, and time quadrature uses
+    ``frame_weights``."""
 
     def __init__(self, mask: DomainMask, times: np.ndarray, values: np.ndarray):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.shape != (times.size, mask.active_count):
             raise ParameterError("frame matrix shape mismatch")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ParameterError(
+                "frame times must be finite and strictly increasing")
         self.mask = mask
         self.times = times
         self.values = values
@@ -512,6 +517,13 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
       returns it, or returns LU when the rate is the Laplacian itself;
     * scales the returned block by dt in place and adds it to U.
 
+    LU is one buffer, allocated at the first step and overwritten by every
+    later one: a rate may scale it in place or return it, but must not keep
+    it past its step.  Each step zeroes LU and fills it by scipy's CSR
+    kernel (``csr_matvec``) on the block-diagonal operator, which is what
+    ``block @ rows`` runs into a fresh zero array, so the products are
+    bit-identical to ``@`` without its dispatch and allocation.
+
     ``dt`` defaults to 0.9 ``limit`` and may not exceed the stability
     ``limit``; the step count is ceil((t_end - t0)/dt) and dt shrinks to
     divide the span exactly.
@@ -541,6 +553,7 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
     else:
         record = np.rint(np.linspace(0, n_steps, min(frames, n_steps + 1)))
     record = np.union1d(0, record.astype(int))
+    marks = record.tolist() + [-1]         # steps to record, then a stop
 
     lap = mask.laplacian_matrix()
     hd = mask.grid.h ** mask.grid.dim
@@ -553,12 +566,19 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
     clipped = 0.0
     peak = -math.inf
     slot = 1
-    block_lap = None
+    LU = None
     for k in range(1, n_steps + 1):
         rows = U if diffused is None else diffused(U, R)
-        if block_lap is None:
-            block_lap = _block_diagonal(lap, rows.shape[0])
-        LU = (block_lap @ rows.reshape(-1)).reshape(rows.shape)
+        if LU is None:
+            block = _block_diagonal(lap, rows.shape[0])
+            LU = np.empty((rows.shape[0], lap.shape[0]))
+            out = LU.reshape(-1)
+            operator = (*block.shape, block.indptr, block.indices, block.data)
+        if rows.shape != LU.shape:     # the kernel itself checks no sizes
+            raise ParameterError(
+                f"diffused rows of shape {rows.shape}, expected {LU.shape}")
+        out.fill(0.0)
+        _sparsetools.csr_matvec(*operator, rows.reshape(-1), out)
         step = rate(k, t0 + (k - 1) * dt, dt, U, LU, top, R)
         step *= dt
         U += step
@@ -572,7 +592,7 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
             if not high <= 1e9:
                 raise SolverError(f"blow-up at step {k}")
             peak = max(peak, high)
-        if slot < record.size and k == record[slot]:
+        if k == marks[slot]:
             stack[:, slot] = U
             slot += 1
     if clip:

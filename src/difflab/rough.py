@@ -196,6 +196,15 @@ def _active_at(data, t: float):
     return float(data)
 
 
+def _in_time(data):
+    """t -> :func:`_active_at` of ``data``; a scalar or a Field is resolved
+    once, a Trajectory looks up its left frame at every call."""
+    if isinstance(data, Trajectory):
+        return lambda t: _active_at(data, t)
+    value = _active_at(data, 0.0)
+    return lambda t: value
+
+
 @dataclass
 class RoughSolution:
     traj: Trajectory
@@ -212,19 +221,26 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
     Stability requires dt <= a0 h^2 / (stencil row max); the default uses a
     0.9 safety factor.  Frames are linearly spaced including both endpoints.
     The fraction of node-steps with discrete dw/dt < -1e-10 is measured, not
-    enforced.
+    enforced.  A Field or Trajectory coefficient or forcing must live on
+    the mask of ``w_init``.
     """
     mask = w_init.mask
+    for name, data in (("coefficient", coeff.a), ("forcing", forcing)):
+        if isinstance(data, (Field, Trajectory)) and data.mask is not mask:
+            raise ParameterError(f"the {name} must live on the mask of w_init")
     limit = coeff.a0 * mask.grid.h ** 2 / mask.stencil_row_max()
+    a_at = _in_time(coeff.a)
+    f_at = _in_time(0.0 if forcing is None else forcing)
+    below = np.empty(mask.active_count, dtype=bool)
     negative = 0
 
     def rate(k, t, step, U, LU, top, out):
         nonlocal negative
-        f = 0.0 if forcing is None else _active_at(forcing, t)
         r = out[0]
-        np.add(LU[0], f, out=r)
-        r /= _active_at(coeff.a, t)
-        negative += int(np.count_nonzero(r < -1e-10))
+        np.add(LU[0], f_at(t), out=r)
+        r /= a_at(t)
+        np.less(r, -1e-10, out=below)
+        negative += int(np.count_nonzero(below))
         return out
 
     run = march(mask, w_init.values[None], rate, t_end, dt, limit,

@@ -454,11 +454,13 @@ def _monomial_table(reactions):
 def _eval_monomials(keys, coeffs, states: np.ndarray) -> np.ndarray:
     """(len(reactions), N) values of the table at species-major states of
     shape (m, N)."""
-    mono = np.ones((len(keys), states.shape[1]))
+    mono = np.empty((len(keys), states.shape[1]))
     for j, powers in enumerate(keys):
-        for row, e in enumerate(powers):
-            if e:
-                mono[j] *= states[row] if e == 1 else states[row] ** e
+        factors = [states[row] if e == 1 else states[row] ** e
+                   for row, e in enumerate(powers) if e]
+        mono[j] = factors[0] if factors else 1.0
+        for x in factors[1:]:
+            mono[j] *= x
     return coeffs.T @ mono
 
 

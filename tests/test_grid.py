@@ -222,6 +222,15 @@ def test_march_rejects_dt_above_limit():
               3)
 
 
+def test_march_rejects_rows_off_the_mask():
+    mask = full_mask(_grid(9, 1))
+    with pytest.raises(ParameterError, match="expected"):
+        march(mask, np.ones((1, 8)), _constant_rate(0.0), 1.0, 0.01, 1.0, 3)
+    with pytest.raises(ParameterError, match="expected"):
+        march(mask, np.ones((2, 9)), _constant_rate(0.0), 1.0, 0.01, 1.0, 3,
+              diffused=lambda U, out: U[:, :8])
+
+
 def test_march_blow_up_guard_names_the_step():
     mask = full_mask(_grid(9, 1))
 
@@ -282,6 +291,29 @@ def test_march_diffuses_the_returned_rows_and_reports_step_start_maxima():
                 diffused=diffused, clip=2)
     assert len(seen) == run.n_steps
     assert np.array_equal(seen[0], state[:2].max(axis=1))
+
+
+@pytest.mark.parametrize("pick", [np.s_[::2], np.s_[::-1]])
+def test_march_diffuses_a_non_contiguous_view_exactly(pick):
+    mask = full_mask(_grid(17, 1))
+    lap = mask.laplacian_matrix()
+    x = mask.node_coords()[:, 0]
+    state = np.stack([1.0 + np.cos(np.pi * x), 2.0 + x, x * x])
+    buffers = []
+
+    def diffused(U, out):
+        assert not U[pick].flags.c_contiguous
+        return U[pick]
+
+    def rate(k, t, dt, U, LU, top, out):
+        assert np.array_equal(LU, [lap @ row for row in U[pick]])
+        buffers.append(LU)
+        np.multiply(U, -1.0, out=out)
+        return out
+
+    run = march(mask, state, rate, 0.01, None, 1e-3, 3, diffused=diffused)
+    assert len(buffers) == run.n_steps
+    assert all(b is buffers[0] for b in buffers)    # one LU per solve
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -415,6 +447,16 @@ def test_trajectory_accessors():
     f = traj.frame(3)
     assert isinstance(f, Field)
     assert f.values[0] == pytest.approx(0.3)
+
+
+def test_trajectory_rejects_unordered_or_nonfinite_times():
+    mask = full_mask(_grid(9, 1))
+    vals = np.ones((3, 9))
+    for times in ([0.0, 0.2, 0.1], [0.0, 0.1, 0.1], [0.0, np.nan, 0.2],
+                  [0.0, 0.1, np.inf]):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            Trajectory(mask, times, vals)
+    assert Trajectory(mask, [0.5], vals[:1]).n_frames == 1
 
 
 def test_trajectory_window_half_open():

@@ -321,6 +321,21 @@ def test_truncated_or_foreign_snapshot_raises(tmp_path):
             load_trajectory(path)
 
 
+def test_snapshot_with_unordered_or_nan_times_raises(tmp_path):
+    mask = full_mask(GridSpec.make((1.0,), 9))
+    times = np.array([0.0, 0.1, 0.2])
+    path = tmp_path / "traj.bin"
+    save_trajectory(path, Trajectory(mask, times,
+                                     np.ones((3, mask.active_count))))
+    data = path.read_bytes()
+    assert data.count(times.tobytes()) == 1
+    for bad in ([0.0, 0.2, 0.1], [0.0, np.nan, 0.2]):
+        path.write_bytes(data.replace(times.tobytes(),
+                                      np.array(bad).tobytes()))
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            load_trajectory(path)
+
+
 def test_field_snapshot_and_csv_export(tmp_path):
     mask = full_mask(GridSpec.make((1.0,), 9))
     field = Field(mask, np.linspace(0.0, 1.0, mask.active_count))

@@ -224,6 +224,67 @@ def test_solve_rejects_unstable_dt():
         solve_rough(Field.constant(mask, 0.0), coeff, t_end=0.0)
 
 
+def test_solve_rejects_data_on_a_foreign_mask():
+    mask = full_mask(GridSpec.make((1.0,), 17))
+    w0 = Field.constant(mask, 0.5)
+    # another node count, and the same node count on another grid (extent
+    # 2.0, so another h): both would run on mismatched nodes
+    for other in (full_mask(GridSpec.make((1.0,), 9)),
+                  full_mask(GridSpec.make((2.0,), 17))):
+        n = other.active_count
+        field = Field.constant(other, 1.5)
+        traj = Trajectory(other, [0.0, 0.05], np.full((2, n), 1.5))
+        for data in (field, traj):
+            with pytest.raises(ParameterError, match="coefficient"):
+                solve_rough(w0, RoughCoefficient(data, 1.0, 2.0), t_end=0.1)
+            with pytest.raises(ParameterError, match="forcing"):
+                solve_rough(w0, RoughCoefficient(1.0, 1.0, 2.0),
+                            forcing=data, t_end=0.1)
+
+
+def _left_frame(data, t):
+    """Reference lookup: scalar, Field values, or the Trajectory frame
+    with the last time <= t."""
+    if isinstance(data, Trajectory):
+        k = np.searchsorted(data.times, t + 1e-12, side="right") - 1
+        return data.values[max(k, 0)]
+    return getattr(data, "values", data)
+
+
+@pytest.mark.parametrize("coeff_kind", ["scalar", "field", "trajectory"])
+@pytest.mark.parametrize("forcing_kind", ["none", "field", "trajectory"])
+def test_solve_matches_a_per_step_reference_loop(coeff_kind, forcing_kind):
+    rng = np.random.default_rng(5)
+    mask = full_mask(GridSpec.make((1.0, 1.0), 9))
+    n = mask.active_count
+    lap = mask.laplacian_matrix()
+    a = {"scalar": 1.5,
+         "field": Field(mask, 1.0 + rng.random(n)),
+         "trajectory": Trajectory(mask, [0.0, 0.02],
+                                  1.0 + rng.random((2, n)))}[coeff_kind]
+    f = {"none": 0.0,
+         "field": Field(mask, rng.standard_normal(n)),
+         "trajectory": Trajectory(mask, [0.0, 0.03],
+                                  rng.standard_normal((2, n)))}[forcing_kind]
+    w0 = Field(mask, rng.standard_normal(n))
+    sol = solve_rough(w0, RoughCoefficient(a, 1.0, 2.0),
+                      forcing=None if forcing_kind == "none" else f,
+                      t_end=0.05, n_frames=9)
+
+    w = w0.values.copy()
+    states, negative = [w.copy()], 0
+    for k in range(sol.steps):
+        t = k * sol.dt
+        r = ((lap @ w) + _left_frame(f, t)) / _left_frame(a, t)
+        negative += int(np.count_nonzero(r < -1e-10))
+        w += sol.dt * r
+        states.append(w.copy())
+    steps = np.rint(sol.traj.times / sol.dt).astype(int)
+    assert np.array_equal(sol.traj.values, np.array(states)[steps])
+    assert sol.dtw_negative_fraction == negative / (sol.steps * n)
+    assert 0 < sol.dtw_negative_fraction < 1
+
+
 # ---------------------------------------------------------------------------
 # discrete comparison principles (exact for the monotone explicit step)
 
