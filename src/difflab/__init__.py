@@ -11,8 +11,7 @@ from .errors import (ConfigError, DomainError, GeometryError, LabError,
                      SolverError, StructuralError)
 from .grid import (DomainMask, Field, GridSpec, ParabolicCylinder,
                    Trajectory, ball_mask, full_mask, gradient,
-                   graph_domain_mask, poisson_neumann,
-                   restrict_mask, stable_dt)
+                   graph_domain_mask, poisson_neumann, stable_dt)
 from .norms import (holder_norm, holder_norm_field, lipschitz_norm, lp_norm,
                     lpq_norm, oscillation)
 from .kernel import (KernelField, admissible_graph_domain, domain_volume,

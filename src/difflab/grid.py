@@ -14,13 +14,16 @@ The Laplacian is assembled in divergence form, as a difference of face
 fluxes, once per mask: a sparse matrix on the active nodes with the ghost
 rules folded into its diagonal.  On a pure-Neumann mask the node sum of the
 Laplacian telescopes to zero exactly, which is what makes explicit diffusion
-steps conserve mass to roundoff.  Every solver in the lab advances its
+steps conserve mass to roundoff.  A mask whose every node is active also
+stores the operator as diagonals.  Every solver in the lab advances its
 species-major active-node state through :func:`march`, one sparse product
-per step for all diffused species.
+per step for all diffused species, on the diagonals where the mask has
+them and on the CSR matrix elsewhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -84,9 +87,6 @@ class GridSpec:
     def axis_coords(self, ax: int) -> np.ndarray:
         return self.origin[ax] + self.h * np.arange(self.n[ax])
 
-    def node_count(self) -> int:
-        return math.prod(self.n)
-
     def record(self) -> dict:
         """The grid entry of a report: dim, node counts and spacing."""
         return {"dim": self.dim, "n": list(self.n), "h": self.h}
@@ -131,6 +131,7 @@ class DomainMask:
         self.active_count = int(active.sum())
         self._coords = None
         self._lap = None
+        self._dia = None
         self._grad = None
         self._row_max = None
 
@@ -182,6 +183,15 @@ class DomainMask:
         ghosts[lo] += self.dirichlet[hi]
         return down[self.active], up[self.active], ghosts[self.active]
 
+    def _stencils(self):
+        """Per axis: the neighbour rows of :meth:`_neighbours` and the
+        axis's diagonal weight of -Laplacian*h^2 (active neighbours count 1,
+        Dirichlet ghosts 2).  Both storages of the Laplacian read these."""
+        for ax in range(self.grid.dim):
+            down, up, ghosts = self._neighbours(ax)
+            weight = (down >= 0).astype(float) + (up >= 0) + 2.0 * ghosts
+            yield down, up, weight
+
     def laplacian_matrix(self) -> sparse.csr_matrix:
         """Divergence-form Laplacian on the active nodes, assembled once.
 
@@ -190,7 +200,9 @@ class DomainMask:
         lists, axis by axis, the neighbours along the axis and then i itself
         with the axis's diagonal weight, so each axis sums to exactly zero
         on a constant.  The matrix is symmetric and negative semidefinite;
-        on a pure-Neumann mask its rows sum to zero.
+        on a pure-Neumann mask its rows sum to zero.  On an all-active mask
+        :meth:`laplacian_diagonals` holds the same entries in the same row
+        order as diagonals.
         """
         if self._lap is None:
             n = self.active_count
@@ -198,9 +210,7 @@ class DomainMask:
             c = 1.0 / self.grid.h ** 2
             diag = np.zeros(n)                 # diagonal weight of -lap*h^2
             cols, vals = [], []                # one column per row entry
-            for ax in range(self.grid.dim):
-                down, up, ghosts = self._neighbours(ax)
-                weight = (down >= 0).astype(float) + (up >= 0) + 2.0 * ghosts
+            for down, up, weight in self._stencils():
                 diag += weight
                 cols += [down, up, np.where(weight > 0, me, -1)]
                 vals += [np.full(n, c), np.full(n, c), -c * weight]
@@ -211,6 +221,33 @@ class DomainMask:
                                           shape=(n, n))
             self._row_max = float(diag.max())
         return self._lap
+
+    def laplacian_diagonals(self):
+        """:meth:`laplacian_matrix` of an all-active mask as diagonals, built
+        once; None when some node is inactive.
+
+        Returns ``(offsets, data)``: per axis with flat stride s, the
+        offsets (-s, +s, 0) in the order of the entries of each CSR row.
+        ``data[i, col]`` is the entry of row ``col - offsets[i]`` in column
+        ``col``, as scipy's DIA storage has it, and is 0 where that row has
+        no such neighbour, including where the flat index wraps at the end
+        of an axis line and where the row lies outside the matrix.  So the
+        columns of j such arrays side by side are j copies of the operator
+        down a block diagonal.
+        """
+        if self._dia is None and self.active_count == self.active.size:
+            n = self.active_count
+            c = 1.0 / self.grid.h ** 2
+            offsets, data = [], []
+            for ax, (down, up, weight) in enumerate(self._stencils()):
+                stride = math.prod(self.grid.n[ax + 1:])
+                lower, upper = np.zeros(n), np.zeros(n)
+                lower[down[down >= 0]] = c    # entry (i, i - s), column i - s
+                upper[up[up >= 0]] = c        # entry (i, i + s), column i + s
+                offsets += [-stride, stride, 0]
+                data += [lower, upper, -c * weight]
+            self._dia = (np.array(offsets, dtype=np.int64), np.stack(data))
+        return self._dia
 
     def gradient_matrix(self) -> sparse.csr_matrix:
         """Nodal gradient as a (dim * active_count, active_count) matrix.
@@ -303,13 +340,6 @@ def graph_domain_mask(grid: GridSpec, radius: float,
     active = (d2 < radius * radius) & ~below
     dirichlet = ~active & ~below
     return DomainMask(grid, active, dirichlet)
-
-
-def restrict_mask(mask: DomainMask, keep: np.ndarray) -> DomainMask:
-    """Submask of the active set (used for verification subdomains)."""
-    keep_full = np.zeros(mask.grid.n, dtype=bool)
-    keep_full[mask.active] = keep
-    return DomainMask(mask.grid, mask.active & keep_full)
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +501,32 @@ def poisson_neumann(rhs: Field) -> Field:
 # explicit time marching
 
 
-def _block_diagonal(lap: sparse.csr_matrix, j: int) -> sparse.csr_matrix:
-    """j copies of ``lap`` down the diagonal, so that one 1-D product applies
-    it to every row of a contiguous (j, N) block.  Each row keeps its
-    entries and their order, so the products equal ``lap @ row`` exactly."""
-    if j == 1:
-        return lap
-    n, nnz = lap.shape[0], lap.nnz
-    indptr = np.concatenate([lap.indptr[:-1] + i * nnz for i in range(j)]
-                            + [[j * nnz]])
-    indices = np.concatenate([lap.indices + i * n for i in range(j)])
-    return sparse.csr_matrix((np.tile(lap.data, j), indices, indptr),
-                             shape=(j * n, j * n))
+def _stacked_operator(mask: DomainMask, j: int):
+    """``apply(x, out)``: add L times each row of a contiguous (j, N) block,
+    flattened as ``x``, into the flat ``out``.
+
+    An all-active mask tiles :meth:`DomainMask.laplacian_diagonals` j times
+    for scipy's DIA kernel; any other mask puts j copies of the CSR matrix
+    down a block diagonal for its CSR kernel.  Either way each row keeps its
+    entries and their order.  The kernels check no sizes.
+    """
+    dia = mask.laplacian_diagonals()
+    if dia is not None:
+        offsets, data = dia
+        data = np.tile(data, (1, j))
+        return functools.partial(_sparsetools.dia_matvec, data.shape[1],
+                                 data.shape[1], offsets.size, data.shape[1],
+                                 offsets, data)
+    lap = mask.laplacian_matrix()
+    if j > 1:
+        n, nnz = lap.shape[0], lap.nnz
+        indptr = np.concatenate([lap.indptr[:-1] + i * nnz for i in range(j)]
+                                + [[j * nnz]])
+        indices = np.concatenate([lap.indices + i * n for i in range(j)])
+        lap = sparse.csr_matrix((np.tile(lap.data, j), indices, indptr),
+                                shape=(j * n, j * n))
+    return functools.partial(_sparsetools.csr_matvec, *lap.shape, lap.indptr,
+                             lap.indices, lap.data)
 
 
 class Marched(NamedTuple):
@@ -510,7 +554,8 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
       is None, else ``diffused(U, R)``, a contiguous view of U or of rows
       of R that it fills;
     * applies L to each of those rows by one 1-D product with j copies of
-      L down a block diagonal, giving the (j, N) block LU;
+      L down a block diagonal (:func:`_stacked_operator`), giving the
+      (j, N) block LU;
     * calls ``rate(k, t, dt, U, LU, top, R)``, where ``top`` holds the
       maxima of the first ``clip`` rows of U at the start of the step.  The
       rate fills R in place (it may read what ``diffused`` left there) and
@@ -519,18 +564,30 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
 
     LU is one buffer, allocated at the first step and overwritten by every
     later one: a rate may scale it in place or return it, but must not keep
-    it past its step.  Each step zeroes LU and fills it by scipy's CSR
-    kernel (``csr_matvec``) on the block-diagonal operator, which is what
-    ``block @ rows`` runs into a fresh zero array, so the products are
-    bit-identical to ``@`` without its dispatch and allocation.
+    it past its step.  Each step zeroes LU and adds the products into it
+    with one scipy kernel, chosen by the mask alone.  On an all-active mask
+    it is the DIA kernel (``dia_matvec``) on the stored diagonals; on any
+    other mask it is the CSR kernel (``csr_matvec``), which is what
+    ``block @ rows`` runs into a fresh zero array.  Both give LU equal bit
+    for bit to ``lap @ row``, row by row, for a finite state.  The CSR
+    kernel sums each row's entries in order onto a +0.0 start.  The DIA
+    kernel adds diagonal by diagonal, and the diagonals follow the order
+    of a CSR row, so each output receives the same products in the same
+    order, plus a product with a padded 0 where a neighbour is absent.
+    That product is +-0.0 when the state value is finite.  A sum that
+    starts at +0.0 is never -0.0 in round-to-nearest, and adding +-0.0 to a
+    sum that is not -0.0 leaves it unchanged.  (An infinite or NaN state
+    value makes a padded product NaN, so the two kernels may then differ;
+    such a state has blown up anyway.)
 
     ``dt`` defaults to 0.9 ``limit`` and may not exceed the stability
     ``limit``; the step count is ceil((t_end - t0)/dt) and dt shrinks to
     divide the span exactly.
 
-    ``frames`` is a frame count, spread linearly over the steps, or a
-    function of the final dt returning the times to record, snapped to the
-    nearest step; the initial state is always frame 0.
+    ``frames`` is a frame count of at least 2, spread linearly over the
+    steps so that the first and last step are recorded, or a function of
+    the final dt returning the times to record, snapped to the nearest
+    step; the initial state is always frame 0.
 
     The first ``clip`` rows are densities: negative values are clipped to
     zero after every step and the removed node-quadrature mass may not
@@ -540,6 +597,9 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
     span = t_end - t0
     if span <= 0:
         raise ParameterError("t_end must exceed t0")
+    if not callable(frames) and frames < 2:
+        raise ParameterError(
+            f"need at least 2 frames (start and end), got {frames}")
     if dt is None:
         dt = 0.9 * limit
     if dt > limit * (1 + 1e-12):
@@ -555,7 +615,6 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
     record = np.union1d(0, record.astype(int))
     marks = record.tolist() + [-1]         # steps to record, then a stop
 
-    lap = mask.laplacian_matrix()
     hd = mask.grid.h ** mask.grid.dim
     U = np.array(state, dtype=float, order="C")
     R = np.empty_like(U)
@@ -570,15 +629,14 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
     for k in range(1, n_steps + 1):
         rows = U if diffused is None else diffused(U, R)
         if LU is None:
-            block = _block_diagonal(lap, rows.shape[0])
-            LU = np.empty((rows.shape[0], lap.shape[0]))
+            apply = _stacked_operator(mask, rows.shape[0])
+            LU = np.empty((rows.shape[0], mask.active_count))
             out = LU.reshape(-1)
-            operator = (*block.shape, block.indptr, block.indices, block.data)
-        if rows.shape != LU.shape:     # the kernel itself checks no sizes
+        if rows.shape != LU.shape:     # the kernels check no sizes
             raise ParameterError(
                 f"diffused rows of shape {rows.shape}, expected {LU.shape}")
         out.fill(0.0)
-        _sparsetools.csr_matvec(*operator, rows.reshape(-1), out)
+        apply(rows.reshape(-1), out)
         step = rate(k, t0 + (k - 1) * dt, dt, U, LU, top, R)
         step *= dt
         U += step

@@ -385,6 +385,28 @@ def test_criterion_09_structural_checks():
 
 
 def test_criterion_10_interpolation():
+    """Freeze C* = 1.25 x the largest fitted constant of 100 calibration
+    seeds, then verify 100 fresh seeds under C*.
+
+    Measured miss rates of this protocol (a miss is a fresh verification
+    case whose fitted constant exceeds C*; numpy 2.4.6, scipy 1.17.1):
+
+    * this test's protocol, calibration seeds 1000-1099 (C* = 1.137):
+      0 misses in 2,400 fresh verification seeds (100000-102399), whose
+      largest fitted constant is 0.994; at 95% confidence the rate is
+      below 3/2,400 = 0.13%.  Each of 24 disjoint 100-seed calibrations
+      drawn from those 2,400 seeds also missed none of the other 2,300;
+    * the ``interp`` benchmark's protocol, 10 calibration and 2
+      verification seeds per pass: 0 misses in 400 verification cases over
+      200 fresh benchmark seeds (20000-20199, pass 0), so below 0.75% per
+      case at 95% confidence.  Re-drawing the 2,400 seeds above as 240
+      disjoint 10-seed calibrations gives 0.22% per case (about 0.4% per
+      two-case pass).  20 s benchmark runs at seeds 3401-3406 (170 passes,
+      340 verification cases) missed twice, once each at seeds 3402 and
+      3405 (0.59% per case), and seed 9502 misses once too.  At 0.22-0.59%
+      per case, a 20 s run of about 27 passes (54 verification cases)
+      meets at least one miss with probability 11-27%.
+    """
     t0 = time.perf_counter()
     alpha = 0.3
     q = 2.0 * (3.0 - alpha) / (2.0 - alpha)

@@ -1,5 +1,7 @@
 """Grids, masks, operators, and the discrete norms built on them."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,7 +13,7 @@ from difflab import (DomainError, DomainMask, Field, GridSpec,
                      full_mask, gradient, graph_domain_mask, holder_norm,
                      holder_norm_field, lipschitz_norm,
                      lp_norm, lpq_norm, oscillation, poisson_neumann,
-                     restrict_mask, SolverError, stable_dt)
+                     SolverError, stable_dt)
 from difflab.grid import march
 from difflab import norms
 from difflab.norms import pair_quotient_max
@@ -38,7 +40,7 @@ def test_gridspec_geometry():
     g = _grid(33, 2)
     assert g.dim == 2
     assert g.h == pytest.approx(1.0 / 32.0, abs=0)
-    assert g.node_count() == 33 * 33
+    assert math.prod(g.n) == 33 * 33
     x = g.axis_coords(0)
     assert x[0] == 0.0 and x[-1] == pytest.approx(1.0, abs=1e-15)
     mesh = g.meshgrid()
@@ -266,31 +268,94 @@ def test_march_frame_schedules_snap_to_steps():
     assert np.array_equal(run.frames[:, 0], state)
 
 
-def test_march_diffuses_the_returned_rows_and_reports_step_start_maxima():
-    mask = full_mask(_grid(17, 1))
-    lap = mask.laplacian_matrix()
-    x = mask.node_coords()[:, 0]
-    state = np.stack([1.0 + np.cos(np.pi * x), 2.0 + x, np.zeros(17)])
+@pytest.mark.parametrize("frames", [0, 1])
+def test_march_rejects_fewer_than_two_frames(frames):
+    mask = full_mask(_grid(9, 1))
+    with pytest.raises(ParameterError, match="at least 2 frames"):
+        march(mask, np.ones((1, 9)), _constant_rate(0.0), 1.0, 0.01, 1.0,
+              frames)
+
+
+def _assert_rowwise_product(mask, rows):
+    """The LU of a one-step march over ``rows`` is ``lap @ row``, row by
+    row, bit for bit."""
     seen = []
 
-    def diffused(U, out):
-        np.multiply(U[0], U[1], out=out[1])
-        out[2] = U[1]
-        return out[1:]
-
     def rate(k, t, dt, U, LU, top, out):
-        assert np.array_equal(top, U[:2].max(axis=1))
-        # one product over the block equals the row-by-row products
-        assert np.array_equal(LU, [lap @ (U[0] * U[1]), lap @ U[1]])
-        seen.append(top.copy())
-        out[:2] = 0.0
-        np.copyto(out[2], LU[0])
+        seen.append(LU.copy())
+        out.fill(0.0)
         return out
 
-    run = march(mask, state, rate, 0.01, None, 1e-3, 3,
-                diffused=diffused, clip=2)
-    assert len(seen) == run.n_steps
-    assert np.array_equal(seen[0], state[:2].max(axis=1))
+    march(mask, rows, rate, 1.0, 1.0, 1.0, 2)
+    lap = mask.laplacian_matrix()
+    got, want = seen[0], np.stack([lap @ row for row in rows])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def box_rows(draw):
+    """An all-active box in 1..4 dimensions and 1..5 finite rows on it,
+    with exact zeros of both signs and negatives among the values."""
+    shape = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=4)))
+    h = draw(st.sampled_from([0.125, 0.3, 1.0]))
+    mask = full_mask(GridSpec.make(tuple((n - 1) * h for n in shape), shape))
+    j = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.uniform(-1e3, 1e3, (j, mask.active_count))
+    kind = rng.integers(0, 4, rows.shape)
+    rows[kind == 0] = 0.0
+    rows[kind == 1] = -0.0
+    return mask, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(box_rows())
+def test_march_box_product_equals_csr_rows_bit_for_bit(case):
+    mask, rows = case
+    assert mask.laplacian_diagonals() is not None      # the diagonal path
+    _assert_rowwise_product(mask, rows)
+
+
+def test_march_product_on_masks_with_inactive_nodes_stays_csr():
+    grid = GridSpec.make((2.0, 2.0), 25, origin=(-1.0, -1.0))
+    rng = np.random.default_rng(3)
+    for mask in (ball_mask(grid, (0.0, 0.0), 0.8, boundary="dirichlet"),
+                 graph_domain_mask(grid, 0.9, lambda x: 0.02 * x[:, 0])):
+        assert mask.laplacian_diagonals() is None
+        rows = rng.standard_normal((3, mask.active_count))
+        rows[:, ::4] = 0.0
+        _assert_rowwise_product(mask, rows)
+
+
+def test_march_diffuses_the_returned_rows_and_reports_step_start_maxima():
+    for mask in (full_mask(_grid(17, 1)),
+                 ball_mask(_grid(17, 2), (0.5, 0.5), 0.4,
+                           boundary="dirichlet")):
+        lap = mask.laplacian_matrix()
+        x = mask.node_coords()[:, 0]
+        state = np.stack([1.0 + np.cos(np.pi * x), 2.0 + x,
+                          np.zeros(mask.active_count)])
+        seen = []
+
+        def diffused(U, out):
+            np.multiply(U[0], U[1], out=out[1])
+            out[2] = U[1]
+            return out[1:]
+
+        def rate(k, t, dt, U, LU, top, out):
+            assert np.array_equal(top, U[:2].max(axis=1))
+            # one product over the block equals the row-by-row products
+            assert np.array_equal(LU, [lap @ (U[0] * U[1]), lap @ U[1]])
+            seen.append(top.copy())
+            out[:2] = 0.0
+            np.copyto(out[2], LU[0])
+            return out
+
+        run = march(mask, state, rate, 0.01, None, 1e-3, 3,
+                    diffused=diffused, clip=2)
+        assert len(seen) == run.n_steps
+        assert np.array_equal(seen[0], state[:2].max(axis=1))
 
 
 @pytest.mark.parametrize("pick", [np.s_[::2], np.s_[::-1]])
@@ -410,13 +475,8 @@ def test_graph_domain_mask_geometry():
     assert 0.35 <= mask.active_count / full_ball.active_count <= 0.55
 
 
-def test_restrict_mask_and_node_lookup():
+def test_node_lookup():
     mask = full_mask(_grid(17, 2))
-    u = Field.from_function(mask, lambda x: x[:, 0] - 0.5)
-    sub = restrict_mask(mask, u.values > 0)
-    assert sub.active_count == int(np.sum(u.values > 0))
-    assert np.all(sub.node_coords()[:, 0] > 0.5)
-
     ij = mask.nearest_node((0.26, 0.74))
     h = mask.grid.h
     assert np.allclose((ij[0] * h, ij[1] * h), (0.25, 0.75), atol=1e-12)

@@ -224,6 +224,15 @@ def test_solve_rejects_unstable_dt():
         solve_rough(Field.constant(mask, 0.0), coeff, t_end=0.0)
 
 
+@pytest.mark.parametrize("n_frames", [0, 1])
+def test_solve_rejects_fewer_than_two_frames(n_frames):
+    # one frame would hold only w0 and silently drop the marched end state
+    mask = full_mask(GridSpec.make((1.0,), 9))
+    with pytest.raises(ParameterError, match="at least 2 frames"):
+        solve_rough(Field.constant(mask, 0.0), RoughCoefficient(1.0, 1.0, 2.0),
+                    t_end=0.05, n_frames=n_frames)
+
+
 def test_solve_rejects_data_on_a_foreign_mask():
     mask = full_mask(GridSpec.make((1.0,), 17))
     w0 = Field.constant(mask, 0.5)
