@@ -28,12 +28,12 @@ from .rough import (ConstantsBundle, RoughCoefficient, RoughSolution,
                     k3_constant, oscillation_decay_check, shrunk_radius,
                     solve_rough, supremum_bound_check, unit_ball_volume)
 from .systems import (GeneralSolution, GeneralSystemSpec, PRESET_SYSTEMS,
-                      QuadSolution, SKTAuxiliary, SKTParams, SKTSolution,
-                      general_solve, lp_energy_report, nu_bounds_report,
-                      poly_combine, poly_eval, poly_max_coeff,
-                      preset_p_q_2s3, preset_quad4, preset_s1_2s2,
-                      preset_uum, quad_identity_report, quad_mass_report,
-                      quad_mu, quad_mu_report, quadratic_solve,
+                      SKTAuxiliary, SKTParams, SKTSolution, general_solve,
+                      lp_energy_report, nu_bounds_report, poly_combine,
+                      poly_eval, poly_max_coeff, preset_p_q_2s3,
+                      preset_quad4, preset_s1_2s2, preset_uum,
+                      quad_identity_report, quad_mass_report,
+                      quad_mu_report, quadratic_solve,
                       skt_auxiliary, skt_solve, structural_checks,
                       transform_consistency_report,
                       transformed_residual_report)

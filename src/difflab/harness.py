@@ -28,7 +28,8 @@ Presets
     collapsed-evolution identity residuals.
 ``general``
     Triangular-network presets: structural audit, transformed residual,
-    and transform consistency.
+    transform consistency, and the quartet's three reports for the
+    network's own mass, mu and potential.
 ``interp``
     Random admissible pair on a ball subdomain: cut-ball ladder and the
     full covering-based interpolation check.
@@ -56,8 +57,7 @@ from .rough import (RoughCoefficient, explicit_constants, forcing_constant,
                     oscillation_decay_check, solve_rough,
                     supremum_bound_check)
 from . import systems
-from .systems import (PRESET_SYSTEMS, SKTParams, quad_identity_report,
-                      quad_mass_report, quad_mu_report, quadratic_solve,
+from .systems import (PRESET_SYSTEMS, SKTParams, quadratic_solve,
                       skt_auxiliary, skt_solve, structural_checks)
 
 __all__ = [
@@ -555,13 +555,18 @@ def _run_skt(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
 def _run_quad4(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     mask = full_mask(cfg.grid_spec())
     sysc = cfg.system
-    diff = sysc["diffusions"]
     inits = [_positive_bumps(mask, rng, sysc["n_bumps"], sysc["amp"])
              for _ in range(4)]
-    sol = quadratic_solve(inits, diff, cfg.t_end, dt=cfg.solver_dt(),
-                          n_frames=cfg.n_frames)
-    return [quad_mass_report(sol), quad_mu_report(sol, diff),
-            quad_identity_report(sol, diff)]
+    return _network_reports(quadratic_solve(
+        inits, sysc["diffusions"], cfg.t_end, dt=cfg.solver_dt(),
+        n_frames=cfg.n_frames))
+
+
+def _network_reports(sol) -> list[EstimateReport]:
+    """Mass conservation, mu pinching and the potential identities."""
+    diff = sol.spec.diffusions
+    return [systems.quad_mass_report(sol), systems.quad_mu_report(sol, diff),
+            systems.quad_identity_report(sol, diff)]
 
 
 def _general_spec(sysc: dict):
@@ -588,7 +593,7 @@ def _run_general(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
                                 n_frames=cfg.n_frames, sampled_box=box)
     return [structural,
             systems.transformed_residual_report(sol),
-            systems.transform_consistency_report(sol)]
+            systems.transform_consistency_report(sol)] + _network_reports(sol)
 
 
 def _run_interp(cfg: ExperimentConfig, rng) -> list[EstimateReport]:

@@ -82,9 +82,15 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
     active node).  Frames are recorded geometrically in time unless
     ``record_times`` is given.  ``dt`` defaults to 0.9 of the stability
     limit, the smaller of h^2/(row max) and h^2/(2d), and may not exceed
-    it.  Raises on a dt above the limit, mass drift or negative undershoot
-    beyond roundoff.
+    it.  Raises on fewer than 2 geometric frames or an empty
+    ``record_times`` (either would drop the final state), a dt above the
+    limit, mass drift or negative undershoot beyond roundoff.
     """
+    if record_times is None and n_frames < 2:
+        raise ParameterError(
+            f"need at least 2 frames (start and end), got {n_frames}")
+    if record_times is not None and len(record_times) == 0:
+        raise ParameterError("record_times is empty")
     grid = mask.grid
     d = grid.dim
     # Dirichlet faces raise the row max above 2d, so the mask's own limit

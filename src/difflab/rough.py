@@ -409,6 +409,8 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     measured / core and reported; in verification mode the frozen constant
     gates the check.  The tracer follows osc_k over cylinders shrunk by 4^k
     around the end point and compares against C1 (sup + Lip) Lambda^k.
+    A rung is kept only while its radius spans two mesh widths and its
+    window two frame gaps; a tracer that keeps none raises DomainError.
     """
     traj = sol.traj
     alpha = consts.alpha
@@ -470,6 +472,9 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
         tracer.append({"k": k, "radius": radius, "osc": osc_k,
                        "bound": bound_k,
                        "pass": bool(osc_k <= bound_k * (1 + 1e-9) + 1e-12)})
+    if not tracer:
+        raise DomainError("Hoelder tracer keeps no rung: the first cylinder "
+                          "is under two mesh widths or two frame gaps")
     tracer_ok = all(row["pass"] for row in tracer)
     return EstimateReport(
         check="holder_bound",

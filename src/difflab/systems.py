@@ -1,7 +1,4 @@
-"""Reaction-diffusion systems: cross-diffusion pair, quadratic quartet,
-and general networks with a triangular change of variables.
-
-Three families share the explicit-Euler machinery:
+"""Reaction-diffusion systems: two families share the explicit-Euler core.
 
 * the competition pair with cross diffusion
       du/dt - lap[(d1 + sigma v) u] = u (r_u - d11 u - d12 v),
@@ -11,14 +8,15 @@ Three families share the explicit-Euler machinery:
   lap w = u + m - u_init - r_u int u, and the convexified w-tilde whose
   discrete Laplacian dominates u;
 
-* the closed quartet du_i/dt - d_i lap u_i = (-1)^i (u1 u3 - u2 u4), whose
-  total mass is conserved and whose weighted diffusion mu = sum d_i u_i /
-  sum u_i stays pinched in [min d_i, max d_i];
-
-* general networks written as polynomial term lists, with the structural
-  checks (quasi-positivity at the faces, mass control, one-sided quadratic
-  row bounds for a lower-triangular matrix A) and the transformed system
-  dv_i/dt - d_i lap v_i = (A f)_i + sum_{k<i} c_ik lap v_k for v = A u.
+* networks du_i/dt - d_i lap u_i = f_i(u) written as polynomial term
+  lists, with the structural checks (quasi-positivity at the faces, mass
+  control, one-sided quadratic row bounds for a lower-triangular matrix A)
+  and the transformed system dv_i/dt - d_i lap v_i = (A f)_i +
+  sum_{k<i} c_ik lap v_k for v = A u.  :func:`general_solve`, the one
+  network solver, conserves M = sum beta_i u_i and returns the mass
+  potential w = int sum beta_i d_i u_i: mu^{-1} dw/dt - lap w = M(0), with
+  mu = sum beta_i d_i u_i / M pinched in [min d_i, max d_i].  The quartet
+  (-1)^i (u1 u3 - u2 u4) is the preset :func:`preset_quad4`.
 """
 
 from __future__ import annotations
@@ -313,105 +311,6 @@ def lp_energy_report(sol: SKTSolution, p: int,
         grid=mask.grid.record(),
         details={"gradient_coefficient": 4.0 * p / (p + 1) ** 2,
                  "source_integral": source},
-    )
-
-
-# ---------------------------------------------------------------------------
-# closed quadratic quartet
-
-
-@dataclass
-class QuadSolution:
-    u: list            # four trajectories
-    w: Trajectory      # trapezoid integral of sum d_i u_i
-    dt: float
-    steps: int
-    clipped_mass: float
-
-
-def quadratic_solve(inits, diffusions, t_end: float, dt: float | None = None,
-                    n_frames: int = 65) -> QuadSolution:
-    """Quartet with reaction (-1)^i (u1 u3 - u2 u4) and diffusions d_i.
-
-    The reactions come from :func:`preset_quad4`; w is the trapezoid
-    integral of sum d_i u_i, the left-rectangle row plus
-    dt/2 (flux(t) - flux(0)) at each frame.
-    """
-    if len(inits) != 4 or len(diffusions) != 4:
-        raise ParameterError("need exactly four species")
-    spec = preset_quad4(diffusions)
-    run = _march_network(inits, spec, t_end, dt, n_frames, flux=True)
-    u, w_left = run.frames[:4], run.frames[4]
-    flux = np.tensordot(spec.diffusions, u, axes=1)
-    w = w_left + 0.5 * run.dt * (flux - flux[0])
-    mask = inits[0].mask
-    return QuadSolution(
-        u=[Trajectory(mask, run.times, ui) for ui in u],
-        w=Trajectory(mask, run.times, w),
-        dt=run.dt, steps=run.n_steps, clipped_mass=run.clipped,
-    )
-
-
-def quad_mass_report(sol: QuadSolution) -> EstimateReport:
-    """Total mass of the quartet is conserved to relative 1e-10."""
-    hd = sol.w.grid.h ** sol.w.grid.dim
-    totals = hd * sum(t.values.sum(axis=1) for t in sol.u)
-    drift = float(np.max(np.abs(totals - totals[0]))) / max(totals[0], 1e-300)
-    return EstimateReport(
-        check="quad_mass_conservation",
-        lhs=drift, rhs=1e-10, passed=bool(drift <= 1e-10),
-        params={"initial_mass": float(totals[0])},
-        grid=sol.w.grid.record(),
-        details={"clipped_mass": sol.clipped_mass},
-    )
-
-
-def quad_mu(sol: QuadSolution, diffusions) -> np.ndarray:
-    """Weighted diffusion sum d_i u_i / sum u_i, guarded on empty nodes."""
-    dvec = [float(d) for d in diffusions]
-    num = sum(d * t.values for d, t in zip(dvec, sol.u))
-    den = sum(t.values for t in sol.u)
-    fallback = float(np.mean(dvec))
-    return np.where(den < 1e-14, fallback,
-                    num / np.where(den < 1e-14, 1.0, den))
-
-
-def quad_mu_report(sol: QuadSolution, diffusions) -> EstimateReport:
-    mu = quad_mu(sol, diffusions)
-    lo, hi = min(diffusions), max(diffusions)
-    breach = max(lo - float(mu.min()), float(mu.max()) - hi, 0.0)
-    return EstimateReport(
-        check="quad_mu_bounds",
-        lhs=breach, rhs=1e-12, passed=bool(breach <= 1e-12),
-        params={"lo": lo, "hi": hi},
-        grid=sol.w.grid.record(),
-        details={"mu_min": float(mu.min()), "mu_max": float(mu.max())},
-    )
-
-
-def quad_identity_report(sol: QuadSolution, diffusions) -> EstimateReport:
-    """Residuals of lap w = sum u - sum u_init and of
-    dw/dt - mu lap w = mu sum u_init, centered at interior frames."""
-    mask = sol.w.mask
-    times = sol.w.times
-    total = sum(t.values for t in sol.u)
-    sum0 = total[0]
-    mu = quad_mu(sol, diffusions)
-    w = sol.w.values
-    worst_lap = worst_evo = 0.0
-    if times.size > 2:
-        lap_w = (mask.laplacian_matrix() @ w[1:-1].T).T
-        worst_lap = float(np.max(np.abs(lap_w - (total[1:-1] - sum0))))
-        dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
-        worst_evo = float(np.max(np.abs(dwdt - mu[1:-1] * (lap_w + sum0))))
-    scale = float(np.max(np.abs(total)))
-    return EstimateReport(
-        check="quad_integral_identities",
-        lhs=max(worst_lap, worst_evo), rhs=0.1 * max(scale, 1.0),
-        passed=bool(max(worst_lap, worst_evo) <= 0.1 * max(scale, 1.0)),
-        params={"frames": int(times.size)},
-        grid=mask.grid.record(),
-        details={"lap_identity_inf": worst_lap, "evolution_inf": worst_evo},
     )
 
 
@@ -754,6 +653,7 @@ class GeneralSolution:
     spec: GeneralSystemSpec
     u: list                        # per-species trajectories
     v: list                        # transformed trajectories, v = A u
+    w: Trajectory                  # mass potential, int sum beta_i d_i u_i
     dt: float
     steps: int
     clipped_mass: float
@@ -764,11 +664,15 @@ class GeneralSolution:
 def general_solve(inits, spec: GeneralSystemSpec, t_end: float,
                   dt: float | None = None, n_frames: int = 33,
                   sampled_box: tuple[float, float] = (0.0, 10.0)) -> GeneralSolution:
-    """Explicit Euler for the network; appends the balancing companion when
-    the mass combination is not symbolically zero (companion starts at 0).
+    """Explicit Euler for du_i/dt = d_i lap u_i + f_i(u); appends the
+    balancing companion when the mass combination is not symbolically zero
+    (companion starts at 0), so sum beta_i u_i is conserved.
 
-    Records both u and v = A u.  If the state leaves the structurally
-    sampled box the solution is flagged (the caller should re-audit).
+    Records u, v = A u and the mass potential w = int sum beta_i d_i u_i,
+    companion included: an undiffused state row sums the flux by the left
+    rectangle rule, plus dt/2 (flux(t) - flux(0)) at each frame.  If the
+    state leaves the structurally sampled box the solution is flagged (the
+    caller should re-audit).
     """
     companion = poly_max_coeff(spec.mass_combination()) > 1e-12
     if companion:
@@ -776,19 +680,6 @@ def general_solve(inits, spec: GeneralSystemSpec, t_end: float,
         inits = list(inits) + [Field.constant(inits[0].mask, 0.0)]
     if len(inits) != spec.m:
         raise ParameterError(f"need {spec.m} initial fields")
-    run = _march_network(inits, spec, t_end, dt, n_frames)
-    u, v = run.frames, np.einsum("ij,jfn->ifn", spec.A, run.frames)
-    return GeneralSolution(
-        spec=spec, u=[Trajectory(inits[0].mask, run.times, f) for f in u],
-        v=[Trajectory(inits[0].mask, run.times, f) for f in v], dt=run.dt,
-        steps=run.n_steps, clipped_mass=run.clipped, companion_added=companion,
-        box_exceeded=run.peak > sampled_box[1])
-
-
-def _march_network(inits, spec: GeneralSystemSpec, t_end: float, dt,
-                   n_frames: int, flux: bool = False):
-    """Explicit Euler for du_i/dt = d_i lap u_i + f_i(u); with ``flux`` an
-    extra left-rectangle row accumulates sum_i d_i u_i."""
     mask = inits[0].mask
     if any(f.mask is not mask for f in inits):
         raise ParameterError("all species must share one mask")
@@ -797,19 +688,108 @@ def _march_network(inits, spec: GeneralSystemSpec, t_end: float, dt,
     limit = stable_dt(mask, diffusion=max(spec.diffusions), safety=1.0)
     m = spec.m
     d = np.asarray(spec.diffusions)
+    bd = np.asarray(spec.beta_weights) * d
 
     def rate(k, t, step, U, LU, top, out):
         for i in range(m):             # row by row: faster than broadcasting
             np.multiply(LU[i], d[i], out=out[i])
         out[:m] += spec.rates(U[:m])
-        if flux:
-            np.dot(d, U[:m], out=out[m])
+        np.dot(bd, U[:m], out=out[m])
         return out
 
-    state = np.stack([f.values for f in inits] +
-                     ([np.zeros(mask.active_count)] if flux else []))
-    return march(mask, state, rate, t_end, dt, limit, n_frames,
-                 diffused=(lambda U, out: U[:m]) if flux else None, clip=m)
+    state = np.stack([f.values for f in inits] + [np.zeros(mask.active_count)])
+    run = march(mask, state, rate, t_end, dt, limit, n_frames,
+                diffused=lambda U, out: U[:m], clip=m)
+    u = run.frames[:m]
+    flux = np.tensordot(bd, u, axes=1)
+    w = run.frames[m] + 0.5 * run.dt * (flux - flux[0])
+    v = np.einsum("ij,jfn->ifn", spec.A, u)
+    return GeneralSolution(
+        spec=spec, u=[Trajectory(mask, run.times, f) for f in u],
+        v=[Trajectory(mask, run.times, f) for f in v],
+        w=Trajectory(mask, run.times, w), dt=run.dt, steps=run.n_steps,
+        clipped_mass=run.clipped, companion_added=companion,
+        box_exceeded=run.peak > sampled_box[1])
+
+
+def quadratic_solve(inits, diffusions, t_end: float, dt: float | None = None,
+                    n_frames: int = 65) -> GeneralSolution:
+    """The closed quartet du_i/dt - d_i lap u_i = (-1)^i (u1 u3 - u2 u4):
+    :func:`general_solve` on :func:`preset_quad4`."""
+    if len(inits) != 4 or len(diffusions) != 4:
+        raise ParameterError("need exactly four species")
+    return general_solve(inits, preset_quad4(diffusions), t_end, dt, n_frames)
+
+
+# -- mass, mu and potential reports for any network ------------------------
+
+
+def _mu(sol: GeneralSolution, diffusions):
+    """mu = sum beta_i d_i u_i / M, guarded on empty nodes, and the mass
+    density M = sum beta_i u_i, per frame and node.  ``diffusions`` must
+    repeat the solved ones: a wrong one would pinch a mu never solved."""
+    d, beta = sol.spec.diffusions, sol.spec.beta_weights
+    if tuple(float(x) for x in diffusions) != d:
+        raise ParameterError(f"diffusions {tuple(diffusions)} are not the "
+                             f"solved ones {d}")
+    num = sum(b * di * t.values for b, di, t in zip(beta, d, sol.u))
+    den = sum(b * t.values for b, t in zip(beta, sol.u))
+    return np.where(den < 1e-14, float(np.mean(d)),
+                    num / np.where(den < 1e-14, 1.0, den)), den
+
+
+def quad_mass_report(sol: GeneralSolution) -> EstimateReport:
+    """Total mass sum_i beta_i int u_i is conserved to relative 1e-10."""
+    hd = sol.w.grid.h ** sol.w.grid.dim
+    totals = hd * sum(b * t.values.sum(axis=1)
+                      for b, t in zip(sol.spec.beta_weights, sol.u))
+    drift = float(np.max(np.abs(totals - totals[0]))) / max(totals[0], 1e-300)
+    return EstimateReport(
+        check="quad_mass_conservation",
+        lhs=drift, rhs=1e-10, passed=bool(drift <= 1e-10),
+        params={"initial_mass": float(totals[0])},
+        grid=sol.w.grid.record(),
+        details={"clipped_mass": sol.clipped_mass},
+    )
+
+
+def quad_mu_report(sol: GeneralSolution, diffusions) -> EstimateReport:
+    """mu pinched in [min d_i, max d_i] pointwise."""
+    mu = _mu(sol, diffusions)[0]
+    lo, hi = min(sol.spec.diffusions), max(sol.spec.diffusions)
+    breach = max(lo - float(mu.min()), float(mu.max()) - hi, 0.0)
+    return EstimateReport(
+        check="quad_mu_bounds",
+        lhs=breach, rhs=1e-12, passed=bool(breach <= 1e-12),
+        params={"lo": lo, "hi": hi},
+        grid=sol.w.grid.record(),
+        details={"mu_min": float(mu.min()), "mu_max": float(mu.max())},
+    )
+
+
+def quad_identity_report(sol: GeneralSolution, diffusions) -> EstimateReport:
+    """Residuals of lap w = M - M(0) and of dw/dt - mu lap w = mu M(0) for
+    M = sum beta_i u_i, centered at interior frames."""
+    mask = sol.w.mask
+    times = sol.w.times
+    mu, total = _mu(sol, diffusions)
+    sum0 = total[0]
+    w = sol.w.values
+    worst_lap = worst_evo = 0.0
+    if times.size > 2:
+        lap_w = (mask.laplacian_matrix() @ w[1:-1].T).T
+        worst_lap = float(np.max(np.abs(lap_w - (total[1:-1] - sum0))))
+        dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
+        worst_evo = float(np.max(np.abs(dwdt - mu[1:-1] * (lap_w + sum0))))
+    scale = float(np.max(np.abs(total)))
+    return EstimateReport(
+        check="quad_integral_identities",
+        lhs=max(worst_lap, worst_evo), rhs=0.1 * max(scale, 1.0),
+        passed=bool(max(worst_lap, worst_evo) <= 0.1 * max(scale, 1.0)),
+        params={"frames": int(times.size)},
+        grid=mask.grid.record(),
+        details={"lap_identity_inf": worst_lap, "evolution_inf": worst_evo},
+    )
 
 
 def transformed_residual_report(sol: GeneralSolution,

@@ -56,7 +56,8 @@ EXPECTED_CHECKS = {
     "quad4": ["quad_mass_conservation", "quad_mu_bounds",
               "quad_integral_identities"],
     "general": ["structural_assumptions", "transformed_system_residual",
-                "transform_roundtrip"],
+                "transform_roundtrip", "quad_mass_conservation",
+                "quad_mu_bounds", "quad_integral_identities"],
     "interp": ["one_sided_interpolation", "cut_ball_estimate"],
 }
 

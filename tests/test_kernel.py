@@ -43,6 +43,18 @@ def test_kernel_equilibrates_to_uniform():
     assert np.max(np.abs(kern.values[-1] / eq - 1.0)) <= 1e-6
 
 
+def test_kernel_evolve_refuses_frames_that_drop_the_final_state():
+    # one geometric frame is the start point of geomspace, and an empty
+    # record list keeps t = 0 alone: neither would hold the state at t_end
+    mask = _box(1.0, 17, 1)
+    with pytest.raises(ParameterError, match="at least 2 frames"):
+        kernel_evolve(mask, (8,), 0.05, n_frames=1)
+    with pytest.raises(ParameterError, match="record_times"):
+        kernel_evolve(mask, (8,), 0.05, record_times=[])
+    kern = kernel_evolve(mask, (8,), 0.05, n_frames=2)
+    assert kern.times[-1] == pytest.approx(0.05, rel=1e-12)
+
+
 def test_dirichlet_mass_non_increasing():
     mask = ball_mask(GridSpec.make((1.0, 1.0), 49), (0.5, 0.5), 0.35,
                      boundary="dirichlet")

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from difflab import (ConstantsBundle, Field, GridSpec, ParabolicCylinder,
-                     ParameterError, RoughCoefficient, Trajectory,
-                     alpha_practical, explicit_constants, fitted_prefactor,
+from difflab import (ConstantsBundle, DomainError, Field, GridSpec,
+                     ParabolicCylinder, ParameterError, RoughCoefficient,
+                     Trajectory, alpha_practical, explicit_constants,
+                     fitted_prefactor,
                      fitted_moment_prefactor, forcing_constant, full_mask,
                      holder_bound_check, initial_oscillation_check,
                      iteration_c1, iteration_lambda, k2_constant,
@@ -411,6 +412,14 @@ def test_holder_bound_calibration_and_tracer():
     bad = holder_bound_check(sol, consts, w0, r0=0.3, kernel_prefactor=kp,
                              moment_prefactor=mp, c_star=0.5 * c_star)
     assert not bad.passed
+
+
+def test_holder_bound_empty_tracer_raises():
+    # r0 far under a mesh width shrinks the first cylinder below two mesh
+    # widths, so every rung is skipped; an empty tracer checks nothing
+    sol, consts, w0, _ = _rough_run()
+    with pytest.raises(DomainError, match="no rung"):
+        holder_bound_check(sol, consts, w0, r0=1e-4)
 
 
 def test_initial_oscillation_check_smoke():

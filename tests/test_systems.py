@@ -1,6 +1,7 @@
 """Tests for the coupled solvers: the cross-diffusion competition pair with
-its companion chain, the closed quadratic quartet, and general polynomial
-reaction networks with their triangular de-coupling transform."""
+its companion chain, general polynomial reaction networks with their
+triangular de-coupling transform, mass potential and reports, and the
+closed quadratic quartet as one such network."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from difflab import (
     Field,
     GeneralSystemSpec,
     GridSpec,
+    PRESET_SYSTEMS,
     ParameterError,
     SKTParams,
     SolverError,
@@ -26,7 +28,6 @@ from difflab import (
     preset_uum,
     quad_identity_report,
     quad_mass_report,
-    quad_mu,
     quad_mu_report,
     quadratic_solve,
     skt_auxiliary,
@@ -262,9 +263,25 @@ def test_quad_all_zero_is_fixed_point():
     sol = quadratic_solve([zero] * 4, QUAD_DIFF, 0.1, n_frames=9)
     assert all(float(np.max(np.abs(t.values))) == 0.0 for t in sol.u)
     assert quad_mass_report(sol).passed
-    mu = quad_mu(sol, QUAD_DIFF)
-    assert np.allclose(mu, np.mean(QUAD_DIFF))
-    assert quad_mu_report(sol, QUAD_DIFF).passed
+    mu = quad_mu_report(sol, QUAD_DIFF)
+    assert mu.passed
+    # every node is empty, so mu is the guarded fallback, the mean d_i
+    assert mu.details["mu_min"] == mu.details["mu_max"] == np.mean(QUAD_DIFF)
+
+
+def test_quad_reports_reject_wrong_diffusions():
+    # unit diffusions would force mu = 1 and pass the pinching for any run;
+    # the reports read d from the solved spec and refuse a different one
+    mask = unit_square(9)
+    inits = [Field.constant(mask, c) for c in (0.8, 0.1, 0.6, 0.2)]
+    sol = quadratic_solve(inits, QUAD_DIFF, 0.01, n_frames=5)
+    for report in (quad_mu_report, quad_identity_report):
+        with pytest.raises(ParameterError, match="not the solved ones"):
+            report(sol, (1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(ParameterError):
+            report(sol, QUAD_DIFF[:3])
+        assert report(sol, list(QUAD_DIFF)).passed
+    assert sol.spec.diffusions == QUAD_DIFF
 
 
 def test_quad_drain_case():
@@ -548,6 +565,34 @@ def test_general_solve_companion_path_conserves_mass():
     total = hd * sum(t.values.sum(axis=1) for t in sol.u)
     assert np.max(np.abs(total - total[0])) <= 1e-10 * total[0]
     assert float(sol.u[1].values[-1].max()) > 0.0
+    # the potential integrates the companion's flux as well: the same
+    # network with the companion written out gives the same w, bit for bit
+    explicit = general_solve(
+        [Field.from_function(mask, smooth_u), Field.constant(mask, 0.0)],
+        decay.with_companion(), 0.2, n_frames=17)
+    assert not explicit.companion_added
+    np.testing.assert_array_equal(sol.w.values, explicit.w.values)
+    assert np.all(sol.w.values[0] == 0.0)
+    assert np.all(np.diff(sol.w.values, axis=0) >= 0.0)     # dw/dt >= 0
+    diff = sol.spec.diffusions
+    assert quad_mass_report(sol).lhs <= TOL_EXACT
+    assert quad_mu_report(sol, diff).lhs <= TOL_MACHINE
+    assert quad_identity_report(sol, diff).passed
+
+
+PRESET_ARGS = {"uum": {"m": 2, "b": (2, 1)}, "p_q_2s3": {"sp": 2, "sq": 1}}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_SYSTEMS))
+def test_every_preset_carries_mass_mu_and_potential(name):
+    spec = PRESET_SYSTEMS[name](**PRESET_ARGS.get(name, {}))
+    mask = unit_square(17)
+    sol = general_solve(general_inits(mask, spec.m), spec, 0.1, n_frames=33)
+    diff = sol.spec.diffusions
+    assert quad_mass_report(sol).lhs <= TOL_EXACT
+    assert quad_mu_report(sol, diff).lhs <= TOL_MACHINE
+    assert quad_identity_report(sol, diff).passed
+    assert np.all(np.diff(sol.w.values, axis=0) >= 0.0)
 
 
 def test_general_solve_flags_box_escape():
