@@ -29,9 +29,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.sparse import _sparsetools
-from scipy.sparse import linalg as splinalg
+
+# scipy.sparse.linalg and scipy.sparse.csgraph are imported where they are
+# used: both load scipy.linalg, a large import that only the Poisson solve and
+# the connectivity test of a mask with inactive nodes need.
 
 from .errors import GeometryError, ParameterError, SolverError
 
@@ -121,10 +124,6 @@ class DomainMask:
             dirichlet = np.zeros(grid.n, dtype=bool)
         else:
             dirichlet = np.asarray(dirichlet, dtype=bool) & ~active
-        _, ncomp = ndimage.label(active)
-        if ncomp != 1:
-            raise GeometryError(
-                f"active set must be edge-connected, found {ncomp} components")
         self.grid = grid
         self.active = active
         self.dirichlet = dirichlet
@@ -134,6 +133,10 @@ class DomainMask:
         self._dia = None
         self._grad = None
         self._row_max = None
+        ncomp = self._component_count()
+        if ncomp != 1:
+            raise GeometryError(
+                f"active set must be edge-connected, found {ncomp} components")
 
     # -- node bookkeeping ---------------------------------------------------
 
@@ -164,6 +167,23 @@ class DomainMask:
         coords = self.node_coords()
         d2 = np.sum((coords - np.asarray(center, dtype=float)) ** 2, axis=1)
         return d2 <= radius * radius * (1 + 1e-12)
+
+    def _component_count(self) -> int:
+        """Components of the active set under face adjacency: 1 for a full
+        box, which builds nothing; otherwise the components of the graph
+        whose edges are the :meth:`_neighbours` pairs."""
+        if self.active_count == self.active.size:
+            return 1
+        from scipy.sparse.csgraph import connected_components
+        rows, cols = [], []
+        for ax in range(self.grid.dim):
+            up = self._neighbours(ax)[1]
+            rows.append(np.flatnonzero(up >= 0))
+            cols.append(up[rows[-1]])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        pairs = sparse.csr_matrix((np.ones(rows.size), (rows, cols)),
+                                  shape=(self.active_count,) * 2)
+        return int(connected_components(pairs, directed=False)[0])
 
     # -- operators ----------------------------------------------------------
 
@@ -487,9 +507,10 @@ def poisson_neumann(rhs: Field) -> Field:
         raise ParameterError(
             f"rhs node mean {mean:.3e} not zero (relative tol 1e-10)")
     b = b - mean
+    from scipy.sparse.linalg import spsolve
     lap = mask.laplacian_matrix()
     x = np.zeros_like(b)
-    x[1:] = splinalg.spsolve(lap[1:, 1:].tocsc(), b[1:])
+    x[1:] = spsolve(lap[1:, 1:].tocsc(), b[1:])
     x -= x.mean()
     resid = np.linalg.norm(lap @ x - b) / np.linalg.norm(b)
     if not resid <= 1e-9:

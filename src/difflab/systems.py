@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ParameterError, SolverError, StructuralError
 from .grid import (Field, Trajectory, gradient, march, poisson_neumann,
@@ -409,24 +408,6 @@ class GeneralSystemSpec:
         shape (m, N)."""
         return _eval_monomials(*self._table, states)
 
-    def to_dict(self) -> dict:
-        """JSON-ready description (term lists become [coef, powers] pairs)."""
-        return {
-            "name": self.name,
-            "diffusions": list(self.diffusions),
-            "reactions": [[[c, list(p)] for c, p in r] for r in self.reactions],
-            "beta_weights": list(self.beta_weights),
-            "A": self.A.tolist(),
-            "K": self.K,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneralSystemSpec":
-        reactions = [[(float(c), tuple(int(e) for e in p)) for c, p in r]
-                     for r in data["reactions"]]
-        return cls(data["diffusions"], reactions, data["beta_weights"],
-                   data["A"], data["K"], name=data.get("name", "custom"))
-
     def c_table(self) -> np.ndarray:
         """c_ik = sum_{j=k}^{i-1} (d_j - d_i) a_ij b_jk for k < i."""
         m, A, B, d = self.m, self.A, self.B, self.diffusions
@@ -550,6 +531,38 @@ PRESET_SYSTEMS = {
 # -- structural checks -------------------------------------------------------
 
 
+def _primes(d: int) -> list[int]:
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def halton(d: int, n: int) -> np.ndarray:
+    """The first ``n`` points of the unscrambled Halton sequence in
+    [0, 1)^d, shape (n, d): column j holds the radical inverses of
+    0, ..., n-1 in the j-th prime base.
+
+    Digit k of index i is (i // base^k) % base, a block pattern that one
+    ``repeat`` and one ``tile`` lay out.  Digits are added least significant
+    first, each as digit * b2r with b2r = 1/base divided by base per digit,
+    the arithmetic of scipy's ``qmc.Halton(d, scramble=False)``, so the
+    points are bit-identical to it and come in its F-ordered layout.
+    """
+    out = np.zeros((d, n))
+    for col, base in zip(out, _primes(d)):
+        b2r, block = 1.0 / base, 1
+        while block < n:
+            digits = np.repeat(np.arange(base) * b2r, block)
+            col += np.tile(digits, -(-n // (base * block)))[:n]
+            b2r /= base
+            block *= base
+    return out.T
+
+
 def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
                       box: tuple[float, float] = (0.0, 10.0),
                       raise_on_violation: bool = True) -> EstimateReport:
@@ -564,8 +577,7 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
     ``raise_on_violation`` is false.
     """
     m = spec.m
-    sampler = qmc.Halton(d=m, scramble=False)
-    states = box[0] + (box[1] - box[0]) * sampler.random(n_samples)
+    states = box[0] + (box[1] - box[0]) * halton(m, n_samples)
     tol = 1e-12
     scale = (1.0 + states.sum(axis=1)) ** 2
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage
 
-from difflab import (DomainError, DomainMask, Field, GridSpec,
+from difflab import (DomainError, DomainMask, Field, GeometryError, GridSpec,
                      ParabolicCylinder, ParameterError, Trajectory,
                      ball_mask,
                      full_mask, gradient, graph_domain_mask, holder_norm,
@@ -473,6 +473,57 @@ def test_graph_domain_mask_geometry():
     # roughly half the full ball
     full_ball = ball_mask(grid, (0.5, 0.5), 0.4)
     assert 0.35 <= mask.active_count / full_ball.active_count <= 0.55
+
+
+def _unit_grid(shape):
+    return GridSpec.make(tuple(float(n - 1) for n in shape), shape)
+
+
+def test_disconnected_masks_raise_with_their_component_count():
+    two_corners = np.zeros((3, 3, 3), dtype=bool)
+    two_corners[0, 0, 0] = two_corners[1, 1, 1] = True
+    edge_touch = np.zeros((2, 3, 3), dtype=bool)
+    edge_touch[0, 0, 0] = edge_touch[0, 1, 1] = True
+    cases = [
+        (np.array([1, 0, 1, 1, 0, 1], dtype=bool), 3),
+        (np.array([[1, 0], [0, 1]], dtype=bool), 2),    # diagonal contact
+        (np.eye(4, dtype=bool), 4),
+        (two_corners, 2),
+        (edge_touch, 2),
+    ]
+    for active, ncomp in cases:
+        with pytest.raises(GeometryError,
+                           match=f"^active set must be edge-connected, "
+                                 f"found {ncomp} components$"):
+            DomainMask(_unit_grid(active.shape), active)
+
+    ell = np.zeros((4, 4), dtype=bool)
+    ell[:, 0] = ell[-1, :] = True
+    assert DomainMask(_unit_grid(ell.shape), ell).active_count == 7
+
+
+@st.composite
+def box_patterns(draw):
+    """A random boolean pattern on a 1-D to 4-D box, any density."""
+    shape = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.random(shape) < density
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_patterns())
+@example(np.ones((3, 4), dtype=bool))
+@example(np.array([[[[True, False], [False, False]]] * 2] * 2))
+def test_mask_connectivity_matches_face_labelling(active):
+    assume(active.any())
+    ncomp = ndimage.label(active)[1]
+    grid = _unit_grid(active.shape)
+    if ncomp == 1:
+        assert DomainMask(grid, active).active_count == active.sum()
+    else:
+        with pytest.raises(GeometryError, match=f"found {ncomp} components$"):
+            DomainMask(grid, active)
 
 
 def test_node_lookup():

@@ -3,6 +3,10 @@ reports, refinement scaling, snapshot I/O, and the command-line front end."""
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -427,3 +431,17 @@ def test_cli_constants_subcommand(capsys):
     bundle = json.loads(capsys.readouterr().out)
     assert bundle["gamma"] == 2.0
     assert 0.0 < bundle["delta"] < 1.0
+
+
+def test_import_loads_no_heavy_scipy_submodule():
+    """``import difflab`` and its CLI need numpy and scipy.sparse only; the
+    sparse solver and graph routines load on first use."""
+    heavy = ["scipy.stats", "scipy.ndimage", "scipy.sparse.linalg",
+             "scipy.sparse.csgraph", "scipy.linalg"]
+    code = ("import sys, difflab, difflab.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

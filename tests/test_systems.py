@@ -38,6 +38,7 @@ from difflab import (
     transform_consistency_report,
     transformed_residual_report,
 )
+from difflab.systems import halton
 
 TOL_MACHINE = 1e-12
 TOL_EXACT = 1e-10
@@ -380,21 +381,6 @@ def test_spec_validation_errors():
                           np.array([[1.0, 0.0], [1.0, 0.0]]), K=1.0)
 
 
-def test_spec_dict_round_trip():
-    for spec in (preset_quad4(), preset_uum(2, (2, 1)), preset_s1_2s2()):
-        back = GeneralSystemSpec.from_dict(spec.to_dict())
-        assert back.name == spec.name
-        assert back.diffusions == spec.diffusions
-        assert back.beta_weights == spec.beta_weights
-        assert back.K == spec.K
-        np.testing.assert_array_equal(back.A, spec.A)
-        states = np.random.default_rng(0).random((50, spec.m)) * 5.0
-        for r_old, r_new in zip(spec.reactions, back.reactions):
-            np.testing.assert_allclose(poly_eval(r_new, states),
-                                       poly_eval(r_old, states), rtol=0,
-                                       atol=1e-14)
-
-
 def test_c_table_solves_defining_identity():
     """The triangular table is defined by requiring that C A recovers
     M_ij = (d_j - d_i) a_ij off the diagonal, which is what makes the
@@ -453,6 +439,17 @@ def test_presets_pass_structural_checks():
         assert rep.details["a2_symbolic_zero"]
         assert rep.details["a1_min_margin"] >= -TOL_MACHINE
         assert rep.details["fitted_K"] <= spec.K + 1e-9
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_halton_is_bit_identical_to_scipy(d):
+    from scipy.stats import qmc
+    for n in (1, 2, 3, 7, 8, 9, 10_000, 100_000):
+        ref = qmc.Halton(d=d, scramble=False).random(n)
+        got = halton(d, n)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert got.flags.f_contiguous == ref.flags.f_contiguous
 
 
 def test_row_sums_beat_naive_species_bounds():
