@@ -13,14 +13,13 @@ from .grid import (DomainMask, Field, GridSpec, ParabolicCylinder,
                    Trajectory, ball_mask, full_mask, gradient,
                    graph_domain_mask, poisson_neumann, stable_dt)
 from .norms import (holder_norm, holder_norm_field, lipschitz_norm, lp_norm,
-                    lpq_norm, oscillation)
+                    lpq_norm, oscillation, space_norm)
 from .kernel import (KernelField, admissible_graph_domain, domain_volume,
                      fit_power, fitted_moment_prefactor, fitted_prefactor,
                      gaussian_heat, gaussian_lower_bound_check,
                      gaussian_moment_1d, gaussian_running_sup,
-                     intermediate_regime, kernel_evolve, kernel_lp_series,
-                     kernel_moment, kernel_norm_report, moment_report,
-                     source_ball_center)
+                     intermediate_regime, kernel_evolve, kernel_moment,
+                     kernel_norm_report, moment_report, source_ball_center)
 from .rough import (ConstantsBundle, RoughCoefficient, RoughSolution,
                     alpha_practical, explicit_constants, forcing_constant,
                     holder_bound_check, initial_oscillation_check,

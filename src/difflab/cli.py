@@ -77,7 +77,7 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         data["output"]["dir"] = args.out
     cfg = ExperimentConfig(data)
-    if args.refine and args.refine > 0:
+    if args.refine:
         reports = run_with_refinement(cfg, args.refine)
         for k, rep in enumerate(reports):
             n = rep.config["grid"]["n"]

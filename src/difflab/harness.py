@@ -329,14 +329,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text_or_path) -> "ExperimentConfig":
-        path = pathlib.Path(text_or_path)
-        if path.suffix == ".json" or path.exists():
+        """Parse JSON text (first non-blank character ``{``) or read the
+        config file at any other path."""
+        text = str(text_or_path)
+        if not text.lstrip().startswith("{"):
             try:
-                text = path.read_text()
+                text = pathlib.Path(text).read_text()
             except OSError as exc:
-                raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        else:
-            text = str(text_or_path)
+                raise ConfigError(
+                    f"cannot read config {text}: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -660,6 +661,8 @@ def run_experiment(config) -> RunReport:
 
 def run_with_refinement(config, levels: int) -> list[RunReport]:
     """Base run plus ``levels`` mesh halvings (reports in order)."""
+    if levels < 0:
+        raise ConfigError(f"refinement levels must be >= 0, got {levels}")
     cfg = _as_config(config)
     reports = []
     for k in range(levels + 1):

@@ -6,13 +6,13 @@ Besicovitch-style covering, and the global inequality
     theta = (2 - alpha - d/q) / (3 - alpha - d/p),
 
 for pairs with 0 <= u <= lap w (one-sided: no equality required).  The norm
-on w is C^alpha for alpha in (0,1) and the sup norm for alpha = 0; the
-threshold A and every cut-ball rung take the exact seminorm over all of
-their nodes (norms.pair_quotient_max, which keeps the block tree of each
-node set, so every case after the first on the same domain or rung only
-recomputes the W ranges).  The covering marks each kept ball from its grid
-box, so it costs what its balls hold rather than a scan of the domain per
-ball.
+on w is C^alpha for alpha in (0,1) and the sup norm for alpha = 0.  Every
+norm comes from ``norms`` (lp_norm, holder_norm_field) over a node subset:
+the threshold A and every cut-ball rung take the exact seminorm over all
+of their nodes, and the block tree of each node set is kept, so every case
+after the first on the same domain or rung only recomputes the W ranges.
+The covering marks each kept ball from its grid box, so it costs what its
+balls hold rather than a scan of the domain per ball.
 
 The verification domain Omega is a node subset strictly inside the carrier
 mask, so every Laplacian and gradient stencil uses real neighbours; the
@@ -29,22 +29,12 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError, SamplingError
 from .grid import DomainMask, Field, gradient
-from .norms import pair_quotient_max
+from .norms import holder_norm_field, lp_norm
 from .report import EstimateReport
 
 
 # ---------------------------------------------------------------------------
 # cut-ball estimate
-
-
-def _holder_subset(coords: np.ndarray, vals: np.ndarray,
-                   alpha: float) -> float:
-    """C^alpha norm (sup + exact seminorm) over a node subset; alpha = 0 is
-    the sup norm."""
-    sup = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if alpha == 0.0:
-        return sup
-    return sup + pair_quotient_max(coords, vals, alpha)
 
 
 def _dist2(columns: np.ndarray, point) -> np.ndarray:
@@ -112,12 +102,10 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
     _check_one_sided(u, lap_w, domain)
 
     d = mask.grid.dim
-    hd = mask.grid.h ** d
-    coords = mask.node_coords()
     center = np.asarray(center, dtype=float)
-    dist2 = _dist2(np.ascontiguousarray(coords.T), center)
+    dist2 = _dist2(np.ascontiguousarray(mask.node_coords().T), center)
     grad = gradient(u)
-    gmag = np.sqrt((grad ** 2).sum(axis=1))
+    gmag = Field(mask, np.sqrt((grad ** 2).sum(axis=1)))
 
     e_grad = 1.0 - d * (1.0 / p - 1.0 / q)
     e_w = -2.0 + alpha + d / q
@@ -126,9 +114,9 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
         sel = domain & (dist2 <= R * R * (1 + 1e-12))
         if not sel.any():
             raise ParameterError(f"radius {R:.4g} captures no domain nodes")
-        lq = (hd * float(np.sum(u.values[sel] ** q))) ** (1.0 / q)
-        gp = (hd * float(np.sum(gmag[sel] ** p))) ** (1.0 / p)
-        wnorm = _holder_subset(coords[sel], w.values[sel], alpha)
+        lq = lp_norm(u, q, sel)
+        gp = lp_norm(gmag, p, sel)
+        wnorm = holder_norm_field(w, alpha, sel)
         rows.append({"R": R, "lhs": lq,
                      "grad_term": R ** e_grad * gp,
                      "w_term": R ** e_w * wnorm,
@@ -409,14 +397,12 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
     lap_w = _lap_values(lap_w, w)
     _check_one_sided(u, lap_w, domain)
 
-    hd = mask.grid.h ** d
-    coords = mask.node_coords()
     uv = np.where(domain, u.values, 0.0)
-    lhs = (hd * float(np.sum(uv ** q))) ** (1.0 / q)
+    lhs = lp_norm(Field(mask, uv), q)
     grad = gradient(u)
     gmag = np.where(domain, np.sqrt((grad ** 2).sum(axis=1)), 0.0)
-    grad_norm = (hd * float(np.sum(gmag ** p))) ** (1.0 / p)
-    a_norm = _holder_subset(coords[domain], w.values[domain], alpha)
+    grad_norm = lp_norm(Field(mask, gmag), p)
+    a_norm = holder_norm_field(w, alpha, domain)
     if a_norm <= 0:
         raise ParameterError("w vanishes on the domain; threshold A = 0")
 
@@ -426,7 +412,8 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
     # per-ball aggregation diagnostics (the proof chain, made measurable):
     # a sum over the kept balls of sums over their members counts each
     # node once per ball that holds it
-    sum_lq_q = hd * float(cover.counts @ uv[domain] ** q)
+    hd = mask.grid.h ** d
+    sum_lq_q = hd * float(cover.counts @ np.abs(uv[domain]) ** q)
     sum_gp_p = hd * float(cover.counts @ gmag[domain] ** p)
     cover_lq_ratio = sum_lq_q / max(lhs ** q, 1e-300)
     grad_chain_ratio = sum_gp_p / max(grad_norm ** p, 1e-300)

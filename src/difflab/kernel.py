@@ -25,7 +25,7 @@ from .errors import (ParameterError, PreconditionError, SamplingError,
                      SolverError)
 from .grid import (DomainMask, GridSpec, Trajectory, graph_domain_mask, march,
                    stable_dt)
-from .norms import reciprocal
+from .norms import reciprocal, space_norm
 from .report import EstimateReport
 
 _INF = float("inf")
@@ -167,14 +167,6 @@ def fit_power(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), float(math.exp(intercept))
 
 
-def kernel_lp_series(kern: KernelField, p: float) -> np.ndarray:
-    hd = kern.grid.h ** kern.grid.dim
-    v = np.abs(kern.values)
-    if p == _INF:
-        return v.max(axis=1)
-    return (hd * np.sum(v ** p, axis=1)) ** (1.0 / p)
-
-
 def kernel_norm_report(kern: KernelField, p_list=(1.0, 2.0, _INF),
                        tol: float = 0.1) -> EstimateReport:
     """Fit the decay of ||Gamma(t)||_p over the intermediate regime.
@@ -187,7 +179,7 @@ def kernel_norm_report(kern: KernelField, p_list=(1.0, 2.0, _INF),
     rows = []
     worst = 0.0
     for p in p_list:
-        series = kernel_lp_series(kern, p)[idx]
+        series = space_norm(kern.values[idx], kern.grid, p)
         slope, const = fit_power(t, series)
         pp = reciprocal(1.0 - reciprocal(p))
         target = 0.0 if pp == _INF else -d / (2.0 * pp)
@@ -245,7 +237,7 @@ def fitted_prefactor(kern: KernelField, p: float,
     sel = t > 0
     if t_hi is not None:
         sel &= t <= t_hi * (1 + 1e-12)
-    series = kernel_lp_series(kern, p)[sel]
+    series = space_norm(kern.values[sel], kern.grid, p)
     return float(np.max(series * t[sel] ** expo))
 
 

@@ -1,18 +1,21 @@
-"""Discrete norms: Lebesgue, mixed space-time, oscillation, parabolic Hoelder.
+"""Discrete norms: Lebesgue, mixed space-time, oscillation, Hoelder.
 
-Quadrature is the plain node sum times h^d (and the frame gaps in time), so
-constants carry an O(h) bias on boxes; the estimates calibrated against these
-norms use the same quadrature throughout, which is what matters for the checks.
+Every Lebesgue and Hoelder norm a check reports is computed here.  One
+routine, space_norm, gives the L^q norm (h^d times the node sum of |v|^q,
+to the 1/q) of a field or of each frame, over a node subset if given;
+lpq_norm integrates it over the frame gaps (left-rectangle rule).  The
+O(h) bias on boxes is shared by every estimate calibrated against it.
 
-The parabolic Hoelder seminorm is the largest quotient
+The Hoelder seminorm is the largest quotient
 
     |w(t,x) - w(s,y)| / ( |t-s|^(alpha/2) + |x-y|^alpha )
 
-over every pair of space-time nodes, computed exactly by branch-and-bound
-over block pairs (pair_quotient_max).  The block tree (leaves of at most
-_LEAF = 8 points) depends on the points only; the trees of the last
-_TREES_KEPT = 8 point sets are kept, matched by their exact bytes, so
-repeated calls on one node set with new values skip the build.
+over every pair of space-time nodes (every pair of nodes of one field for
+holder_norm_field, whose alpha = 0 is the sup norm), computed exactly by
+branch-and-bound over block pairs (pair_quotient_max).  The block tree
+(leaves of at most _LEAF = 8 points) depends on the points only; the trees
+of the last _TREES_KEPT = 8 point sets are kept, matched by their exact
+bytes, so repeated calls on one node set with new values skip the build.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .grid import Field, ParabolicCylinder, Trajectory
+from .grid import Field, GridSpec, ParabolicCylinder, Trajectory
 
 _INF = float("inf")
 _LEAF = 8                   # points per leaf of the pair_quotient_max tree
@@ -43,22 +46,41 @@ def _check_exponent(p: float, name: str = "p") -> float:
     return p
 
 
-def lp_norm(field: Field, p: float) -> float:
-    """L^p node-quadrature norm; p = inf gives the max norm."""
-    p = _check_exponent(p)
-    v = field.values
-    if p == _INF:
-        return float(np.max(np.abs(v)))
-    hd = field.grid.h ** field.grid.dim
-    return float((hd * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+def space_norm(values: np.ndarray, grid: GridSpec, q: float,
+               nodes: np.ndarray | None = None):
+    """(h^d sum |v|^q)^(1/q) over the last axis of ``values`` and the
+    boolean ``nodes`` (all by default); max |v| for q = inf, 0 over no
+    nodes.  One field gives a scalar (scalar ``**``), a frame matrix one
+    norm per frame (array ``**``, which may differ in the last ulp); one
+    frame repeated with time stride 0 (np.broadcast_to) is normed once."""
+    q = _check_exponent(q, "q")
+    if values.ndim == 2 and values.shape[0] > 1 and values.strides[0] == 0:
+        return np.repeat(space_norm(values[:1], grid, q, nodes),
+                         values.shape[0])
+    if nodes is not None:
+        # compress keeps each frame's nodes contiguous, so every frame is
+        # summed pairwise; a fancy index would sum across frames in order
+        values = np.compress(nodes, values, axis=-1)
+    vals = np.abs(values)
+    if q == _INF:
+        return vals.max(axis=-1, initial=0.0)
+    hd = grid.h ** grid.dim
+    return (hd * np.sum(vals ** q, axis=-1)) ** (1.0 / q)
+
+
+def lp_norm(field: Field, p: float, nodes: np.ndarray | None = None) -> float:
+    """L^p norm (space_norm) of one field over ``nodes``, all active nodes
+    by default; p = inf gives the max norm."""
+    return float(space_norm(field.values, field.grid, p, nodes))
 
 
 def lpq_norm(traj: Trajectory, p: float, q: float,
-             t_lo: float | None = None, t_hi: float | None = None) -> float:
-    """L^p in time of the L^q space norm, left-rectangle rule over the
-    frame gaps (Trajectory.frame_weights)."""
-    p = _check_exponent(p, "p")
-    q = _check_exponent(q, "q")
+             t_lo: float | None = None, t_hi: float | None = None,
+             nodes: np.ndarray | None = None) -> float:
+    """L^p in time of the L^q space norm (space_norm over ``nodes``) on the
+    frames in (t_lo, t_hi], all frames by default, by the left-rectangle
+    rule over the frame gaps (Trajectory.frame_weights)."""
+    p, q = _check_exponent(p, "p"), _check_exponent(q, "q")
     if t_lo is None and t_hi is None:
         idx = np.arange(traj.n_frames)
     else:
@@ -67,15 +89,11 @@ def lpq_norm(traj: Trajectory, p: float, q: float,
         idx = traj.window(lo, hi)
     if idx.size == 0:
         raise DomainError("no frames in the requested time window")
-    hd = traj.grid.h ** traj.grid.dim
-    vals = np.abs(traj.values[idx])
-    if q == _INF:
-        space = vals.max(axis=1)
-    else:
-        space = (hd * np.sum(vals ** q, axis=1)) ** (1.0 / q)
+    run = slice(idx[0], idx[-1] + 1)       # a window is a run of frames
+    space = space_norm(traj.values[run], traj.grid, q, nodes)
     if p == _INF:
         return float(space.max())
-    weights = traj.frame_weights()[idx]
+    weights = traj.frame_weights()[run]
     return float(np.sum(weights * space ** p) ** (1.0 / p))
 
 
@@ -336,10 +354,19 @@ def holder_norm(traj: Trajectory, alpha: float) -> float:
     return sup + pair_quotient_max(X, traj.values.reshape(-1), alpha, T)
 
 
-def holder_norm_field(field: Field, alpha: float) -> float:
-    """Spatial C^alpha norm of a single field (one-frame trajectory)."""
-    traj = Trajectory(field.mask, np.array([0.0]), field.values[None, :])
-    return holder_norm(traj, alpha)
+def holder_norm_field(field: Field, alpha: float,
+                      nodes: np.ndarray | None = None) -> float:
+    """Spatial C^alpha norm of one field over ``nodes``, all active nodes
+    by default: sup |w| plus the largest pair quotient over every node
+    pair (exact, pair_quotient_max); alpha = 0 is the sup norm."""
+    if not 0 <= alpha <= 1:
+        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
+    sup = lp_norm(field, _INF, nodes)
+    if alpha == 0:
+        return sup
+    keep = slice(None) if nodes is None else nodes
+    return sup + pair_quotient_max(field.mask.node_coords()[keep],
+                                   field.values[keep], alpha)
 
 
 def lipschitz_norm(field: Field) -> float:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
+
 SCHEMA = "difflab-report/1"
 
 
@@ -119,17 +121,27 @@ def emit(report: RunReport, out_dir, stem: str = "report",
 
 
 def parse_report(text: str) -> RunReport:
-    """Inverse of :meth:`RunReport.to_json` (round-trip safe)."""
-    raw = json.loads(text)
-    if raw.get("schema") != SCHEMA:
-        raise ValueError(f"unknown report schema: {raw.get('schema')!r}")
-    checks = [
-        EstimateReport(
-            check=row["check"], lhs=row["lhs"], rhs=row["rhs"],
-            passed=row["pass"], params=row.get("params", {}),
-            grid=row.get("grid", {}), details=row.get("details", {}),
-        )
-        for row in raw["checks"]
-    ]
-    return RunReport(config=raw["config"], checks=checks,
-                     wall_time=raw.get("wall_time", 0.0))
+    """Inverse of :meth:`RunReport.to_json` (round-trip safe); malformed
+    text raises ParameterError."""
+    try:
+        raw = json.loads(text)
+        schema = raw.get("schema") if isinstance(raw, dict) else None
+        if schema != SCHEMA:
+            raise ParameterError(f"unknown report schema: {schema!r}")
+        checks = [
+            EstimateReport(
+                check=row["check"], lhs=row["lhs"], rhs=row["rhs"],
+                passed=row["pass"], params=row.get("params", {}),
+                grid=row.get("grid", {}), details=row.get("details", {}),
+            )
+            for row in raw["checks"]
+        ]
+        return RunReport(config=raw["config"], checks=checks,
+                         wall_time=raw.get("wall_time", 0.0))
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"report is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ParameterError(f"report lacks the field {exc.args[0]!r}") \
+            from exc
+    except TypeError as exc:
+        raise ParameterError(f"report has a malformed entry: {exc}") from exc

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, PreconditionError
 from .grid import Field, ParabolicCylinder, Trajectory, march
-from .norms import holder_norm, lipschitz_norm, oscillation, reciprocal
+from .norms import (holder_norm, lipschitz_norm, lpq_norm, oscillation,
+                    reciprocal)
 from .report import EstimateReport
 
 _INF = float("inf")
@@ -185,12 +186,13 @@ class RoughCoefficient:
         return float(np.min(vals)), float(np.max(vals))
 
 
-def _active_at(data, t: float):
+def _active_at(data, t):
     """Active-node values of a Trajectory (piecewise constant in time, left
-    frame rule) or a Field at time t; a scalar stays a scalar."""
+    frame rule; one row per time for an array t) or a Field at time t; a
+    scalar stays a scalar."""
     if isinstance(data, Trajectory):
-        k = int(np.searchsorted(data.times, t + 1e-12, side="right") - 1)
-        return data.values[min(max(k, 0), data.n_frames - 1)]
+        k = np.searchsorted(data.times, t + 1e-12, side="right") - 1
+        return data.values[np.maximum(k, 0)]        # k < n_frames already
     if isinstance(data, Field):
         return data.values
     return float(data)
@@ -254,27 +256,15 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
 # measured norms over cylinders
 
 
-def _cylinder_lpq(forcing, traj: Trajectory, p: float, q: float,
-                  t_lo: float, t_hi: float, nodes: np.ndarray) -> float:
-    """||f||_{L^p L^q} over (t_lo, t_hi] x (ball cap), left-rectangle rule
-    over the frame gaps."""
-    hd = traj.grid.h ** traj.grid.dim
-    idx = traj.window(t_lo, t_hi)
-    if idx.size == 0:
-        raise DomainError("empty time window for the forcing norm")
-    vals = []
-    for k in idx:
-        f = _active_at(forcing, traj.times[k])
-        fa = np.abs(np.broadcast_to(f, nodes.shape)[nodes])
-        if q == _INF:
-            vals.append(float(fa.max()) if fa.size else 0.0)
-        else:
-            vals.append(float((hd * np.sum(fa ** q)) ** (1.0 / q)))
-    vals = np.asarray(vals)
-    if p == _INF:
-        return float(vals.max())
-    weights = traj.frame_weights()[idx]
-    return float(np.sum(weights * vals ** p) ** (1.0 / p))
+def _on_frames(forcing, traj: Trajectory, positive: bool = False):
+    """``forcing``, or its positive part, on the frame times of ``traj`` by
+    the left frame rule of :func:`_active_at`.  A scalar or Field is one
+    frame repeated in time (stride 0), which lpq_norm norms once."""
+    f = _active_at(forcing, traj.times)
+    if positive:
+        f = np.maximum(f, 0.0)
+    return Trajectory(traj.mask, traj.times,
+                      np.broadcast_to(f, traj.values.shape))
 
 
 def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
@@ -302,8 +292,8 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
     f_norm = 0.0
     if forcing is not None:
         nodes = traj.mask.ball_nodes(cyl.x0, cyl.radius)
-        f_norm = _cylinder_lpq(forcing, traj, consts.p, consts.q,
-                               cyl.t0 - cyl.window, cyl.t0, nodes)
+        f_norm = lpq_norm(_on_frames(forcing, traj), consts.p, consts.q,
+                          cyl.t0 - cyl.window, cyl.t0, nodes)
         if f_norm > 0:
             if kernel_prefactor is None:
                 raise ParameterError(
@@ -327,10 +317,8 @@ def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     """||w||_inf <= K1 C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf."""
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
-    nodes = np.ones(traj.mask.active_count, dtype=bool)
-    fplus = _positive_part(forcing)
-    fp_norm = _cylinder_lpq(fplus, traj, consts.p, consts.q,
-                            traj.times[0], traj.times[-1], nodes) \
+    fp_norm = lpq_norm(_on_frames(forcing, traj, positive=True), consts.p,
+                       consts.q, traj.times[0], traj.times[-1]) \
         if forcing is not None else 0.0
     expo = 1.0 - reciprocal(consts.p) - consts.d * reciprocal(consts.q) / 2.0
     bound = (consts.K1 * kernel_prefactor * horizon ** expo * fp_norm
@@ -346,17 +334,6 @@ def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
         grid=traj.grid.record(),
         details={"dtw_negative_fraction": sol.dtw_negative_fraction},
     )
-
-
-def _positive_part(forcing):
-    if forcing is None:
-        return None
-    if isinstance(forcing, Trajectory):
-        return Trajectory(forcing.mask, forcing.times,
-                          np.maximum(forcing.values, 0.0))
-    if isinstance(forcing, Field):
-        return Field(forcing.mask, np.maximum(forcing.values, 0.0))
-    return max(float(forcing), 0.0)
 
 
 def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
@@ -380,8 +357,8 @@ def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
     hi = max(float(block.max()), float(w0.max()))
     measured = hi - lo
     lip = lipschitz_norm(w_init)
-    f_norm = _cylinder_lpq(forcing, traj, consts.p, consts.q, t0,
-                           t0 + cyl.window, nodes) if forcing is not None else 0.0
+    f_norm = lpq_norm(_on_frames(forcing, traj), consts.p, consts.q, t0,
+                      t0 + cyl.window, nodes) if forcing is not None else 0.0
     bound = (k2 * cyl.radius ** (1.0 - 2.0 * eps) * lip
              + k3 * cyl.radius ** consts.gamma * f_norm)
     return EstimateReport(
@@ -414,14 +391,13 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     """
     traj = sol.traj
     alpha = consts.alpha
-    nodes = np.ones(traj.mask.active_count, dtype=bool)
     w_sup = float(np.max(np.abs(traj.values)))
     lip = lipschitz_norm(w_init)
     if forcing is not None:
-        f_norm = _cylinder_lpq(forcing, traj, consts.p, consts.q,
-                               traj.times[0], traj.times[-1], nodes)
-        fp_norm = _cylinder_lpq(_positive_part(forcing), traj, consts.p,
-                                consts.q, traj.times[0], traj.times[-1], nodes)
+        f_norm, fp_norm = (
+            lpq_norm(_on_frames(forcing, traj, positive), consts.p, consts.q,
+                     traj.times[0], traj.times[-1])
+            for positive in (False, True))
     else:
         f_norm = fp_norm = 0.0
 

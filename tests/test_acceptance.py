@@ -27,7 +27,6 @@ from difflab import (
     gaussian_lower_bound_check,
     interpolation_check,
     kernel_evolve,
-    kernel_lp_series,
     kernel_moment,
     moment_report,
     nu_bounds_report,
@@ -46,6 +45,7 @@ from difflab import (
     skt_solve,
     solve_rough,
     source_ball_center,
+    space_norm,
     structural_checks,
 )
 from difflab.harness import (_positive_bumps, _random_bumps,
@@ -106,8 +106,8 @@ def test_criterion_02_kernel_decay(kernel96):
     mass_dev = float(np.max(np.abs(hd * kern.values.sum(axis=1) - 1.0)))
     idx = intermediate_regime(kern)
     t = kern.times[idx]
-    slope_inf, _ = fit_power(t, kernel_lp_series(kern, INF)[idx])
-    slope_two, _ = fit_power(t, kernel_lp_series(kern, 2.0)[idx])
+    slope_inf, _ = fit_power(t, space_norm(kern.values, kern.grid, INF)[idx])
+    slope_two, _ = fit_power(t, space_norm(kern.values, kern.grid, 2.0)[idx])
     ok = (mass_dev <= 1e-9
           and abs(slope_inf - (-1.0)) <= 0.1
           and abs(slope_two - (-0.5)) <= 0.07)

@@ -643,6 +643,52 @@ def test_lpq_norm_weights_unequal_frame_gaps():
                                                      rel=1e-13)
 
 
+def test_lebesgue_norms_over_a_node_subset():
+    """A boolean node subset norms only its nodes, in lp_norm and frame by
+    frame in lpq_norm; over no nodes the max norm is 0."""
+    inf = float("inf")
+    mask = full_mask(_grid(17, 2))
+    n = mask.active_count
+    rng = np.random.default_rng(5)
+    nodes = rng.random(n) < 0.4
+    f = Field(mask, rng.standard_normal(n))
+    hd = mask.grid.h ** 2
+    for p in (1.0, 2.5):
+        assert lp_norm(f, p, nodes) == \
+            (hd * np.sum(np.abs(f.values[nodes]) ** p)) ** (1.0 / p)
+    assert lp_norm(f, inf, nodes) == np.max(np.abs(f.values[nodes]))
+    assert lp_norm(f, inf, np.zeros(n, dtype=bool)) == 0.0
+    traj = Trajectory(mask, 0.1 * np.arange(6), rng.standard_normal((6, n)))
+    per_frame = [lp_norm(traj.frame(k), 3.0, nodes) for k in range(6)]
+    want = math.sqrt(sum(0.1 * v ** 2 for v in per_frame))
+    assert lpq_norm(traj, 2.0, 3.0, nodes=nodes) == \
+        pytest.approx(want, rel=1e-13)
+    assert lpq_norm(traj, inf, inf, t_lo=0.15, t_hi=0.45, nodes=nodes) == \
+        np.max(np.abs(traj.values[2:5][:, nodes]))
+
+
+def test_a_repeated_frame_is_normed_to_the_bits_of_stored_frames():
+    """Frames that repeat one field with time stride 0 (as a time-constant
+    forcing is sampled) are normed once, with the bits the same frames
+    give when stored in full."""
+    inf = float("inf")
+    mask = full_mask(_grid(17, 2))
+    n = mask.active_count
+    rng = np.random.default_rng(6)
+    row = rng.standard_normal(n)
+    nodes = rng.random(n) < 0.5
+    times = np.array([0.0, 0.1, 0.3, 0.35, 0.6])
+    view = Trajectory(mask, times, np.broadcast_to(row, (5, n)))
+    assert view.values.strides[0] == 0
+    stored = Trajectory(mask, times, np.tile(row, (5, 1)))
+    for p, q in ((2.0, 4.0), (1.0, 3.0), (inf, 2.5), (3.0, inf)):
+        for sub in (None, nodes):
+            assert lpq_norm(view, p, q, nodes=sub) == \
+                lpq_norm(stored, p, q, nodes=sub)
+        assert lpq_norm(view, p, q, 0.05, 0.4) == \
+            lpq_norm(stored, p, q, 0.05, 0.4)
+
+
 # ---------------------------------------------------------------------------
 # oscillation
 
@@ -722,6 +768,24 @@ def test_holder_norm_time_jump():
     got = holder_norm(traj, 0.5)
     assert got == 1.0 + _brute_quotient_max(X, W, 0.5, T)
     assert got == pytest.approx(1.0 + 1.0 / 0.99 ** 0.25, rel=1e-12)
+
+
+def test_holder_norm_field_over_a_node_subset():
+    """sup |w| plus the exact pair quotient over the subset's nodes only;
+    alpha = 0 is the sup norm."""
+    mask = full_mask(_grid(17, 2))
+    rng = np.random.default_rng(7)
+    f = Field(mask, rng.standard_normal(mask.active_count))
+    nodes = rng.random(mask.active_count) < 0.3
+    X, W = mask.node_coords()[nodes], f.values[nodes]
+    sup = float(np.max(np.abs(W)))
+    assert holder_norm_field(f, 0.0, nodes) == sup
+    assert holder_norm_field(f, 0.0) == float(np.max(np.abs(f.values)))
+    assert holder_norm_field(f, 0.4, nodes) == \
+        sup + _brute_quotient_max(X, W, 0.4)
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(ParameterError):
+            holder_norm_field(f, alpha)
 
 
 def _space_time_points(traj):

@@ -16,6 +16,7 @@ from difflab import (
     DomainMask,
     Field,
     GridSpec,
+    LabError,
     ParameterError,
     Trajectory,
     admissible_graph_domain,
@@ -210,6 +211,27 @@ def test_config_from_json_text_and_path(tmp_path):
         ExperimentConfig.from_json("{broken")
 
 
+def test_config_text_longer_than_a_file_name_runs():
+    """JSON text is told from a path by its leading brace, so text longer
+    than the OS file-name limit is parsed rather than looked up."""
+    cfg = preset_config("oscdecay")
+    cfg["seed"] = 2
+    cfg["grid"]["n"] = 25
+    cfg["system"]["forcing"] = "random"
+    text = "  " + json.dumps(cfg)
+    assert len(text) > 255
+    assert run_experiment(text).to_json() == run_experiment(cfg).to_json()
+    assert ExperimentConfig.from_json(text).resolved \
+        == ExperimentConfig(cfg).resolved
+
+
+def test_unreadable_config_path_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config"):
+        ExperimentConfig.from_json(tmp_path / "missing.json")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        run_experiment(str(tmp_path / "missing.json"))
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 
@@ -243,6 +265,23 @@ def test_report_json_round_trip_and_csv():
     assert len(lines) == 1 + len(report.checks)
     with pytest.raises(ValueError, match="schema"):
         parse_report(json.dumps({"schema": "other/9", "checks": []}))
+
+
+def test_parse_report_raises_parameter_error_on_malformed_text():
+    good = json.loads(run_experiment(SMALL_CONFIGS["oscdecay"]).to_json())
+    with pytest.raises(ParameterError, match="not valid JSON"):
+        parse_report("{truncated")
+    with pytest.raises(ParameterError, match="schema"):
+        parse_report(json.dumps(dict(good, schema="other/9")))
+    with pytest.raises(ParameterError, match="schema"):
+        parse_report("[]")
+    for checks in (["not a row"], 5):
+        with pytest.raises(ParameterError, match="malformed entry"):
+            parse_report(json.dumps(dict(good, checks=checks)))
+    del good["checks"][0]["lhs"]
+    with pytest.raises(ParameterError, match="'lhs'"):
+        parse_report(json.dumps(good))
+    assert issubclass(ParameterError, LabError)
 
 
 def test_emit_writes_byte_identical_files(tmp_path):
@@ -405,6 +444,15 @@ def test_cli_run_refine_and_out(tmp_path, capsys):
     assert (out_dir / "report_r1.json").exists()
     text = capsys.readouterr().out
     assert "level 0" in text and "level 1" in text
+
+
+def test_negative_refinement_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="levels must be >= 0"):
+        run_with_refinement(SMALL_CONFIGS["quad4"], levels=-1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMALL_CONFIGS["quad4"]))
+    assert main(["run", str(path), "--refine", "-1"]) == 1
+    assert "config error: refinement levels" in capsys.readouterr().err
 
 
 def test_cli_seed_override_changes_the_run(tmp_path):

@@ -409,3 +409,33 @@ def test_interpolation_rejects_onesided_violation():
     with pytest.raises(PreconditionError, match="one-sided condition"):
         interpolation_check(bad, w, p=2.0, q=Q_MIN, alpha=ALPHA, r0=0.25,
                             domain=domain)
+
+
+def test_tiny_negative_u_within_the_slack_reports_as_zero():
+    """The one-sided check admits u >= -1e-10, so a domain node at -1e-12
+    must report what the node at 0.0 reports (up to the roundoff it puts
+    into the gradient), not NaN from a negative base under a fractional
+    power."""
+    mask = full_mask(GridSpec.make((1.0, 1.0, 1.0), 16))
+    domain = interior_domain(mask)
+    u, w = random_admissible_pair(mask, domain, np.random.default_rng(3))
+    node = np.flatnonzero(domain)[500]
+    reports = []
+    for value in (-1e-12, 0.0):
+        vals = u.values.copy()
+        vals[node] = value
+        reports.append(interpolation_check(Field(mask, vals), w, p=2.0,
+                                           q=3.857, alpha=0.3, r0=0.25,
+                                           domain=domain))
+    neg, zero = reports
+    assert neg.passed == zero.passed
+    assert neg.lhs == pytest.approx(zero.lhs, rel=1e-12)
+    assert neg.rhs == pytest.approx(zero.rhs, rel=1e-12)
+    for block in ("params", "details"):
+        got, want = getattr(neg, block), getattr(zero, block)
+        assert got.keys() == want.keys()
+        for key, val in want.items():
+            if isinstance(val, float):
+                assert got[key] == pytest.approx(val, rel=1e-12), key
+            else:
+                assert got[key] == val, key

@@ -9,9 +9,9 @@ from difflab import (Field, GridSpec, ParameterError, PreconditionError,
                      fit_power, fitted_moment_prefactor, fitted_prefactor,
                      full_mask, gaussian_heat, gaussian_lower_bound_check,
                      gaussian_moment_1d, gaussian_running_sup,
-                     intermediate_regime, kernel_evolve, kernel_lp_series,
-                     kernel_moment, kernel_norm_report,
-                     moment_report, source_ball_center, stable_dt)
+                     intermediate_regime, kernel_evolve, kernel_moment,
+                     kernel_norm_report, moment_report, source_ball_center,
+                     space_norm, stable_dt)
 
 MASS_TOL = 1e-9
 NEG_TOL = 1e-12
@@ -146,9 +146,10 @@ def test_decay_slopes_2d():
     kern = kernel_evolve(_box(1.0, 49, 2), (0.5, 0.5), 0.3, n_frames=96)
     idx = intermediate_regime(kern)
     t = kern.times[idx]
-    s1, _ = fit_power(t, kernel_lp_series(kern, 1.0)[idx])
-    s2, _ = fit_power(t, kernel_lp_series(kern, 2.0)[idx])
-    sinf, _ = fit_power(t, kernel_lp_series(kern, float("inf"))[idx])
+    s1, _ = fit_power(t, space_norm(kern.values, kern.grid, 1.0)[idx])
+    s2, _ = fit_power(t, space_norm(kern.values, kern.grid, 2.0)[idx])
+    sinf, _ = fit_power(t, space_norm(kern.values, kern.grid,
+                                      float("inf"))[idx])
     assert abs(s1) <= 0.02            # mass neither decays nor grows
     assert s2 == pytest.approx(-0.5, abs=0.07)
     assert sinf == pytest.approx(-1.0, abs=0.1)
@@ -162,8 +163,9 @@ def test_decay_slopes_1d():
     kern = kernel_evolve(_box(1.0, 65, 1), (0.5,), 0.3, n_frames=128)
     idx = intermediate_regime(kern)
     t = kern.times[idx]
-    s2, _ = fit_power(t, kernel_lp_series(kern, 2.0)[idx])
-    sinf, _ = fit_power(t, kernel_lp_series(kern, float("inf"))[idx])
+    s2, _ = fit_power(t, space_norm(kern.values, kern.grid, 2.0)[idx])
+    sinf, _ = fit_power(t, space_norm(kern.values, kern.grid,
+                                      float("inf"))[idx])
     assert s2 == pytest.approx(-0.25, abs=0.05)
     assert sinf == pytest.approx(-0.5, abs=0.07)
 
@@ -282,7 +284,7 @@ def test_fitted_prefactors_positive_and_deterministic():
     assert m1 > 0
     # the fit dominates the measured series on the window it was fit on
     idx = kern.times > 0
-    series = kernel_lp_series(kern, 2.0)[idx]
+    series = space_norm(kern.values, kern.grid, 2.0)[idx]
     bound = c1 * kern.times[idx] ** (-(2.0 - 1.0) / 2.0 *
                                      (2.0 / 2.0))  # d/2 (1 - 1/p), d=2, p=2
     assert np.all(series <= bound * (1 + 1e-9))

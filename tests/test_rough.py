@@ -12,9 +12,9 @@ from difflab import (ConstantsBundle, DomainError, Field, GridSpec,
                      fitted_moment_prefactor, forcing_constant, full_mask,
                      holder_bound_check, initial_oscillation_check,
                      iteration_c1, iteration_lambda, k2_constant,
-                     k3_constant, kernel_evolve, oscillation_decay_check,
-                     shrunk_radius, solve_rough, supremum_bound_check,
-                     unit_ball_volume)
+                     k3_constant, kernel_evolve, lpq_norm,
+                     oscillation_decay_check, shrunk_radius, solve_rough,
+                     supremum_bound_check, unit_ball_volume)
 from difflab.rough import _active_at
 
 INF = float("inf")
@@ -431,3 +431,74 @@ def test_initial_oscillation_check_smoke():
     assert rep.passed
     assert rep.lhs <= rep.rhs
     assert np.isfinite(rep.rhs)
+
+
+# ---------------------------------------------------------------------------
+# forcing norms at finite (p, q)
+
+
+def _forced_run_4_4():
+    """A 2-D run at (p, q) = (4, 4) under a sign-changing Field forcing."""
+    rng = np.random.default_rng(11)
+    mask = full_mask(GridSpec.make((1.0, 1.0), 17))
+    consts = explicit_constants(2, 4.0, 4.0, 1.0, 2.0)
+    f = Field(mask, rng.standard_normal(mask.active_count))
+    w0 = Field(mask, rng.random(mask.active_count))
+    sol = solve_rough(w0, RoughCoefficient(1.0, 1.0, 2.0), forcing=f,
+                      t_end=0.05, n_frames=17)
+    cyl = ParabolicCylinder(t0=0.05, x0=(0.5, 0.5), radius=0.3,
+                            shape=consts.beta)
+    return sol, consts, w0, cyl, f
+
+
+def _forced_reports(sol, consts, w0, cyl, forcing):
+    return [oscillation_decay_check(sol, cyl, consts, forcing=forcing,
+                                    kernel_prefactor=1.0),
+            supremum_bound_check(sol, consts, w0, forcing=forcing),
+            initial_oscillation_check(sol, consts, w0, cyl, 0.25, 1.0, 1.0,
+                                      forcing=forcing)]
+
+
+def test_field_forcing_norms_equal_those_of_its_stored_frames():
+    """A Field forcing is normed once; the checks report the bits of the
+    same frame stored on every solution frame time, and the norms are
+    lpq_norm's over each check's window and ball."""
+    sol, consts, w0, cyl, f = _forced_run_4_4()
+    times = sol.traj.times
+    stored = Trajectory(f.mask, times, np.tile(f.values, (times.size, 1)))
+    by_field = _forced_reports(sol, consts, w0, cyl, f)
+    by_frames = _forced_reports(sol, consts, w0, cyl, stored)
+    for a, b in zip(by_field, by_frames):
+        assert a.to_dict() == b.to_dict()
+    osc, sup, init = by_field
+    ball = f.mask.ball_nodes(cyl.x0, cyl.radius)
+    assert osc.params["f_norm"] == lpq_norm(
+        stored, 4.0, 4.0, cyl.t0 - cyl.window, cyl.t0, ball)
+    assert init.details["f_norm"] == lpq_norm(
+        stored, 4.0, 4.0, times[0], times[0] + cyl.window, ball)
+    positive = Trajectory(f.mask, times, np.maximum(stored.values, 0.0))
+    assert sup.params["f_plus_norm"] == lpq_norm(positive, 4.0, 4.0,
+                                                 times[0], times[-1])
+    assert 0.0 < sup.params["f_plus_norm"] < lpq_norm(stored, 4.0, 4.0,
+                                                      times[0], times[-1])
+
+
+def test_trajectory_forcing_is_sampled_by_the_left_frame_rule():
+    """A forcing Trajectory with its own frame times enters each solution
+    frame with the frame in force at that time, as in the solver."""
+    sol, consts, w0, cyl, f = _forced_run_4_4()
+    rng = np.random.default_rng(12)
+    mask, times = f.mask, sol.traj.times
+    forcing = Trajectory(mask, np.array([0.0, 0.011, 0.0305]),
+                         rng.standard_normal((3, mask.active_count)))
+    rows = _active_at(forcing, times)
+    assert rows.shape == (times.size, mask.active_count)
+    for k, t in enumerate(times):
+        assert np.array_equal(rows[k], _active_at(forcing, t))
+    sampled = Trajectory(mask, times, rows)
+    osc, sup, init = _forced_reports(sol, consts, w0, cyl, forcing)
+    assert [r.to_dict() for r in (osc, sup, init)] == \
+        [r.to_dict() for r in _forced_reports(sol, consts, w0, cyl, sampled)]
+    ball = mask.ball_nodes(cyl.x0, cyl.radius)
+    assert osc.params["f_norm"] == lpq_norm(
+        sampled, 4.0, 4.0, cyl.t0 - cyl.window, cyl.t0, ball)
