@@ -7,7 +7,7 @@ Besicovitch-style covering, and the global inequality
 
 for pairs with 0 <= u <= lap w (one-sided: no equality required).  The norm
 on w is C^alpha for alpha in (0,1) and the sup norm for alpha = 0.  Every
-norm comes from ``norms`` (lp_norm, holder_norm_field) over a node subset:
+norm comes from ``norms`` (space_norm, holder_norm_field) over a node subset:
 the threshold A and every cut-ball rung take the exact seminorm over all
 of their nodes, and the block tree of each node set is kept, so every case
 after the first on the same domain or rung only recomputes the W ranges.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError, SamplingError
 from .grid import DomainMask, Field, gradient
-from .norms import holder_norm_field, lp_norm
+from .norms import holder_norm_field, lp_norm, space_norm
 from .report import EstimateReport
 
 
@@ -105,7 +105,7 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
     center = np.asarray(center, dtype=float)
     dist2 = _dist2(np.ascontiguousarray(mask.node_coords().T), center)
     grad = gradient(u)
-    gmag = Field(mask, np.sqrt((grad ** 2).sum(axis=1)))
+    gmag = np.sqrt((grad ** 2).sum(axis=1))
 
     e_grad = 1.0 - d * (1.0 / p - 1.0 / q)
     e_w = -2.0 + alpha + d / q
@@ -115,7 +115,7 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
         if not sel.any():
             raise ParameterError(f"radius {R:.4g} captures no domain nodes")
         lq = lp_norm(u, q, sel)
-        gp = lp_norm(gmag, p, sel)
+        gp = float(space_norm(gmag, mask.grid, p, sel))
         wnorm = holder_norm_field(w, alpha, sel)
         rows.append({"R": R, "lhs": lq,
                      "grad_term": R ** e_grad * gp,
@@ -398,10 +398,10 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
     _check_one_sided(u, lap_w, domain)
 
     uv = np.where(domain, u.values, 0.0)
-    lhs = lp_norm(Field(mask, uv), q)
+    lhs = float(space_norm(uv, mask.grid, q))
     grad = gradient(u)
     gmag = np.where(domain, np.sqrt((grad ** 2).sum(axis=1)), 0.0)
-    grad_norm = lp_norm(Field(mask, gmag), p)
+    grad_norm = float(space_norm(gmag, mask.grid, p))
     a_norm = holder_norm_field(w, alpha, domain)
     if a_norm <= 0:
         raise ParameterError("w vanishes on the domain; threshold A = 0")

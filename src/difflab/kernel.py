@@ -146,7 +146,7 @@ def intermediate_regime(kern: KernelField) -> np.ndarray:
     """Frame indices with 4h^2 <= t <= t_mix (first sup <= 2/|Omega|)."""
     h = kern.grid.h
     t = kern.times
-    sup = np.max(np.abs(kern.values), axis=1)
+    sup = space_norm(kern.values, kern.grid, _INF)
     t_lo = 4.0 * h * h
     vol = domain_volume(kern.mask)
     mixed = np.nonzero((sup <= 2.0 / vol) & (t > 0))[0]

@@ -39,7 +39,7 @@ def reciprocal(p: float) -> float:
     return _INF if p == 0.0 else 1.0 / p
 
 
-def _check_exponent(p: float, name: str = "p") -> float:
+def _check_exponent(p: float, name: str) -> float:
     p = float(p)
     if p != _INF and p < 1:
         raise ParameterError(f"{name} must be >= 1 or inf, got {p}")
@@ -51,12 +51,8 @@ def space_norm(values: np.ndarray, grid: GridSpec, q: float,
     """(h^d sum |v|^q)^(1/q) over the last axis of ``values`` and the
     boolean ``nodes`` (all by default); max |v| for q = inf, 0 over no
     nodes.  One field gives a scalar (scalar ``**``), a frame matrix one
-    norm per frame (array ``**``, which may differ in the last ulp); one
-    frame repeated with time stride 0 (np.broadcast_to) is normed once."""
-    q = _check_exponent(q, "q")
-    if values.ndim == 2 and values.shape[0] > 1 and values.strides[0] == 0:
-        return np.repeat(space_norm(values[:1], grid, q, nodes),
-                         values.shape[0])
+    norm per frame (array ``**``, which may differ in the last ulp).  q is
+    not checked here; lp_norm and lpq_norm check their exponents."""
     if nodes is not None:
         # compress keeps each frame's nodes contiguous, so every frame is
         # summed pairwise; a fancy index would sum across frames in order
@@ -71,7 +67,8 @@ def space_norm(values: np.ndarray, grid: GridSpec, q: float,
 def lp_norm(field: Field, p: float, nodes: np.ndarray | None = None) -> float:
     """L^p norm (space_norm) of one field over ``nodes``, all active nodes
     by default; p = inf gives the max norm."""
-    return float(space_norm(field.values, field.grid, p, nodes))
+    return float(space_norm(field.values, field.grid,
+                            _check_exponent(p, "p"), nodes))
 
 
 def lpq_norm(traj: Trajectory, p: float, q: float,
@@ -350,7 +347,7 @@ def holder_norm(traj: Trajectory, alpha: float) -> float:
     n_frames, n_nodes = traj.values.shape
     T = np.repeat(traj.times, n_nodes)
     X = np.tile(traj.mask.node_coords(), (n_frames, 1))
-    sup = float(np.max(np.abs(traj.values)))
+    sup = lpq_norm(traj, _INF, _INF)
     return sup + pair_quotient_max(X, traj.values.reshape(-1), alpha, T)
 
 

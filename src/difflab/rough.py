@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, PreconditionError
 from .grid import Field, ParabolicCylinder, Trajectory, march
-from .norms import (holder_norm, lipschitz_norm, lpq_norm, oscillation,
-                    reciprocal)
+from .norms import (holder_norm, lipschitz_norm, lp_norm, lpq_norm,
+                    oscillation, reciprocal)
 from .report import EstimateReport
 
 _INF = float("inf")
@@ -258,8 +258,8 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
 
 def _on_frames(forcing, traj: Trajectory, positive: bool = False):
     """``forcing``, or its positive part, on the frame times of ``traj`` by
-    the left frame rule of :func:`_active_at`.  A scalar or Field is one
-    frame repeated in time (stride 0), which lpq_norm norms once."""
+    the left frame rule of :func:`_active_at`; a scalar or Field is one
+    frame broadcast over every frame time."""
     f = _active_at(forcing, traj.times)
     if positive:
         f = np.maximum(f, 0.0)
@@ -280,7 +280,7 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
         raise ParameterError("cylinder shape must equal beta from the bundle")
     osc_full = oscillation(traj, cyl)
     quarter = cyl.shrink(4.0)
-    scale = max(1.0, float(np.max(np.abs(traj.values))))
+    scale = max(1.0, lpq_norm(traj, _INF, _INF))
     if osc_full <= 1e-12 * scale:
         return EstimateReport(
             check="oscillation_decay", lhs=0.0, rhs=1.0 - consts.delta,
@@ -314,17 +314,19 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
 def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
                          w_init: Field, forcing=None,
                          kernel_prefactor: float = 1.0) -> EstimateReport:
-    """||w||_inf <= K1 C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf."""
+    """||w||_inf <= K1 C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf,
+    with ||w||_inf measured over the frames in (t0, T] (every frame if
+    there is only one)."""
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
+    t_lo = traj.times[0] if traj.n_frames > 1 else None
     fp_norm = lpq_norm(_on_frames(forcing, traj, positive=True), consts.p,
                        consts.q, traj.times[0], traj.times[-1]) \
         if forcing is not None else 0.0
     expo = 1.0 - reciprocal(consts.p) - consts.d * reciprocal(consts.q) / 2.0
     bound = (consts.K1 * kernel_prefactor * horizon ** expo * fp_norm
-             + float(np.max(np.abs(w_init.values))))
-    measured = float(np.max(np.abs(traj.values[1:]))) \
-        if traj.n_frames > 1 else float(np.max(np.abs(traj.values)))
+             + lp_norm(w_init, _INF))
+    measured = lpq_norm(traj, _INF, _INF, t_lo)
     return EstimateReport(
         check="supremum_bound",
         lhs=measured, rhs=bound,
@@ -391,7 +393,7 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     """
     traj = sol.traj
     alpha = consts.alpha
-    w_sup = float(np.max(np.abs(traj.values)))
+    w_sup = lpq_norm(traj, _INF, _INF)
     lip = lipschitz_norm(w_init)
     if forcing is not None:
         f_norm, fp_norm = (

@@ -667,10 +667,24 @@ def test_lebesgue_norms_over_a_node_subset():
         np.max(np.abs(traj.values[2:5][:, nodes]))
 
 
+def test_exponents_are_checked_under_the_callers_names():
+    """lp_norm names its exponent p; lpq_norm names p and q apart."""
+    mask = full_mask(_grid(9, 1))
+    f = Field(mask, np.ones(mask.active_count))
+    traj = Trajectory(mask, np.array([0.0, 1.0]),
+                      np.ones((2, mask.active_count)))
+    with pytest.raises(ParameterError, match="^p must"):
+        lp_norm(f, 0.5)
+    with pytest.raises(ParameterError, match="^p must"):
+        lpq_norm(traj, 0.5, 2.0)
+    with pytest.raises(ParameterError, match="^q must"):
+        lpq_norm(traj, 2.0, 0.5)
+
+
 def test_a_repeated_frame_is_normed_to_the_bits_of_stored_frames():
     """Frames that repeat one field with time stride 0 (as a time-constant
-    forcing is sampled) are normed once, with the bits the same frames
-    give when stored in full."""
+    forcing is sampled) are normed to the bits the same frames give when
+    stored in full."""
     inf = float("inf")
     mask = full_mask(_grid(17, 2))
     n = mask.active_count

@@ -460,9 +460,9 @@ def _forced_reports(sol, consts, w0, cyl, forcing):
 
 
 def test_field_forcing_norms_equal_those_of_its_stored_frames():
-    """A Field forcing is normed once; the checks report the bits of the
-    same frame stored on every solution frame time, and the norms are
-    lpq_norm's over each check's window and ball."""
+    """The checks report for a Field forcing the bits of the same frame
+    stored on every solution frame time, and the norms are lpq_norm's
+    over each check's window and ball."""
     sol, consts, w0, cyl, f = _forced_run_4_4()
     times = sol.traj.times
     stored = Trajectory(f.mask, times, np.tile(f.values, (times.size, 1)))
