@@ -522,32 +522,32 @@ def poisson_neumann(rhs: Field) -> Field:
 # explicit time marching
 
 
-def _stacked_operator(mask: DomainMask, j: int):
-    """``apply(x, out)``: add L times each row of a contiguous (j, N) block,
-    flattened as ``x``, into the flat ``out``.
+def _stacked_operator(mask: DomainMask, scale: np.ndarray):
+    """``apply(x, out)``: add ``scale[i]`` L times row i of a contiguous
+    (j, N) block, flattened as ``x``, into the flat ``out``, j = len(scale).
 
     An all-active mask tiles :meth:`DomainMask.laplacian_diagonals` j times
     for scipy's DIA kernel; any other mask puts j copies of the CSR matrix
-    down a block diagonal for its CSR kernel.  Either way each row keeps its
+    down a block diagonal for its CSR kernel.  Copy i holds each entry of L
+    times ``scale[i]``, rounded once.  Either way each row keeps its
     entries and their order.  The kernels check no sizes.
     """
+    j = scale.size
     dia = mask.laplacian_diagonals()
     if dia is not None:
         offsets, data = dia
-        data = np.tile(data, (1, j))
+        data = np.tile(data, (1, j)) * np.repeat(scale, data.shape[1])
         return functools.partial(_sparsetools.dia_matvec, data.shape[1],
                                  data.shape[1], offsets.size, data.shape[1],
                                  offsets, data)
     lap = mask.laplacian_matrix()
-    if j > 1:
-        n, nnz = lap.shape[0], lap.nnz
-        indptr = np.concatenate([lap.indptr[:-1] + i * nnz for i in range(j)]
-                                + [[j * nnz]])
-        indices = np.concatenate([lap.indices + i * n for i in range(j)])
-        lap = sparse.csr_matrix((np.tile(lap.data, j), indices, indptr),
-                                shape=(j * n, j * n))
-    return functools.partial(_sparsetools.csr_matvec, *lap.shape, lap.indptr,
-                             lap.indices, lap.data)
+    n, nnz = lap.shape[0], lap.nnz
+    indptr = np.concatenate([lap.indptr[:-1] + i * nnz for i in range(j)]
+                            + [lap.indptr[-1:] * j])
+    indices = np.concatenate([lap.indices + i * n for i in range(j)])
+    data = np.tile(lap.data, j) * np.repeat(scale, nnz)
+    return functools.partial(_sparsetools.csr_matvec, j * n, j * n, indptr,
+                             indices, data)
 
 
 class Marched(NamedTuple):
@@ -562,48 +562,51 @@ class Marched(NamedTuple):
     peak: float             # largest clipped-row value after any step
 
 
-def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
-          dt: float | None, limit: float, frames, t0: float = 0.0,
-          diffused=None, clip: int = 0) -> Marched:
+def march(mask: DomainMask, state: np.ndarray, prefill, diffusions,
+          t_end: float, dt: float | None, limit: float, frames,
+          t0: float = 0.0, finish=None, clip: int = 0) -> Marched:
     """Explicit Euler for a species-major (k, N) active-node state.
 
     The state U is one C-contiguous (k, N) block whose rows are species,
-    and R, the rate, one more (k, N) block allocated once per solve.  Step
-    k (1-based, start time t)
+    and V one more such block; the two swap after every step.  With
+    j = len(``diffusions``), dt * ``diffusions[i]`` is folded into copy i
+    of L once per solve (:func:`_stacked_operator`).  Step k (1-based,
+    start time t)
 
-    * takes the (j, N) block of rows to diffuse: U itself when ``diffused``
-      is None, else ``diffused(U, R)``, a contiguous view of U or of rows
-      of R that it fills;
-    * applies L to each of those rows by one 1-D product with j copies of
-      L down a block diagonal (:func:`_stacked_operator`), giving the
-      (j, N) block LU;
-    * calls ``rate(k, t, dt, U, LU, top, R)``, where ``top`` holds the
-      maxima of the first ``clip`` rows of U at the start of the step.  The
-      rate fills R in place (it may read what ``diffused`` left there) and
-      returns it, or returns LU when the rate is the Laplacian itself;
-    * scales the returned block by dt in place and adds it to U.
+    * calls ``prefill(k, t, dt, U, V, top)``, where ``top`` holds the
+      maxima of the first ``clip`` rows of U at the start of the step.  It
+      writes every row of V, as U plus dt times the reaction terms, and
+      returns the (j, N) rows to diffuse: a view of U or of another
+      buffer, never of V (it may overwrite rows of U it has read);
+    * adds dt ``diffusions[i]`` L times returned row i into row i of V, by
+      one 1-D product with the j scaled copies of L down a block diagonal;
+    * calls ``finish(k, t, dt, U, V)`` when given, which may rework V;
+    * swaps U and V: the clip audit and the frames read the new U.
 
-    LU is one buffer, allocated at the first step and overwritten by every
-    later one: a rate may scale it in place or return it, but must not keep
-    it past its step.  Each step zeroes LU and adds the products into it
-    with one scipy kernel, chosen by the mask alone.  On an all-active mask
-    it is the DIA kernel (``dia_matvec``) on the stored diagonals; on any
-    other mask it is the CSR kernel (``csr_matvec``), which is what
-    ``block @ rows`` runs into a fresh zero array.  Both give LU equal bit
-    for bit to ``lap @ row``, row by row, for a finite state.  The CSR
-    kernel sums each row's entries in order onto a +0.0 start.  The DIA
-    kernel adds diagonal by diagonal, and the diagonals follow the order
-    of a CSR row, so each output receives the same products in the same
-    order, plus a product with a padded 0 where a neighbour is absent.
-    That product is +-0.0 when the state value is finite.  A sum that
-    starts at +0.0 is never -0.0 in round-to-nearest, and adding +-0.0 to a
-    sum that is not -0.0 leaves it unchanged.  (An infinite or NaN state
-    value makes a padded product NaN, so the two kernels may then differ;
-    such a state has blown up anyway.)
+    The product runs one scipy kernel, chosen by the mask alone, and
+    both kernels add into their output.  On an all-active mask it is the
+    DIA kernel (``dia_matvec``) on the stored diagonals; on any other mask
+    it is the CSR kernel (``csr_matvec``), which adds each row's entries in
+    order onto the prefilled value.  The DIA kernel adds diagonal by
+    diagonal, and the diagonals follow the order of a CSR row, so each
+    output receives the same products in the same order, plus a product
+    with a padded 0 where a neighbour is absent.  That product is +-0.0
+    when the state value is finite.  In round-to-nearest a sum is -0.0
+    only when both terms are, so a sum that starts at any value other
+    than -0.0 never becomes -0.0, and adding +-0.0 to it leaves it
+    unchanged: the two kernels then agree bit for bit.  A -0.0 start may
+    end as -0.0 on one kernel and +0.0 on the other, so only the sign of
+    a zero can differ, and only where the prefill was -0.0.  (An infinite
+    or NaN state value makes a padded product NaN, so the kernels may then
+    differ; such a state has blown up anyway.)  Since dt c is folded into
+    L and the reaction terms are scaled before the sum, a step rounds as
+    U + dt r + sum (dt c l) x, not as U + dt (r + c sum l x): the two
+    differ only in the last two or three of the 16 significant digits.
 
-    ``dt`` defaults to 0.9 ``limit`` and may not exceed the stability
-    ``limit``; the step count is ceil((t_end - t0)/dt) and dt shrinks to
-    divide the span exactly.
+    ``dt`` defaults to 0.9 ``limit``, must be positive and finite, and may
+    not exceed the stability ``limit``; the span t_end - t0 must be
+    positive and finite.  The step count is ceil((t_end - t0)/dt) and dt
+    shrinks to divide the span exactly.
 
     ``frames`` is a frame count of at least 2, spread linearly over the
     steps so that the first and last step are recorded, or a function of
@@ -616,13 +619,16 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
     non-finite aborts the run as a blow-up.
     """
     span = t_end - t0
-    if span <= 0:
-        raise ParameterError("t_end must exceed t0")
+    if not (math.isfinite(span) and span > 0):
+        raise ParameterError(
+            f"t_end must exceed t0 by a finite span, got {t0} to {t_end}")
     if not callable(frames) and frames < 2:
         raise ParameterError(
             f"need at least 2 frames (start and end), got {frames}")
     if dt is None:
         dt = 0.9 * limit
+    if not (math.isfinite(dt) and dt > 0):
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
     if dt > limit * (1 + 1e-12):
         raise ParameterError(
             f"dt={dt:.3e} violates the stability limit {limit:.3e}")
@@ -638,30 +644,32 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
 
     hd = mask.grid.h ** mask.grid.dim
     U = np.array(state, dtype=float, order="C")
-    R = np.empty_like(U)
+    scale = dt * np.asarray(diffusions, dtype=float)
+    shape = (scale.size, mask.active_count)
+    if U.ndim != 2 or U.shape[0] < shape[0] or U.shape[1] != shape[1]:
+        raise ParameterError(
+            f"state of shape {U.shape}, expected at least {shape}")
+    V = np.empty_like(U)
+    apply = _stacked_operator(mask, scale)
+    target, spare = V[:scale.size].reshape(-1), U[:scale.size].reshape(-1)
     stack = np.empty((U.shape[0], record.size, U.shape[1]))
     stack[:, 0] = U
-    head = U[:clip]
-    top = head.max(axis=1)
+    top = U[:clip].max(axis=1)
     clipped = 0.0
     peak = -math.inf
     slot = 1
-    LU = None
     for k in range(1, n_steps + 1):
-        rows = U if diffused is None else diffused(U, R)
-        if LU is None:
-            apply = _stacked_operator(mask, rows.shape[0])
-            LU = np.empty((rows.shape[0], mask.active_count))
-            out = LU.reshape(-1)
-        if rows.shape != LU.shape:     # the kernels check no sizes
+        t = t0 + (k - 1) * dt
+        rows = prefill(k, t, dt, U, V, top)
+        if rows.shape != shape:        # the kernels check no sizes
             raise ParameterError(
-                f"diffused rows of shape {rows.shape}, expected {LU.shape}")
-        out.fill(0.0)
-        apply(rows.reshape(-1), out)
-        step = rate(k, t0 + (k - 1) * dt, dt, U, LU, top, R)
-        step *= dt
-        U += step
+                f"diffused rows of shape {rows.shape}, expected {shape}")
+        apply(rows.reshape(-1), target)
+        if finish is not None:
+            finish(k, t, dt, U, V)
+        U, V, target, spare = V, U, spare, target
         if clip:
+            head = U[:clip]
             if head.min() < 0:
                 neg = head < 0
                 clipped -= hd * float(head[neg].sum())
@@ -675,7 +683,7 @@ def march(mask: DomainMask, state: np.ndarray, rate, t_end: float,
             stack[:, slot] = U
             slot += 1
     if clip:
-        total = hd * float(head.sum())
+        total = hd * float(U[:clip].sum())
         if clipped > 1e-8 * max(total, 1e-30):
             raise SolverError(f"clipped mass {clipped:.3e} exceeds 1e-8 of "
                               f"total {total:.3e}")

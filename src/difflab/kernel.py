@@ -83,8 +83,9 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
     ``record_times`` is given.  ``dt`` defaults to 0.9 of the stability
     limit, the smaller of h^2/(row max) and h^2/(2d), and may not exceed
     it.  Raises on fewer than 2 geometric frames or an empty
-    ``record_times`` (either would drop the final state), a dt above the
-    limit, mass drift or negative undershoot beyond roundoff.
+    ``record_times`` (either would drop the final state), a dt that is not
+    positive and finite or is above the limit, a non-finite ``t_end``, mass
+    drift or negative undershoot beyond roundoff.
     """
     if record_times is None and n_frames < 2:
         raise ParameterError(
@@ -112,9 +113,13 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
     hd = grid.h ** d
     full = np.zeros(grid.n)
     full[source] = 1.0 / hd
-    run = march(mask, mask.gather(full)[None],
-                lambda k, t, step, U, LU, top, out: LU, t_end, dt, limit,
-                frames)
+
+    def prefill(k, t, step, U, V, top):
+        np.copyto(V, U)
+        return U
+
+    run = march(mask, mask.gather(full)[None], prefill, (1.0,), t_end, dt,
+                limit, frames)
     values = run.frames[0]
 
     # positivity and mass, frame by frame

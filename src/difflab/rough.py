@@ -173,6 +173,7 @@ class RoughCoefficient:
         self.a0 = float(a0)
         self.c0 = float(c0)
         self.a = a
+        _require_finite("coefficient", a)
         lo, hi = self._range()
         tol = 1e-12 * max(1.0, hi)
         if lo < a0 - tol or hi > c0 * a0 + tol:
@@ -184,6 +185,14 @@ class RoughCoefficient:
         vals = self.a.values if isinstance(self.a, (Trajectory, Field)) \
             else float(self.a)
         return float(np.min(vals)), float(np.max(vals))
+
+
+def _require_finite(name: str, data):
+    """Raise ParameterError unless every value of a scalar, Field or
+    Trajectory is finite."""
+    vals = data.values if isinstance(data, (Trajectory, Field)) else data
+    if not np.all(np.isfinite(vals)):
+        raise ParameterError(f"the {name} must be finite")
 
 
 def _active_at(data, t):
@@ -222,31 +231,37 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
 
     Stability requires dt <= a0 h^2 / (stencil row max); the default uses a
     0.9 safety factor.  Frames are linearly spaced including both endpoints.
-    The fraction of node-steps with discrete dw/dt < -1e-10 is measured, not
-    enforced.  A Field or Trajectory coefficient or forcing must live on
-    the mask of ``w_init``.
+    The fraction of node-steps whose increment is below -1e-10 dt (discrete
+    dw/dt < -1e-10) is measured, not enforced.  The forcing must be finite
+    (the coefficient is checked when it is built), and a Field or
+    Trajectory coefficient or forcing must live on the mask of ``w_init``.
     """
     mask = w_init.mask
     for name, data in (("coefficient", coeff.a), ("forcing", forcing)):
         if isinstance(data, (Field, Trajectory)) and data.mask is not mask:
             raise ParameterError(f"the {name} must live on the mask of w_init")
+    if forcing is not None:
+        _require_finite("forcing", forcing)
     limit = coeff.a0 * mask.grid.h ** 2 / mask.stencil_row_max()
     a_at = _in_time(coeff.a)
     f_at = _in_time(0.0 if forcing is None else forcing)
     below = np.empty(mask.active_count, dtype=bool)
     negative = 0
 
-    def rate(k, t, step, U, LU, top, out):
-        nonlocal negative
-        r = out[0]
-        np.add(LU[0], f_at(t), out=r)
-        r /= a_at(t)
-        np.less(r, -1e-10, out=below)
-        negative += int(np.count_nonzero(below))
-        return out
+    def prefill(k, t, step, U, V, top):
+        np.multiply(f_at(t), step, out=V[0])
+        return U
 
-    run = march(mask, w_init.values[None], rate, t_end, dt, limit,
-                n_frames, t0=t0)
+    def finish(k, t, step, U, V):     # V holds dt (L w + f)
+        nonlocal negative
+        v = V[0]
+        v /= a_at(t)
+        np.less(v, -1e-10 * step, out=below)
+        negative += int(np.count_nonzero(below))
+        v += U[0]
+
+    run = march(mask, w_init.values[None], prefill, (1.0,), t_end, dt, limit,
+                n_frames, t0=t0, finish=finish)
     traj = Trajectory(mask, run.times, run.frames[0])
     return RoughSolution(traj, run.dt, run.n_steps,
                          negative / (run.n_steps * mask.active_count))

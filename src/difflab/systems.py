@@ -110,46 +110,44 @@ def skt_solve(u_init: Field, v_init: Field, params: SKTParams,
     mu_head = p.d1 + 2.0 * p.sigma * v_cap
     limit = h2 / (row * max(mu_head, p.d2, 1.0))
 
-    # state rows: u, v, m, int_u, w; u and v are clipped densities
-    def diffused(U, out):
-        flux = out[4]                  # (d1 + sigma v) u, the w rate less m
-        np.multiply(U[1], p.sigma, out=flux)
-        flux += p.d1
-        flux *= U[0]
-        out[2:4] = U[1:3]
-        return out[2:]                 # v, m, flux
-
-    def rate(k, t, step, U, LU, top, out):
+    # state rows: u, v, m, int_u, w; u and v are clipped densities.  The
+    # flux (d1 + sigma v) u diffuses into u, so once every row of V is
+    # prefilled it overwrites u in U, and U[:3] = (flux, v, m) diffuse
+    # into (u, v, m) with diffusions (1, d2, 1).
+    def prefill(k, t, step, U, V, top):
         mu_now = p.d1 + p.sigma * float(top[1])
         if step > h2 / (row * max(mu_now, p.d2, 1.0)) * (1 + 1e-9):
             raise SolverError(f"CFL breach at step {k}: mu reached {mu_now:.4g}")
-        u, v, m = U[:3]
-        lap_v, lap_m, lap_flux = LU[:3]
-        ru, rv, rm, ri, rw = out       # ri is scratch until its own turn
-        np.multiply(u, p.d11, out=rm)
-        np.multiply(v, p.d12, out=ri)
-        np.subtract(p.r_u, rm, out=ru)
-        ru -= ri
-        ru *= u
-        ru += lap_flux
-        rm += ri
-        rm *= u
-        rm += lap_m
-        np.multiply(u, p.d21, out=rv)
-        np.subtract(p.r_v, rv, out=rv)
-        np.multiply(v, p.d22, out=ri)
-        rv -= ri
-        rv *= v
-        np.multiply(lap_v, p.d2, out=ri)
-        rv += ri
-        np.copyto(ri, u)
-        rw += m
-        return out
+        u, v, m, int_u, w = U
+        vu, vv, vm, vi, vw = V         # vi, vw are scratch until their turn
+        np.multiply(u, step * p.d11, out=vm)
+        np.multiply(v, step * p.d12, out=vi)
+        vm += vi                       # dt (d11 u + d12 v)
+        np.subtract(step * p.r_u, vm, out=vu)
+        vu *= u
+        vu += u
+        vm *= u
+        vm += m
+        np.multiply(u, step * p.d21, out=vv)
+        np.subtract(step * p.r_v, vv, out=vv)
+        np.multiply(v, step * p.d22, out=vi)
+        vv -= vi
+        vv *= v
+        vv += v
+        np.multiply(u, step, out=vi)
+        vi += int_u
+        np.multiply(v, p.sigma, out=vw)
+        vw += p.d1
+        u *= vw                        # the flux, in place of u
+        np.add(u, m, out=vw)
+        vw *= step
+        vw += w
+        return U[:3]
 
     state = np.zeros((5, mask.active_count))
     state[0], state[1] = u_init.values, v_init.values
-    run = march(mask, state, rate, t_end, dt, limit, n_frames,
-                diffused=diffused, clip=2)
+    run = march(mask, state, prefill, (1.0, p.d2, 1.0), t_end, dt, limit,
+                n_frames, clip=2)
     u, v, m, int_u, w = (Trajectory(mask, run.times, f) for f in run.frames)
     return SKTSolution(u=u, v=v, m=m, int_u=int_u, w=w, params=params,
                        dt=run.dt, steps=run.n_steps, clipped_mass=run.clipped)
@@ -337,8 +335,8 @@ def poly_eval(reaction, states: np.ndarray) -> np.ndarray:
 
 
 def _monomial_table(reactions):
-    """Distinct monomials of some term lists, and coefficients C with
-    f_i = sum_j C[j, i] * monomial_j."""
+    """Distinct monomials of some term lists, each as its (row, exponent)
+    factors, and coefficients C with f_i = sum_j C[j, i] * monomial_j."""
     keys = sorted({tuple(int(e) for e in powers)
                    for reaction in reactions for _, powers in reaction})
     row = {key: j for j, key in enumerate(keys)}
@@ -346,19 +344,30 @@ def _monomial_table(reactions):
     for i, reaction in enumerate(reactions):
         for c, powers in reaction:
             coeffs[row[tuple(int(e) for e in powers)], i] += c
-    return keys, coeffs
+    plan = [[(r, e) for r, e in enumerate(key) if e] for key in keys]
+    return plan, coeffs
 
 
-def _eval_monomials(keys, coeffs, states: np.ndarray) -> np.ndarray:
+def _fill_monomials(plan, states, mono, scratch):
+    """Monomial j of ``plan`` at species-major ``states`` into ``mono[j]``:
+    its factors multiplied in row order, a power u^e as ``u ** e`` (into
+    ``scratch``, or a new array when it is None)."""
+    for out, factors in zip(mono, plan):
+        if not factors:
+            out.fill(1.0)
+        for i, (r, e) in enumerate(factors):
+            x = states[r] if e == 1 else np.power(states[r], e, out=scratch)
+            if i:
+                out *= x
+            else:
+                np.copyto(out, x)
+
+
+def _eval_monomials(plan, coeffs, states: np.ndarray) -> np.ndarray:
     """(len(reactions), N) values of the table at species-major states of
     shape (m, N)."""
-    mono = np.empty((len(keys), states.shape[1]))
-    for j, powers in enumerate(keys):
-        factors = [states[row] if e == 1 else states[row] ** e
-                   for row, e in enumerate(powers) if e]
-        mono[j] = factors[0] if factors else 1.0
-        for x in factors[1:]:
-            mono[j] *= x
+    mono = np.empty((len(plan), states.shape[1]))
+    _fill_monomials(plan, states, mono, None)
     return coeffs.T @ mono
 
 
@@ -699,19 +708,25 @@ def general_solve(inits, spec: GeneralSystemSpec, t_end: float,
         raise ParameterError("initial data must be nonnegative")
     limit = stable_dt(mask, diffusion=max(spec.diffusions), safety=1.0)
     m = spec.m
-    d = np.asarray(spec.diffusions)
-    bd = np.asarray(spec.beta_weights) * d
+    bd = np.asarray(spec.beta_weights) * np.asarray(spec.diffusions)
+    plan, coeffs = spec._table
+    mono = np.empty((len(plan), mask.active_count))
+    scratch = np.empty(mask.active_count)
+    table, bd_dt = np.empty((m, len(plan))), np.empty(m)
 
-    def rate(k, t, step, U, LU, top, out):
-        for i in range(m):             # row by row: faster than broadcasting
-            np.multiply(LU[i], d[i], out=out[i])
-        out[:m] += spec.rates(U[:m])
-        np.dot(bd, U[:m], out=out[m])
-        return out
+    def prefill(k, t, step, U, V, top):
+        if k == 1:                     # dt folded into the coefficients
+            np.multiply(coeffs.T, step, out=table)
+            np.multiply(bd, step, out=bd_dt)
+        _fill_monomials(plan, U, mono, scratch)
+        np.matmul(table, mono, out=V[:m])
+        np.dot(bd_dt, U[:m], out=V[m])
+        V += U
+        return U[:m]
 
     state = np.stack([f.values for f in inits] + [np.zeros(mask.active_count)])
-    run = march(mask, state, rate, t_end, dt, limit, n_frames,
-                diffused=lambda U, out: U[:m], clip=m)
+    run = march(mask, state, prefill, spec.diffusions, t_end, dt, limit,
+                n_frames, clip=m)
     u = run.frames[:m]
     flux = np.tensordot(bd, u, axes=1)
     w = run.frames[m] + 0.5 * run.dt * (flux - flux[0])

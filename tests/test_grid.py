@@ -209,49 +209,83 @@ def test_explicit_step_preserves_positivity_at_stable_dt():
 # explicit march
 
 
-def _constant_rate(c):
-    """A march rate that adds c to every row at every step."""
-    def rate(k, t, dt, U, LU, top, out):
-        out.fill(c)
-        return out
-    return rate
+def euler_product_reference(lap, scale, rows, start):
+    """``start`` with ``scale[i]`` lap @ rows[i] added into row i, spelled
+    out: each entry of lap is scaled once, and each row's products are
+    added onto its start value one by one, in CSR order."""
+    out = np.array(start, dtype=float)
+    counts = np.diff(lap.indptr)
+    for s in range(int(counts.max())):
+        has = np.flatnonzero(counts > s)
+        at = lap.indptr[has] + s
+        for i, c in enumerate(scale):
+            out[i, has] += (c * lap.data[at]) * rows[i, lap.indices[at]]
+    return out
+
+
+def _shift(c):
+    """A march prefill that adds dt c to every row and diffuses a zero row."""
+    def prefill(k, t, dt, U, V, top):
+        np.add(U, dt * c, out=V)
+        return np.zeros((1, U.shape[1]))
+    return prefill
 
 
 def test_march_rejects_dt_above_limit():
     mask = full_mask(_grid(9, 1))
     with pytest.raises(ParameterError, match="stability limit"):
-        march(mask, np.ones((1, 9)), _constant_rate(0.0), 1.0, 0.011, 0.01,
+        march(mask, np.ones((1, 9)), _shift(0.0), (1.0,), 1.0, 0.011, 0.01,
               3)
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),
+    (math.nan, 1e-3), (math.inf, 1e-3)])
+def test_march_rejects_a_bad_dt_or_span_before_any_step(t_end, dt):
+    mask = full_mask(_grid(9, 1))
+    steps = []
+
+    def prefill(k, t, dt, U, V, top):
+        steps.append(k)
+        return _shift(0.0)(k, t, dt, U, V, top)
+
+    with pytest.raises(ParameterError, match="finite"):
+        march(mask, np.ones((1, 9)), prefill, (1.0,), t_end, dt, 0.01, 3)
+    assert steps == []
 
 
 def test_march_rejects_rows_off_the_mask():
     mask = full_mask(_grid(9, 1))
     with pytest.raises(ParameterError, match="expected"):
-        march(mask, np.ones((1, 8)), _constant_rate(0.0), 1.0, 0.01, 1.0, 3)
+        march(mask, np.ones((1, 8)), _shift(0.0), (1.0,), 1.0, 0.01, 1.0, 3)
+    with pytest.raises(ParameterError, match="expected"):    # j > k
+        march(mask, np.ones((1, 9)), _shift(0.0), (1.0, 1.0), 1.0, 0.01,
+              1.0, 3)
     with pytest.raises(ParameterError, match="expected"):
-        march(mask, np.ones((2, 9)), _constant_rate(0.0), 1.0, 0.01, 1.0, 3,
-              diffused=lambda U, out: U[:, :8])
+        march(mask, np.ones((2, 9)), lambda k, t, dt, U, V, top: U[:, :8],
+              (1.0, 1.0), 1.0, 0.01, 1.0, 3)
 
 
 def test_march_blow_up_guard_names_the_step():
     mask = full_mask(_grid(9, 1))
 
-    def doubling(k, t, dt, U, LU, top, out):
-        np.divide(U, dt, out=out)
-        return out
+    def doubling(k, t, dt, U, V, top):
+        np.multiply(U, 2.0, out=V)
+        return np.zeros((1, 9))
 
     # the density doubles each step: 2^29 < 1e9 < 2^30
     with pytest.raises(SolverError, match="blow-up at step 30"):
-        march(mask, np.ones((1, 9)), doubling, 1.0, 0.01, 1.0, 3, clip=1)
+        march(mask, np.ones((1, 9)), doubling, (1.0,), 1.0, 0.01, 1.0, 3,
+              clip=1)
     with pytest.raises(SolverError, match="blow-up at step 1"):
-        march(mask, np.ones((1, 9)), _constant_rate(np.nan), 1.0, 0.01, 1.0,
+        march(mask, np.ones((1, 9)), _shift(np.nan), (1.0,), 1.0, 0.01, 1.0,
               3, clip=1)
 
 
 def test_march_frame_schedules_snap_to_steps():
     mask = full_mask(_grid(9, 1))
     state = np.stack([np.linspace(0.0, 1.0, 9), np.full(9, 2.0)])
-    run = march(mask, state, _constant_rate(1.0), 1.0, 0.01, 1.0, 7)
+    run = march(mask, state, _shift(1.0), (1.0,), 1.0, 0.01, 1.0, 7)
     assert run.n_steps == 100
     assert run.frames.shape == (2, 7, 9)
     assert np.array_equal(run.steps, np.rint(np.linspace(0, 100, 7)))
@@ -261,7 +295,7 @@ def test_march_frame_schedules_snap_to_steps():
                        + run.times[None, :, None], rtol=0, atol=1e-12)
     # times before t0 snap to step 1, past t_end to the last step; frame 0
     # is the initial state even when the schedule omits it
-    run = march(mask, state, _constant_rate(1.0), 1.0, 0.01, 1.0,
+    run = march(mask, state, _shift(1.0), (1.0,), 1.0, 0.01, 1.0,
                 lambda dt: [-1.0, 0.5, 0.5, 2.0])
     assert np.array_equal(run.steps, [0, 1, 50, 100])
     assert run.frames.shape == (2, 4, 9)
@@ -272,49 +306,57 @@ def test_march_frame_schedules_snap_to_steps():
 def test_march_rejects_fewer_than_two_frames(frames):
     mask = full_mask(_grid(9, 1))
     with pytest.raises(ParameterError, match="at least 2 frames"):
-        march(mask, np.ones((1, 9)), _constant_rate(0.0), 1.0, 0.01, 1.0,
+        march(mask, np.ones((1, 9)), _shift(0.0), (1.0,), 1.0, 0.01, 1.0,
               frames)
 
 
-def _assert_rowwise_product(mask, rows):
-    """The LU of a one-step march over ``rows`` is ``lap @ row``, row by
-    row, bit for bit."""
-    seen = []
+def _assert_euler_product(mask, start, rows, diffusions):
+    """A one-step march whose prefill writes ``start`` and returns ``rows``
+    ends at ``start`` plus dt diffusions[i] L rows[i] in row i, bit for bit
+    the spelled-out CSR sum; on the diagonal path a start of -0.0 may end
+    as a zero of the other sign."""
+    def prefill(k, t, dt, U, V, top):
+        np.copyto(V, start)
+        return rows
 
-    def rate(k, t, dt, U, LU, top, out):
-        seen.append(LU.copy())
-        out.fill(0.0)
-        return out
-
-    march(mask, rows, rate, 1.0, 1.0, 1.0, 2)
-    lap = mask.laplacian_matrix()
-    got, want = seen[0], np.stack([lap @ row for row in rows])
+    dt = 0.3                         # rounds when folded into L
+    run = march(mask, np.zeros_like(start), prefill, diffusions, dt, dt, dt,
+                2)
+    got, want = run.frames[:, 1], start.copy()
+    j = len(diffusions)
+    want[:j] = euler_product_reference(
+        mask.laplacian_matrix(), dt * np.asarray(diffusions), rows, start[:j])
     assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    signed = np.ones(start.shape, dtype=bool)
+    if mask.laplacian_diagonals() is not None:
+        signed = (start != 0) | ~np.signbit(start)
+    assert np.array_equal(np.signbit(got)[signed], np.signbit(want)[signed])
 
 
 @st.composite
 def box_rows(draw):
-    """An all-active box in 1..4 dimensions and 1..5 finite rows on it,
+    """An all-active box in 1..4 dimensions, j = 1..5 rows to diffuse with
+    their diffusions, and a start block of j or j + 1 rows, all finite,
     with exact zeros of both signs and negatives among the values."""
     shape = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=4)))
     h = draw(st.sampled_from([0.125, 0.3, 1.0]))
     mask = full_mask(GridSpec.make(tuple((n - 1) * h for n in shape), shape))
     j = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rows = rng.uniform(-1e3, 1e3, (j, mask.active_count))
-    kind = rng.integers(0, 4, rows.shape)
-    rows[kind == 0] = 0.0
-    rows[kind == 1] = -0.0
-    return mask, rows
+    values = rng.uniform(-1e3, 1e3, (2 * j + 1, mask.active_count))
+    kind = rng.integers(0, 4, values.shape)
+    values[kind == 0] = 0.0
+    values[kind == 1] = -0.0
+    start = values[:j + draw(st.integers(0, 1))].copy()
+    return mask, start, values[j + 1:].copy(), rng.uniform(0.1, 3.0, j)
 
 
 @settings(max_examples=80, deadline=None)
 @given(box_rows())
 def test_march_box_product_equals_csr_rows_bit_for_bit(case):
-    mask, rows = case
+    mask, start, rows, diffusions = case
     assert mask.laplacian_diagonals() is not None      # the diagonal path
-    _assert_rowwise_product(mask, rows)
+    _assert_euler_product(mask, start, rows, diffusions)
 
 
 def test_march_product_on_masks_with_inactive_nodes_stays_csr():
@@ -325,7 +367,9 @@ def test_march_product_on_masks_with_inactive_nodes_stays_csr():
         assert mask.laplacian_diagonals() is None
         rows = rng.standard_normal((3, mask.active_count))
         rows[:, ::4] = 0.0
-        _assert_rowwise_product(mask, rows)
+        start = rng.standard_normal((4, mask.active_count))
+        start[:, ::3] = -0.0
+        _assert_euler_product(mask, start, rows, (1.0, 0.5, 2.0))
 
 
 def test_march_diffuses_the_returned_rows_and_reports_step_start_maxima():
@@ -336,24 +380,26 @@ def test_march_diffuses_the_returned_rows_and_reports_step_start_maxima():
         x = mask.node_coords()[:, 0]
         state = np.stack([1.0 + np.cos(np.pi * x), 2.0 + x,
                           np.zeros(mask.active_count)])
+        rows = np.empty((2, mask.active_count))
         seen = []
 
-        def diffused(U, out):
-            np.multiply(U[0], U[1], out=out[1])
-            out[2] = U[1]
-            return out[1:]
-
-        def rate(k, t, dt, U, LU, top, out):
+        def prefill(k, t, dt, U, V, top):
             assert np.array_equal(top, U[:2].max(axis=1))
-            # one product over the block equals the row-by-row products
-            assert np.array_equal(LU, [lap @ (U[0] * U[1]), lap @ U[1]])
             seen.append(top.copy())
-            out[:2] = 0.0
-            np.copyto(out[2], LU[0])
-            return out
+            np.copyto(V, U)
+            np.multiply(U[0], U[1], out=rows[0])
+            rows[1] = U[1]
+            return rows
 
-        run = march(mask, state, rate, 0.01, None, 1e-3, 3,
-                    diffused=diffused, clip=2)
+        def finish(k, t, dt, U, V):
+            # one product over the block equals the row-by-row sums
+            assert np.array_equal(V[:2], euler_product_reference(
+                lap, [dt, 2.0 * dt], rows, U[:2]))
+            V[2] = V[0] - U[0]
+            V[:2] = U[:2]
+
+        run = march(mask, state, prefill, (1.0, 2.0), 0.01, None, 1e-3, 3,
+                    finish=finish, clip=2)
         assert len(seen) == run.n_steps
         assert np.array_equal(seen[0], state[:2].max(axis=1))
 
@@ -364,21 +410,25 @@ def test_march_diffuses_a_non_contiguous_view_exactly(pick):
     lap = mask.laplacian_matrix()
     x = mask.node_coords()[:, 0]
     state = np.stack([1.0 + np.cos(np.pi * x), 2.0 + x, x * x])
-    buffers = []
+    j = state[pick].shape[0]
+    blocks = []
 
-    def diffused(U, out):
+    def prefill(k, t, dt, U, V, top):
         assert not U[pick].flags.c_contiguous
+        blocks.append((U, V))
+        np.multiply(U, -1.0, out=V)
         return U[pick]
 
-    def rate(k, t, dt, U, LU, top, out):
-        assert np.array_equal(LU, [lap @ row for row in U[pick]])
-        buffers.append(LU)
-        np.multiply(U, -1.0, out=out)
-        return out
+    def finish(k, t, dt, U, V):
+        assert np.array_equal(V[:j], euler_product_reference(
+            lap, [dt] * j, U[pick], -U[:j]))
 
-    run = march(mask, state, rate, 0.01, None, 1e-3, 3, diffused=diffused)
-    assert len(buffers) == run.n_steps
-    assert all(b is buffers[0] for b in buffers)    # one LU per solve
+    run = march(mask, state, prefill, (1.0,) * j, 0.01, None, 1e-3, 3,
+                finish=finish)
+    assert len(blocks) == run.n_steps
+    one, other = blocks[0]                # two blocks, swapped every step
+    assert all(U is (one, other)[k % 2] and V is (other, one)[k % 2]
+               for k, (U, V) in enumerate(blocks))
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -390,20 +440,21 @@ def test_march_clipped_mass_gate(rows):
     def dip(depth):
         # the last clipped row loses ``depth`` at node 0 on step 1; the
         # unclipped row behind it may go negative freely
-        def rate(k, t, dt, U, LU, top, out):
-            out.fill(0.0)
-            out[-1] = -5.0 / dt
+        def prefill(k, t, dt, U, V, top):
+            np.copyto(V, U)
+            V[-1] -= 5.0
             if k == 1:
-                out[rows - 1, 0] = -(1.0 + depth) / dt
-            return out
-        return rate
+                V[rows - 1, 0] -= 1.0 + depth
+            return np.zeros((1, 9))
+        return prefill
 
-    run = march(mask, state, dip(1e-9), 1.0, 0.25, 1.0, 2, clip=rows)
+    run = march(mask, state, dip(1e-9), (1.0,), 1.0, 0.25, 1.0, 2,
+                clip=rows)
     assert run.clipped == pytest.approx(1e-9 * hd, rel=1e-6)
     assert run.frames[rows - 1, -1, 0] == 0.0
     assert run.frames[-1, -1, 0] < 0.0
     with pytest.raises(SolverError, match="clipped mass"):
-        march(mask, state, dip(1.0), 1.0, 0.25, 1.0, 2, clip=rows)
+        march(mask, state, dip(1.0), (1.0,), 1.0, 0.25, 1.0, 2, clip=rows)
 
 
 # ---------------------------------------------------------------------------

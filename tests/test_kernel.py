@@ -12,6 +12,7 @@ from difflab import (Field, GridSpec, ParameterError, PreconditionError,
                      intermediate_regime, kernel_evolve, kernel_moment,
                      kernel_norm_report, moment_report, source_ball_center,
                      space_norm, stable_dt)
+from test_grid import euler_product_reference
 
 MASS_TOL = 1e-9
 NEG_TOL = 1e-12
@@ -53,6 +54,36 @@ def test_kernel_evolve_refuses_frames_that_drop_the_final_state():
         kernel_evolve(mask, (8,), 0.05, record_times=[])
     kern = kernel_evolve(mask, (8,), 0.05, n_frames=2)
     assert kern.times[-1] == pytest.approx(0.05, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (0.05, -1e-4), (0.05, 0.0), (0.05, float("nan")), (float("inf"), None)])
+def test_kernel_evolve_rejects_a_bad_dt_or_span(t_end, dt):
+    with pytest.raises(ParameterError, match="finite"):
+        kernel_evolve(_box(1.0, 17, 1), (8,), t_end, dt=dt)
+
+
+@pytest.mark.parametrize("domain", ["box", "graph"])
+def test_kernel_evolve_matches_a_per_step_reference_loop(domain):
+    # each step adds sum (dt l) u onto a copy of u: on stored diagonals on
+    # a 1-D box, on the CSR matrix on a 2-D graph domain; dt and t_end are
+    # powers of two, so dt divides the span exactly
+    if domain == "box":
+        mask, source, dt = _box(1.0, 17, 1), (5,), 2.0 ** -10
+    else:
+        grid = GridSpec.make((2.0, 2.0), 17, origin=(-1.0, -1.0))
+        mask = admissible_graph_domain(grid, 1.0, 0.0)
+        source, dt = tuple(source_ball_center(1.0, None, 2)), 2.0 ** -9
+    assert (mask.laplacian_diagonals() is None) == (domain == "graph")
+    kern = kernel_evolve(mask, source, 32 * dt, dt=dt, n_frames=5)
+    lap = mask.laplacian_matrix()
+    states = [kern.values[0]]
+    for _ in range(32):
+        u = states[-1][None]
+        states.append(euler_product_reference(lap, [dt], u, u)[0])
+    steps = np.rint(kern.times / dt).astype(int)
+    assert steps[-1] == 32
+    assert np.array_equal(kern.values, np.array(states)[steps])
 
 
 def test_dirichlet_mass_non_increasing():

@@ -16,6 +16,7 @@ from difflab import (ConstantsBundle, DomainError, Field, GridSpec,
                      oscillation_decay_check, shrunk_radius, solve_rough,
                      supremum_bound_check, unit_ball_volume)
 from difflab.rough import _active_at
+from test_grid import euler_product_reference
 
 INF = float("inf")
 ORACLE_RTOL = 5e-12      # twelve significant digits
@@ -165,6 +166,23 @@ def test_rough_coefficient_validation():
     assert np.all(_active_at(coeff.a, 0.0) == 1.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rough_coefficient_and_forcing_must_be_finite(bad):
+    # a NaN passes every comparison with [a0, c0 a0] and would march to
+    # all-NaN frames with a negative fraction of 0
+    mask = full_mask(GridSpec.make((1.0,), 17))
+    frames = np.full((2, 17), 1.5)
+    frames[1, 3] = bad
+    traj = Trajectory(mask, [0.0, 0.05], frames)
+    for a in (bad, traj):
+        with pytest.raises(ParameterError, match="coefficient must be finite"):
+            RoughCoefficient(a, 1.0, 2.0)
+    w0, coeff = Field.constant(mask, 0.5), RoughCoefficient(1.0, 1.0, 2.0)
+    for f in (bad, traj):
+        with pytest.raises(ParameterError, match="forcing must be finite"):
+            solve_rough(w0, coeff, forcing=f, t_end=0.1)
+
+
 def test_rough_coefficient_time_frames():
     mask = full_mask(GridSpec.make((1.0,), 9))
     a_traj = Trajectory(mask, np.array([0.0, 0.5]),
@@ -225,6 +243,17 @@ def test_solve_rejects_unstable_dt():
         solve_rough(Field.constant(mask, 0.0), coeff, t_end=0.0)
 
 
+@pytest.mark.parametrize("t_end, dt", [
+    (0.1, -1e-4), (0.1, 0.0), (0.1, math.nan), (math.nan, None),
+    (math.inf, None)])
+def test_solve_rejects_a_bad_dt_or_span(t_end, dt):
+    # dt = -1e-4 once ran as one step of 0.1, about 50x the stability limit
+    mask = full_mask(GridSpec.make((1.0,), 17))
+    with pytest.raises(ParameterError, match="finite"):
+        solve_rough(Field.constant(mask, 0.0), RoughCoefficient(1.0, 1.0, 2.0),
+                    t_end=t_end, dt=dt)
+
+
 @pytest.mark.parametrize("n_frames", [0, 1])
 def test_solve_rejects_fewer_than_two_frames(n_frames):
     # one frame would hold only w0 and silently drop the marched end state
@@ -281,13 +310,17 @@ def test_solve_matches_a_per_step_reference_loop(coeff_kind, forcing_kind):
                       forcing=None if forcing_kind == "none" else f,
                       t_end=0.05, n_frames=9)
 
-    w = w0.values.copy()
+    # w + (dt f + sum (dt l) w) / a: dt f is the start of the operator
+    # sum, and the increment is counted before w is added
+    dt, w = sol.dt, w0.values.copy()
     states, negative = [w.copy()], 0
     for k in range(sol.steps):
-        t = k * sol.dt
-        r = ((lap @ w) + _left_frame(f, t)) / _left_frame(a, t)
-        negative += int(np.count_nonzero(r < -1e-10))
-        w += sol.dt * r
+        t = k * dt
+        start = np.broadcast_to(_left_frame(f, t) * dt, (1, n))
+        incr = euler_product_reference(lap, [dt], w[None], start)[0] \
+            / _left_frame(a, t)
+        negative += int(np.count_nonzero(incr < -1e-10 * dt))
+        w = incr + w
         states.append(w.copy())
     steps = np.rint(sol.traj.times / sol.dt).astype(int)
     assert np.array_equal(sol.traj.values, np.array(states)[steps])

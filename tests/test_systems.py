@@ -39,6 +39,7 @@ from difflab import (
     transformed_residual_report,
 )
 from difflab.systems import halton
+from test_grid import euler_product_reference
 
 TOL_MACHINE = 1e-12
 TOL_EXACT = 1e-10
@@ -109,6 +110,49 @@ def test_skt_solve_validation():
         skt_solve(u0, Field.constant(mask, 0.5), SKT_PARAMS, 0.0)
     with pytest.raises(ParameterError):
         skt_solve(u0, Field.constant(mask, 0.5), SKT_PARAMS, 0.1, dt=1.0)
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (0.1, -1e-4), (0.1, 0.0), (0.1, float("nan")), (float("nan"), None)])
+def test_solvers_reject_a_bad_dt_or_span(t_end, dt):
+    mask = unit_square(9)
+    u0 = Field.constant(mask, 0.5)
+    with pytest.raises(ParameterError, match="finite"):
+        skt_solve(u0, u0, SKT_PARAMS, t_end, dt=dt)
+    with pytest.raises(ParameterError, match="finite"):
+        general_solve(general_inits(mask, 3), preset_uum(1, (1,)), t_end,
+                      dt=dt)
+
+
+def test_skt_solve_matches_a_per_step_reference_loop():
+    # each row starts at its value plus dt times its reaction, with dt
+    # folded into the rate constants; the flux (d1 + sigma v) u, v and m
+    # then diffuse into u, v and m with diffusions (1, d2, 1)
+    p, mask = SKT_PARAMS, unit_square(9)
+    sol = skt_solve(Field.from_function(mask, smooth_u),
+                    Field.from_function(mask, smooth_v), p, 0.05, n_frames=9)
+    lap, dt = mask.laplacian_matrix(), sol.dt
+    u, v = sol.u.values[0].copy(), sol.v.values[0].copy()
+    m, int_u, w = (np.zeros(mask.active_count) for _ in range(3))
+    states = [(u, v, m, int_u, w)]
+    for _ in range(sol.steps):
+        g = u * (dt * p.d11) + v * (dt * p.d12)
+        start = np.stack([(dt * p.r_u - g) * u + u,
+                          ((dt * p.r_v - u * (dt * p.d21))
+                           - v * (dt * p.d22)) * v + v,
+                          g * u + m])
+        flux = (v * p.sigma + p.d1) * u
+        int_u, w = u * dt + int_u, (flux + m) * dt + w
+        u, v, m = euler_product_reference(
+            lap, dt * np.array([1.0, p.d2, 1.0]), np.stack([flux, v, m]),
+            start)
+        u[u < 0], v[v < 0] = 0.0, 0.0
+        states.append((u, v, m, int_u, w))
+    steps = np.rint(sol.u.times / dt).astype(int)
+    assert steps[-1] == sol.steps
+    for row, traj in enumerate((sol.u, sol.v, sol.m, sol.int_u, sol.w)):
+        assert np.array_equal(traj.values,
+                              np.array([states[k][row] for k in steps]))
 
 
 def test_skt_zero_init_stays_zero():
@@ -549,11 +593,13 @@ def test_uum_uniform_run_converges_to_ode_oracle():
     assert errs[1] <= 4 * ODE_TOL
 
 
+DECAY = GeneralSystemSpec((1.0,), [[(-1.0, (2,))]], (1.0,), [[1.0]],
+                          K=1.0, name="decay")       # needs a companion
+
+
 def test_general_solve_companion_path_conserves_mass():
-    decay = GeneralSystemSpec((1.0,), [[(-1.0, (2,))]], (1.0,), [[1.0]],
-                              K=1.0, name="decay")
     mask = unit_square(17)
-    sol = general_solve([Field.from_function(mask, smooth_u)], decay, 0.2,
+    sol = general_solve([Field.from_function(mask, smooth_u)], DECAY, 0.2,
                         n_frames=17)
     assert sol.companion_added
     assert sol.spec.m == 2
@@ -566,7 +612,7 @@ def test_general_solve_companion_path_conserves_mass():
     # network with the companion written out gives the same w, bit for bit
     explicit = general_solve(
         [Field.from_function(mask, smooth_u), Field.constant(mask, 0.0)],
-        decay.with_companion(), 0.2, n_frames=17)
+        DECAY.with_companion(), 0.2, n_frames=17)
     assert not explicit.companion_added
     np.testing.assert_array_equal(sol.w.values, explicit.w.values)
     assert np.all(sol.w.values[0] == 0.0)
@@ -575,6 +621,45 @@ def test_general_solve_companion_path_conserves_mass():
     assert quad_mass_report(sol).lhs <= TOL_EXACT
     assert quad_mu_report(sol, diff).lhs <= TOL_MACHINE
     assert quad_identity_report(sol, diff).passed
+
+
+@pytest.mark.parametrize("spec", [preset_quad4(), DECAY],
+                         ids=["quad4", "decay+companion"])
+def test_general_solve_matches_a_per_step_reference_loop(spec):
+    # u + (dt C) @ monomials, the undiffused potential row w + (dt b d) . u,
+    # then sum (dt d_i l) u_i onto row i; the monomials multiply their
+    # factors in row order and take a power as u ** e
+    mask = unit_square(9)
+    inits = general_inits(mask, spec.m)
+    sol = general_solve(inits, spec, 0.05, n_frames=9)
+    assert sol.companion_added == (spec is DECAY)
+    spec, dt, m = sol.spec, sol.dt, sol.spec.m
+    plan, coeffs = spec._table
+    table = np.ascontiguousarray(dt * coeffs.T)
+    d = np.asarray(spec.diffusions)
+    bd = np.asarray(spec.beta_weights) * d
+    lap = mask.laplacian_matrix()
+    U = np.zeros((m + 1, mask.active_count))
+    U[:len(inits)] = [f.values for f in inits]
+    states = [U]
+    for _ in range(sol.steps):
+        mono = np.ones((len(plan), mask.active_count))
+        for j, factors in enumerate(plan):
+            for r, e in factors:
+                mono[j] = mono[j] * U[r] ** e
+        V = np.vstack([table @ mono, np.dot(bd * dt, U[:m])]) + U
+        V[:m] = euler_product_reference(lap, dt * d, U[:m], V[:m])
+        V[:m][V[:m] < 0] = 0.0
+        U = V
+        states.append(U)
+    steps = np.rint(sol.w.times / dt).astype(int)
+    assert steps[-1] == sol.steps
+    frames = np.array(states)[steps].transpose(1, 0, 2)
+    for i in range(m):
+        assert np.array_equal(sol.u[i].values, frames[i])
+    flux = np.tensordot(bd, frames[:m], axes=1)
+    assert np.array_equal(sol.w.values,
+                          frames[m] + 0.5 * dt * (flux - flux[0]))
 
 
 PRESET_ARGS = {"uum": {"m": 2, "b": (2, 1)}, "p_q_2s3": {"sp": 2, "sq": 1}}
