@@ -28,8 +28,7 @@ from .rough import (ConstantsBundle, RoughCoefficient, RoughSolution,
                     solve_rough, supremum_bound_check, unit_ball_volume)
 from .systems import (GeneralSolution, GeneralSystemSpec, PRESET_SYSTEMS,
                       SKTAuxiliary, SKTParams, SKTSolution, general_solve,
-                      lp_energy_report, nu_bounds_report, poly_combine,
-                      poly_eval, poly_max_coeff, preset_p_q_2s3,
+                      lp_energy_report, nu_bounds_report, preset_p_q_2s3,
                       preset_quad4, preset_s1_2s2, preset_uum,
                       quad_identity_report, quad_mass_report,
                       quad_mu_report, quadratic_solve,

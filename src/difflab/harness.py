@@ -185,7 +185,14 @@ def _num(data: dict, section: str, key: str, *, lo=None, hi=None,
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where} must be a number, got "
                           f"{type(val).__name__}")
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:
+        raise ConfigError(f"{where} must be a finite number, got an integer "
+                          f"beyond the float range") from None
+    if math.isnan(val) or (math.isinf(val) and not allow_inf):
+        raise ConfigError(f"{where} must be a finite number"
+                          f"{' or inf' if allow_inf else ''}, got {val}")
     if integer:
         if val != int(val):
             raise ConfigError(f"{where} must be an integer, got {val}")

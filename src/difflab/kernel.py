@@ -312,19 +312,19 @@ def source_ball_center(radius: float, center, dim: int) -> np.ndarray:
 
 
 def gaussian_lower_bound_check(kern: KernelField, radius: float,
-                               center=None, slack: float = 0.05,
-                               t_min: float | None = None) -> EstimateReport:
+                               center=None,
+                               slack: float = 0.05) -> EstimateReport:
     """Check Gamma >= (1 - slack) Psi - 1e-8 on the sampled frames.
 
     Psi(t, x) = Phi(t, |x - y|) - sup_{s<=t} Phi(s, 7R/10) with the source y;
-    only frames with t <= 49 R^2/(200 d) count, and the default t_min skips
-    the first few h^2 where the discrete delta has not resolved yet.
+    only frames with max(6 h^2, t_cap/10) <= t <= t_cap = 49 R^2/(200 d)
+    count: the lower end skips the first few h^2 where the discrete delta
+    has not resolved yet.
     """
     grid = kern.grid
     d = grid.dim
     t_cap = 49.0 * radius ** 2 / (200.0 * d)
-    if t_min is None:
-        t_min = max(6.0 * grid.h ** 2, 0.1 * t_cap)
+    t_min = max(6.0 * grid.h ** 2, 0.1 * t_cap)
     y = kern.source_point
     u_center = source_ball_center(radius, center, d)
     if np.linalg.norm(y - u_center) > radius / 10.0 + grid.h:

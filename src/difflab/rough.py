@@ -393,16 +393,15 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
                        kernel_prefactor: float = 1.0,
                        moment_prefactor: float = 1.0,
                        r0: float = 1.0, eps: float = 0.25,
-                       c_star: float | None = None,
-                       c_star_practical: float | None = None,
-                       tracer_center=None,
-                       max_tracer_steps: int = 5) -> EstimateReport:
+                       c_star: float | None = None) -> EstimateReport:
     """Interpolation-form Hoelder bound plus the dyadic iteration tracer.
 
     In calibration mode (c_star None) the constant is fitted as
     measured / core and reported; in verification mode the frozen constant
-    gates the check.  The tracer follows osc_k over cylinders shrunk by 4^k
-    around the end point and compares against C1 (sup + Lip) Lambda^k.
+    gates the check; the constant at alpha_practical is fitted in either
+    mode.  The tracer follows osc_k, k = 0..5, over cylinders shrunk by 4^k
+    around the end time and the mean node, and compares against
+    C1 (sup + Lip) Lambda^k.
     A rung is kept only while its radius spans two mesh widths and its
     window two frame gaps; a tracer that keeps none raises DomainError.
     """
@@ -436,8 +435,7 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     al_pr = alpha_practical(consts)
     measured_pr = holder_norm(traj, al_pr)
     core_pr = core(al_pr)
-    if c_star_practical is None:
-        c_star_practical = measured_pr / core_pr if core_pr > 0 else 1.0
+    c_star_practical = measured_pr / core_pr if core_pr > 0 else 1.0
 
     # dyadic iteration tracer around the trajectory end point
     k2 = k2_constant(consts, eps, float(traj.times[-1] - traj.times[0]),
@@ -447,16 +445,14 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     c1 = iteration_c1(consts, k2, k3, c_f1, r0, eps)
     lam = iteration_lambda(consts, eps)
     rf = shrunk_radius(consts, r0, f_norm, w_sup, lip)
-    if tracer_center is None:
-        coords = traj.mask.node_coords()
-        tracer_center = tuple(coords.mean(axis=0))
+    tracer_center = tuple(traj.mask.node_coords().mean(axis=0))
     amp = w_sup + lip
     tracer = []
     t_end = float(traj.times[-1])
     last_gap = traj.frame_weights()[-1]   # tracer cylinders end at t_end
-    for k in range(max_tracer_steps + 1):
+    for k in range(6):
         radius = rf * 4.0 ** (-k)
-        cyl_k = ParabolicCylinder(t_end, tuple(tracer_center), radius,
+        cyl_k = ParabolicCylinder(t_end, tracer_center, radius,
                                   consts.beta)
         if radius < 2 * traj.grid.h or cyl_k.window < 2 * last_gap:
             break

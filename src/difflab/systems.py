@@ -9,14 +9,18 @@
   discrete Laplacian dominates u;
 
 * networks du_i/dt - d_i lap u_i = f_i(u) written as polynomial term
-  lists, with the structural checks (quasi-positivity at the faces, mass
-  control, one-sided quadratic row bounds for a lower-triangular matrix A)
-  and the transformed system dv_i/dt - d_i lap v_i = (A f)_i +
-  sum_{k<i} c_ik lap v_k for v = A u.  :func:`general_solve`, the one
-  network solver, conserves M = sum beta_i u_i and returns the mass
-  potential w = int sum beta_i d_i u_i: mu^{-1} dw/dt - lap w = M(0), with
-  mu = sum beta_i d_i u_i / M pinched in [min d_i, max d_i].  The quartet
-  (-1)^i (u1 u3 - u2 u4) is the preset :func:`preset_quad4`.
+  lists and held as one monomial table: the distinct exponent rows
+  ``powers`` and the coefficients ``coeffs`` with
+  f_i = sum_j coeffs[j, i] monomial_j.  The rates, the solver, the
+  balancing companion (one appended coefficient column) and the
+  structural checks (quasi-positivity at the faces, mass control,
+  one-sided quadratic row bounds for a lower-triangular matrix A) all
+  read it, and so does the transformed system dv_i/dt - d_i lap v_i =
+  (A f)_i + sum_{k<i} c_ik lap v_k for v = A u.  :func:`general_solve`,
+  the one network solver, conserves M = sum beta_i u_i and returns the
+  mass potential w = int sum beta_i d_i u_i: mu^{-1} dw/dt - lap w = M(0),
+  with mu = sum beta_i d_i u_i / M pinched in [min d_i, max d_i].  The
+  quartet (-1)^i (u1 u3 - u2 u4) is the preset :func:`preset_quad4`.
 """
 
 from __future__ import annotations
@@ -25,10 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SolverError, StructuralError
+from .errors import (ParameterError, SamplingError, SolverError,
+                     StructuralError)
 from .grid import (Field, Trajectory, gradient, march, poisson_neumann,
                    stable_dt)
 from .report import EstimateReport
+
+
+def _interior_frames(check: str, times: np.ndarray) -> int:
+    """The frame count of a centered-difference check, which needs an
+    interior frame."""
+    if times.size < 3:
+        raise SamplingError(f"{check} needs an interior frame: got "
+                            f"{times.size} frames, at least 3 are needed")
+    return times.size
+
 
 # ---------------------------------------------------------------------------
 # cross-diffusion pair
@@ -171,16 +186,16 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
 
         nu^{-1} dw/dt - lap w = u_init + r_u int_0^t u
 
-    is evaluated with centered time differences at the interior frames; the
-    centered quotient of the rectangle-rule w is a window average of
-    (mu u + m), so the residual shrinks with both the frame spacing and the
-    solver step.
+    is evaluated with centered time differences at the interior frames
+    (SamplingError without one); the centered quotient of the
+    rectangle-rule w is a window average of (mu u + m), so the residual
+    shrinks with both the frame spacing and the solver step.
     """
     mask = sol.u.mask
     p = sol.params
     times = sol.u.times
-    n_fr = times.size
-    dt_s = float(times[1] - times[0]) if n_fr > 1 else 0.0
+    n_fr = _interior_frames("skt_evolution_identity", times)
+    dt_s = float(times[1] - times[0])
     m_vals = sol.m.values
     w_vals = sol.w.values
 
@@ -192,15 +207,12 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
 
     # residual at interior frames
     u0 = sol.u.values[0]
-    worst = 0.0
-    scale = 0.0
-    if n_fr > 2:
-        dwdt = (w_vals[2:] - w_vals[:-2]) / (times[2:] - times[:-2])[:, None]
-        lap_w = (mask.laplacian_matrix() @ w_vals[1:-1].T).T
-        rhs = u0 + p.r_u * sol.int_u.values[1:-1]
-        res = dwdt / nu_vals[1:-1] - lap_w - rhs
-        worst = float(np.max(np.abs(res)))
-        scale = float(np.max(np.abs(rhs)))
+    dwdt = (w_vals[2:] - w_vals[:-2]) / (times[2:] - times[:-2])[:, None]
+    lap_w = (mask.laplacian_matrix() @ w_vals[1:-1].T).T
+    rhs = u0 + p.r_u * sol.int_u.values[1:-1]
+    res = dwdt / nu_vals[1:-1] - lap_w - rhs
+    worst = float(np.max(np.abs(res)))
+    scale = float(np.max(np.abs(rhs)))
     residual = EstimateReport(
         check="skt_evolution_identity",
         lhs=worst, rhs=max(scale, 1.0) * 0.1,
@@ -312,40 +324,14 @@ def lp_energy_report(sol: SKTSolution, p: int,
 
 
 # ---------------------------------------------------------------------------
-# general networks as polynomial term lists
+# general networks as a monomial table
 
 
-def poly_combine(*weighted):
-    """Linear combination of term lists: weighted = (coef, reaction) pairs."""
-    acc: dict = {}
-    for cf, reaction in weighted:
-        for c, powers in reaction:
-            key = tuple(int(e) for e in powers)
-            acc[key] = acc.get(key, 0.0) + cf * c
-    return [(c, k) for k, c in sorted(acc.items()) if c != 0.0]
-
-
-def poly_max_coeff(reaction) -> float:
-    return max((abs(c) for c, _ in reaction), default=0.0)
-
-
-def poly_eval(reaction, states: np.ndarray) -> np.ndarray:
-    """Evaluate a term list at states of shape (N, m)."""
-    return _eval_monomials(*_monomial_table([reaction]), states.T)[0]
-
-
-def _monomial_table(reactions):
-    """Distinct monomials of some term lists, each as its (row, exponent)
-    factors, and coefficients C with f_i = sum_j C[j, i] * monomial_j."""
-    keys = sorted({tuple(int(e) for e in powers)
-                   for reaction in reactions for _, powers in reaction})
-    row = {key: j for j, key in enumerate(keys)}
-    coeffs = np.zeros((len(keys), len(reactions)))
-    for i, reaction in enumerate(reactions):
-        for c, powers in reaction:
-            coeffs[row[tuple(int(e) for e in powers)], i] += c
-    plan = [[(r, e) for r, e in enumerate(key) if e] for key in keys]
-    return plan, coeffs
+def _factors(powers):
+    """Each exponent row of a monomial table as its (species, exponent)
+    factors, zero exponents left out."""
+    return [[(r, e) for r, e in enumerate(row) if e]
+            for row in powers.tolist()]
 
 
 def _fill_monomials(plan, states, mono, scratch):
@@ -363,37 +349,38 @@ def _fill_monomials(plan, states, mono, scratch):
                 np.copyto(out, x)
 
 
-def _eval_monomials(plan, coeffs, states: np.ndarray) -> np.ndarray:
-    """(len(reactions), N) values of the table at species-major states of
-    shape (m, N)."""
-    mono = np.empty((len(plan), states.shape[1]))
-    _fill_monomials(plan, states, mono, None)
-    return coeffs.T @ mono
-
-
-def _pad_terms(reaction, m: int):
-    return [(float(c), tuple(int(e) for e in powers) + (0,) * (m - len(powers)))
-            for c, powers in reaction]
-
-
 class GeneralSystemSpec:
     """A reaction network plus the structure used to de-triangularize it.
 
-    reactions[i] is a term list for f_i; beta_weights are the positive mass
-    weights with sum beta_i f_i <= 0; A is lower triangular with positive
-    diagonal and one-sidedly quadratically bounded row sums
+    reactions[i] is a term list for f_i, (coefficient, exponents) pairs
+    with exponents padded by zeros to m species; the constructor turns the
+    lists into the network's monomial table: the distinct exponent rows
+    ``powers`` (J, m) and ``coeffs`` (J, m) with
+    f_i = sum_j coeffs[j, i] prod_r u_r^powers[j, r].  beta_weights are the
+    positive mass weights with sum beta_i f_i <= 0; A is lower triangular
+    with positive diagonal and one-sidedly quadratically bounded row sums
     sum_{j<=i} a_ij f_j <= K (1 + sum u)^2.
     """
 
     def __init__(self, diffusions, reactions, beta_weights, A, K: float,
                  name: str = "custom"):
-        self.m = len(reactions)
+        self.m = m = len(reactions)
         if len(diffusions) != self.m or len(beta_weights) != self.m:
             raise ParameterError("inconsistent species count")
         self.diffusions = tuple(float(d) for d in diffusions)
         if min(self.diffusions) <= 0:
             raise ParameterError("diffusions must be positive")
-        self.reactions = [_pad_terms(r, self.m) for r in reactions]
+        terms = [[(float(c), tuple(int(e) for e in p) + (0,) * (m - len(p)))
+                  for c, p in r] for r in reactions]
+        keys = sorted({p for r in terms for _, p in r})
+        if any(len(p) > m for p in keys):
+            raise ParameterError(f"a term has more than {m} exponents")
+        row = {key: j for j, key in enumerate(keys)}
+        self.powers = np.array(keys, dtype=int).reshape(len(keys), m)
+        self.coeffs = np.zeros((len(keys), m))
+        for i, reaction in enumerate(terms):
+            for c, p in reaction:
+                self.coeffs[row[p], i] += c
         self.beta_weights = tuple(float(b) for b in beta_weights)
         if min(self.beta_weights) <= 0:
             raise ParameterError("beta weights must be positive")
@@ -410,12 +397,18 @@ class GeneralSystemSpec:
             raise ParameterError("A B = I fails at 1e-12")
         self.K = float(K)
         self.name = name
-        self._table = _monomial_table(self.reactions)
+
+    def monomials(self, states: np.ndarray) -> np.ndarray:
+        """The table's monomials, shape (J, N), at species-major states of
+        shape (m, N)."""
+        mono = np.empty((len(self.powers), states.shape[1]))
+        _fill_monomials(_factors(self.powers), states, mono, None)
+        return mono
 
     def rates(self, states: np.ndarray) -> np.ndarray:
         """Reaction rates f(u), shape (m, N), at species-major states of
         shape (m, N)."""
-        return _eval_monomials(*self._table, states)
+        return self.coeffs.T @ self.monomials(states)
 
     def c_table(self) -> np.ndarray:
         """c_ik = sum_{j=k}^{i-1} (d_j - d_i) a_ij b_jk for k < i."""
@@ -427,30 +420,36 @@ class GeneralSystemSpec:
                               for j in range(k, i))
         return c
 
-    def mass_combination(self):
-        """Term list of sum beta_i f_i (symbolically combined)."""
-        return poly_combine(*[(b, r) for b, r in
-                              zip(self.beta_weights, self.reactions)])
+    def mass_combination(self) -> np.ndarray:
+        """Coefficients of sum beta_i f_i over the table's monomials."""
+        return self.coeffs @ np.asarray(self.beta_weights)
+
+    def mass_is_exact(self) -> bool:
+        """sum beta_i f_i vanishes symbolically: no coefficient of the mass
+        combination exceeds 1e-12 in size."""
+        return float(np.max(np.abs(self.mass_combination()),
+                            initial=0.0)) <= 1e-12
 
     def with_companion(self) -> "GeneralSystemSpec":
         """Append the balancing species with f_{m+1} = -sum beta_i f_i.
 
         The companion diffuses like species 1, extends A by the beta row
-        with unit diagonal, and restores an exact mass identity.
+        with unit diagonal, and restores an exact mass identity; its table
+        is this one with a zero exponent column and the coefficient column
+        -C beta appended.
         """
         m = self.m
-        comp = poly_combine((-1.0, self.mass_combination()))
-        comp = _pad_terms(comp, m + 1)
-        reactions = [_pad_terms(r, m + 1) for r in self.reactions] + [comp]
         A = np.zeros((m + 1, m + 1))
         A[:m, :m] = self.A
         A[m, :m] = self.beta_weights
         A[m, m] = 1.0
-        return GeneralSystemSpec(
-            self.diffusions + (self.diffusions[0],),
-            reactions,
-            self.beta_weights + (1.0,),
-            A, self.K, name=self.name + "+companion")
+        comp = GeneralSystemSpec(
+            self.diffusions + (self.diffusions[0],), [[]] * (m + 1),
+            self.beta_weights + (1.0,), A, self.K,
+            name=self.name + "+companion")
+        comp.powers = np.pad(self.powers, ((0, 0), (0, 1)))
+        comp.coeffs = np.column_stack([self.coeffs, -self.mass_combination()])
+        return comp
 
 
 # -- presets ---------------------------------------------------------------
@@ -578,17 +577,22 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
     """Sample-based audit of quasi-positivity, mass control, and the
     one-sided quadratic row bounds.
 
-    Quasi-positivity is checked on the faces u_i = 0; the mass combination
-    is first combined symbolically (exact zero when every coefficient
-    cancels); the row bounds report the smallest feasible K and the fitted
-    growth exponent of the worst row at large states (diagnostic only).
-    A violation raises StructuralError carrying a witness state unless
-    ``raise_on_violation`` is false.
+    The table's monomials are filled once at the Halton samples.
+    Quasi-positivity is checked on the faces u_i = 0, where only the
+    monomials free of u_i survive; the mass combination C beta is a
+    symbolic zero when every coefficient cancels; the row bounds report
+    max row/(1 + sum u)^2 - K over rows and samples (the lhs), the smallest
+    feasible K and the fitted growth exponent of the worst row at large
+    states (diagnostic only).  A violation raises StructuralError carrying
+    a witness state unless ``raise_on_violation`` is false.
     """
     m = spec.m
     states = box[0] + (box[1] - box[0]) * halton(m, n_samples)
+    u = states.T                                 # species-major (m, N)
     tol = 1e-12
-    scale = (1.0 + states.sum(axis=1)) ** 2
+    total = u.sum(axis=0)
+    scale = (1.0 + total) ** 2
+    mono = spec.monomials(u)
 
     def fail(condition, index, witness_state, value):
         witness = {"condition": condition, "index": index,
@@ -603,64 +607,55 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
     violations = []
 
     # (A1) quasi-positivity at the faces
-    a1_margin = np.inf
-    for i in range(m):
-        faces = states.copy()
-        faces[:, i] = 0.0
-        fi = poly_eval(spec.reactions[i], faces)
-        worst = int(np.argmin(fi))
-        a1_margin = min(a1_margin, float(fi[worst]))
-        if fi[worst] < -tol * max(1.0, poly_max_coeff(spec.reactions[i])) \
-                * float(scale[worst]):
-            violations.append(fail("A1", i, faces[worst], fi[worst]))
+    faces = (spec.coeffs * (spec.powers == 0)).T @ mono
+    worst = np.argmin(faces, axis=1)
+    margins = faces[np.arange(m), worst]
+    size = np.maximum(1.0, np.abs(spec.coeffs).max(axis=0, initial=0.0))
+    for i in np.flatnonzero(margins < -tol * size * scale[worst]):
+        face = states[worst[i]].copy()
+        face[i] = 0.0
+        violations.append(fail("A1", int(i), face, margins[i]))
 
     # (A2) mass control
-    combo = spec.mass_combination()
-    a2_exact = poly_max_coeff(combo) <= 1e-12
-    if a2_exact:
-        a2_worst = 0.0
-    else:
-        vals = poly_eval(combo, states)
+    a2_exact = spec.mass_is_exact()
+    a2_worst = 0.0
+    if not a2_exact:
+        vals = spec.mass_combination() @ mono
         worst = int(np.argmax(vals))
         a2_worst = float(vals[worst])
         if a2_worst > tol * float(scale[worst]):
             violations.append(fail("A2", -1, states[worst], a2_worst))
 
     # (A3) one-sided quadratic row bounds
-    rows = spec.rates(states.T).T @ spec.A.T
-    fitted_k = 0.0
-    a3_worst = -np.inf
+    rows = spec.A @ (spec.coeffs.T @ mono)
+    ratio = rows / scale
+    worst = np.argmax(ratio, axis=1)
+    peaks = ratio[np.arange(m), worst]
+    fitted_k = float(peaks.max())
+    for i in np.flatnonzero(peaks - spec.K > tol):
+        violations.append(fail("A3", int(i), states[worst[i]],
+                               rows[i, worst[i]]))
     growth_exponent = 0.0
-    for i in range(m):
-        ratio = rows[:, i] / scale
-        k_i = float(np.max(ratio))
-        fitted_k = max(fitted_k, max(k_i, 0.0))
-        excess = rows[:, i] - spec.K * scale
-        worst = int(np.argmax(excess))
-        a3_worst = max(a3_worst, float(excess[worst] / scale[worst]))
-        if excess[worst] > tol * float(scale[worst]):
-            violations.append(fail("A3", i, states[worst],
-                                   float(rows[worst, i])))
-        pos = rows[:, i] > 1e-12
+    for row in rows:
+        pos = row > 1e-12
         if pos.sum() > 10:
-            s = np.log1p(states[pos].sum(axis=1))
+            s = np.log1p(total[pos])
             top = s >= np.quantile(s, 0.9)
             if top.sum() > 5 and np.ptp(s[top]) > 1e-6:
-                slope = np.polyfit(s[top], np.log(rows[pos][top, i]), 1)[0]
+                slope = np.polyfit(s[top], np.log(row[pos][top]), 1)[0]
                 growth_exponent = max(growth_exponent, float(slope))
 
-    passed = not violations
     return EstimateReport(
         check="structural_assumptions",
-        lhs=a3_worst if np.isfinite(a3_worst) else 0.0, rhs=0.0,
-        passed=passed,
+        lhs=fitted_k - spec.K, rhs=0.0,
+        passed=not violations,
         params={"system": spec.name, "K": spec.K, "samples": n_samples,
                 "box": list(box)},
         grid={},
-        details={"a1_min_margin": a1_margin,
-                 "a2_symbolic_zero": bool(a2_exact),
+        details={"a1_min_margin": float(margins.min()),
+                 "a2_symbolic_zero": a2_exact,
                  "a2_worst": a2_worst,
-                 "fitted_K": fitted_k,
+                 "fitted_K": max(fitted_k, 0.0),
                  "fitted_growth_exponent": growth_exponent,
                  "violations": violations},
     )
@@ -695,7 +690,7 @@ def general_solve(inits, spec: GeneralSystemSpec, t_end: float,
     state leaves the structurally sampled box the solution is flagged (the
     caller should re-audit).
     """
-    companion = poly_max_coeff(spec.mass_combination()) > 1e-12
+    companion = not spec.mass_is_exact()
     if companion:
         spec = spec.with_companion()
         inits = list(inits) + [Field.constant(inits[0].mask, 0.0)]
@@ -709,14 +704,14 @@ def general_solve(inits, spec: GeneralSystemSpec, t_end: float,
     limit = stable_dt(mask, diffusion=max(spec.diffusions), safety=1.0)
     m = spec.m
     bd = np.asarray(spec.beta_weights) * np.asarray(spec.diffusions)
-    plan, coeffs = spec._table
+    plan = _factors(spec.powers)
     mono = np.empty((len(plan), mask.active_count))
     scratch = np.empty(mask.active_count)
     table, bd_dt = np.empty((m, len(plan))), np.empty(m)
 
     def prefill(k, t, step, U, V, top):
         if k == 1:                     # dt folded into the coefficients
-            np.multiply(coeffs.T, step, out=table)
+            np.multiply(spec.coeffs.T, step, out=table)
             np.multiply(bd, step, out=bd_dt)
         _fill_monomials(plan, U, mono, scratch)
         np.matmul(table, mono, out=V[:m])
@@ -796,18 +791,18 @@ def quad_mu_report(sol: GeneralSolution, diffusions) -> EstimateReport:
 
 def quad_identity_report(sol: GeneralSolution, diffusions) -> EstimateReport:
     """Residuals of lap w = M - M(0) and of dw/dt - mu lap w = mu M(0) for
-    M = sum beta_i u_i, centered at interior frames."""
+    M = sum beta_i u_i, centered at interior frames (SamplingError without
+    one)."""
     mask = sol.w.mask
     times = sol.w.times
+    _interior_frames("quad_integral_identities", times)
     mu, total = _mu(sol, diffusions)
     sum0 = total[0]
     w = sol.w.values
-    worst_lap = worst_evo = 0.0
-    if times.size > 2:
-        lap_w = (mask.laplacian_matrix() @ w[1:-1].T).T
-        worst_lap = float(np.max(np.abs(lap_w - (total[1:-1] - sum0))))
-        dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
-        worst_evo = float(np.max(np.abs(dwdt - mu[1:-1] * (lap_w + sum0))))
+    lap_w = (mask.laplacian_matrix() @ w[1:-1].T).T
+    worst_lap = float(np.max(np.abs(lap_w - (total[1:-1] - sum0))))
+    dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
+    worst_evo = float(np.max(np.abs(dwdt - mu[1:-1] * (lap_w + sum0))))
     scale = float(np.max(np.abs(total)))
     return EstimateReport(
         check="quad_integral_identities",
@@ -819,36 +814,32 @@ def quad_identity_report(sol: GeneralSolution, diffusions) -> EstimateReport:
     )
 
 
-def transformed_residual_report(sol: GeneralSolution,
-                                burn_in: float = 0.1) -> EstimateReport:
+def transformed_residual_report(sol: GeneralSolution) -> EstimateReport:
     """Residual of dv_i/dt - d_i lap v_i - (A f)_i - sum_{k<i} c_ik lap v_k.
 
-    Centered time differences at interior frames with t >= burn_in * T.
-    The skipped head is where frame-rate sampling cannot resolve the decay
-    of the initial data's high modes; past it the residual shrinks with
-    both the frame spacing and the solver step.
+    Centered time differences at the interior frames with t >= T/10, or
+    the last two when fewer lie there (SamplingError with no interior
+    frame).  The skipped head is where frame-rate sampling cannot resolve
+    the decay of the initial data's high modes; past it the residual
+    shrinks with both the frame spacing and the solver step.
     """
     spec = sol.spec
     mask = sol.u[0].mask
     times = sol.u[0].times
-    t_burn = burn_in * float(times[-1])
-    lo = max(1, int(np.searchsorted(times, t_burn)))
-    lo = min(lo, times.size - 3) if times.size > 3 else 1
-    k = np.arange(lo, times.size - 1)
-    worst, scale = 0.0, 1.0
-    if k.size:
-        u = np.stack([t.values[k] for t in sol.u], axis=-1)      # (K, N, m)
-        v = np.stack([t.values for t in sol.v], axis=-1)         # (F, N, m)
-        g = spec.rates(u.reshape(-1, spec.m).T).T.reshape(u.shape) @ spec.A.T
-        laps = np.stack([mask.laplacian_matrix() @ vk for vk in v[k]])
-        dvdt = (v[k + 1] - v[k - 1]) \
-            / (times[k + 1] - times[k - 1])[:, None, None]
-        diffusive = laps * np.asarray(spec.diffusions)
-        res = dvdt - diffusive - g - laps @ spec.c_table().T
-        worst = float(np.max(np.abs(res)))
-        # residual is judged against the size of the equation's terms
-        scale = max(1.0, *(float(np.max(np.abs(x)))
-                           for x in (dvdt, diffusive, g)))
+    n_fr = _interior_frames("transformed_system_residual", times)
+    burn_in = 0.1
+    lo = max(1, int(np.searchsorted(times, burn_in * float(times[-1]))))
+    k = np.arange(min(lo, max(1, n_fr - 3)), n_fr - 1)
+    u = np.stack([t.values[k] for t in sol.u], axis=-1)          # (K, N, m)
+    v = np.stack([t.values for t in sol.v], axis=-1)             # (F, N, m)
+    g = spec.rates(u.reshape(-1, spec.m).T).T.reshape(u.shape) @ spec.A.T
+    laps = np.stack([mask.laplacian_matrix() @ vk for vk in v[k]])
+    dvdt = (v[k + 1] - v[k - 1]) / (times[k + 1] - times[k - 1])[:, None, None]
+    diffusive = laps * np.asarray(spec.diffusions)
+    res = dvdt - diffusive - g - laps @ spec.c_table().T
+    worst = float(np.max(np.abs(res)))
+    # residual is judged against the size of the equation's terms
+    scale = max(1.0, *(float(np.max(np.abs(x))) for x in (dvdt, diffusive, g)))
     return EstimateReport(
         check="transformed_system_residual",
         lhs=worst, rhs=0.1 * scale,

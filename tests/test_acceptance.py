@@ -31,7 +31,6 @@ from difflab import (
     moment_report,
     nu_bounds_report,
     oscillation_decay_check,
-    poly_max_coeff,
     preset_p_q_2s3,
     preset_quad4,
     preset_s1_2s2,

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -126,6 +127,35 @@ def test_config_errors_name_the_offending_field(override, fragment):
     data = {"experiment": "skt", "seed": 0, **override}
     with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
         ExperimentConfig(data)
+
+
+@pytest.mark.parametrize("experiment, block, fragment", [
+    ("oscdecay", '"estimate": {"a0": NaN}', "estimate.a0"),
+    ("oscdecay", '"estimate": {"p": NaN}', "estimate.p"),
+    ("oscdecay", '"grid": {"extent": Infinity}', "grid.extent"),
+    ("oscdecay", '"grid": {"n": Infinity}', "grid.n"),
+    ("oscdecay", '"grid": {"extent": 1' + "0" * 400 + "}", "grid.extent"),
+    ("oscdecay", '"time": {"t_end": -Infinity}', "time.t_end"),
+    ("general", '"system": {"box": [0.0, Infinity]}', "system.box[1]"),
+    ("heatkernel", '"system": {"p_list": [1.0, NaN]}', "system.p_list[1]"),
+])
+def test_config_rejects_non_finite_numbers(experiment, block, fragment):
+    # json parses NaN and Infinity; a NaN a0 would give beta = A = NaN and
+    # an infinite extent would fail mid-pipeline
+    text = f'{{"experiment": "{experiment}", "seed": 0, {block}}}'
+    with pytest.raises(ConfigError, match=re.escape(fragment) + " must be"):
+        ExperimentConfig.from_json(text)
+
+
+def test_config_keeps_infinite_exponents():
+    cfg = ExperimentConfig.from_json(
+        '{"experiment": "oscdecay", "seed": 0, '
+        '"estimate": {"p": Infinity, "q": Infinity}}')
+    assert math.isinf(cfg.p) and math.isinf(cfg.q)
+    cfg = ExperimentConfig.from_json(
+        '{"experiment": "heatkernel", "seed": 0, '
+        '"system": {"p_list": [1.0, Infinity]}}')
+    assert cfg.system["p_list"] == [1.0, math.inf]
 
 
 def test_interp_rejects_nonpositive_domain_radius_before_any_solve():

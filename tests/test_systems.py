@@ -14,14 +14,12 @@ from difflab import (
     PRESET_SYSTEMS,
     ParameterError,
     SKTParams,
+    SamplingError,
     SolverError,
     StructuralError,
     full_mask,
     general_solve,
     lp_energy_report,
-    poly_combine,
-    poly_eval,
-    poly_max_coeff,
     preset_p_q_2s3,
     preset_quad4,
     preset_s1_2s2,
@@ -237,6 +235,14 @@ def test_skt_evolution_identity_residual_refines():
     assert worst[0] / worst[1] >= 1.6
 
 
+def test_skt_evolution_identity_needs_an_interior_frame():
+    # a residual over no interior frame would read 0.0 and pass
+    sol = run_skt(n=9, t_end=0.01, n_frames=2)
+    with pytest.raises(SamplingError,
+                       match="skt_evolution_identity.*2 frames"):
+        skt_auxiliary(sol)
+
+
 def test_skt_convexified_field_dominates_u():
     sol = run_skt()
     aux = skt_auxiliary(sol)
@@ -390,22 +396,53 @@ def test_quad_lap_identity_residual_refines():
     assert vals[0] / vals[1] >= 1.8
 
 
+def test_quad_identities_need_an_interior_frame():
+    # residuals over no interior frame would read 0.0 and pass
+    sol = quadratic_solve(general_inits(unit_square(9), 4), QUAD_DIFF, 0.01,
+                          n_frames=2)
+    with pytest.raises(SamplingError,
+                       match="quad_integral_identities.*2 frames"):
+        quad_identity_report(sol, QUAD_DIFF)
+
+
 # ---------------------------------------------------------------------------
-# polynomial term lists
+# the monomial table of a network
 
 
-def test_poly_eval_and_combine():
-    # f = 2 u1^2 u3 - u2
-    f = [(2.0, (2, 0, 1)), (-1.0, (0, 1, 0))]
-    states = np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 4.0]])
-    np.testing.assert_allclose(poly_eval(f, states), [4.0, 1.0])
+def term_lists(spec):
+    """The table of ``spec`` written back as constructor term lists."""
+    return [[(c, tuple(p)) for c, p in zip(col, spec.powers.tolist())]
+            for col in spec.coeffs.T]
+
+
+def test_monomial_table_evaluates_and_combines():
+    # f1 = 2 u1^2 u3 - u2 and f2 = -2 u1^2 u3 + 0.5 u2 share two monomials,
+    # rows sorted by exponents; a short exponent tuple pads with zeros
+    f = [(2.0, (2, 0, 1)), (-1.0, (0, 1))]
     g = [(-2.0, (2, 0, 1)), (0.5, (0, 1, 0))]
-    combined = poly_combine((1.0, f), (1.0, g))
+    spec = GeneralSystemSpec((1.0,) * 3, [f, g, []], (1.0,) * 3, np.eye(3),
+                             K=1.0)
+    np.testing.assert_array_equal(spec.powers, [[0, 1, 0], [2, 0, 1]])
+    np.testing.assert_array_equal(spec.coeffs, [[-1.0, 0.5, 0.0],
+                                                [2.0, -2.0, 0.0]])
+    states = np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 4.0]])
+    np.testing.assert_allclose(spec.rates(states.T),
+                               [[4.0, 1.0], [-5.0, -1.5], [0.0, 0.0]])
     # the cubic terms cancel exactly; only -0.5 u2 survives
-    assert combined == [(-0.5, (0, 1, 0))]
-    assert poly_max_coeff(combined) == 0.5
-    assert poly_max_coeff([]) == 0.0
-    assert poly_combine((1.0, f), (-1.0, f)) == []
+    np.testing.assert_array_equal(spec.mass_combination(), [-0.5, 0.0])
+    assert not spec.mass_is_exact()
+    # repeated terms add up, and a cancelled or empty network is exact
+    neg = [(-2.0 * c, p) for c, p in f]
+    twice = GeneralSystemSpec((1.0,) * 3, [f + f, neg, []], (1.0,) * 3,
+                              np.eye(3), K=1.0)
+    np.testing.assert_array_equal(twice.coeffs[:, 0], [-2.0, 4.0])
+    assert twice.mass_is_exact()
+    empty = GeneralSystemSpec((1.0,), [[]], (1.0,), [[1.0]], K=1.0)
+    assert empty.powers.shape == (0, 1) and empty.mass_is_exact()
+    np.testing.assert_array_equal(empty.rates(np.ones((1, 3))),
+                                  np.zeros((1, 3)))
+    with pytest.raises(ParameterError, match="more than 1 exponents"):
+        GeneralSystemSpec((1.0,), [[(1.0, (1, 1))]], (1.0,), [[1.0]], K=1.0)
 
 
 def test_spec_validation_errors():
@@ -460,29 +497,67 @@ def test_c_table_identity_matrix_gives_zero():
 def test_with_companion_restores_exact_mass():
     decay = GeneralSystemSpec((1.0,), [[(-1.0, (2,))]], (1.0,), [[1.0]],
                               K=1.0, name="decay")
-    assert poly_max_coeff(decay.mass_combination()) > 0
+    assert not decay.mass_is_exact()
     comp = decay.with_companion()
     assert comp.m == 2
-    assert poly_max_coeff(comp.mass_combination()) <= TOL_MACHINE
+    assert comp.mass_is_exact()
+    assert float(np.max(np.abs(comp.mass_combination()))) <= TOL_MACHINE
     np.testing.assert_array_equal(comp.A, [[1.0, 0.0], [1.0, 1.0]])
-    # companion rate is +u1^2
+    # the table gains a zero exponent column and the companion rate +u1^2
+    np.testing.assert_array_equal(comp.powers, [[2, 0]])
+    np.testing.assert_array_equal(comp.coeffs, [[-1.0, 1.0]])
     states = np.array([[2.0, 0.0], [3.0, 1.0]])
-    np.testing.assert_allclose(poly_eval(comp.reactions[1], states),
-                               [4.0, 9.0])
+    np.testing.assert_allclose(comp.rates(states.T)[1], [4.0, 9.0])
 
 
 # ---------------------------------------------------------------------------
 # structural audits
 
 
+AUDITED_PRESETS = (preset_quad4(), preset_uum(1, (1,)), preset_uum(2, (2, 1)),
+                   preset_s1_2s2(), preset_p_q_2s3(1, 2), preset_p_q_2s3(2, 2))
+
+
 def test_presets_pass_structural_checks():
-    for spec in (preset_quad4(), preset_uum(1, (1,)), preset_uum(2, (2, 1)),
-                 preset_s1_2s2(), preset_p_q_2s3(1, 2), preset_p_q_2s3(2, 2)):
+    for spec in AUDITED_PRESETS:
         rep = structural_checks(spec, n_samples=20_000)
         assert rep.passed, spec.name
         assert rep.details["a2_symbolic_zero"]
         assert rep.details["a1_min_margin"] >= -TOL_MACHINE
         assert rep.details["fitted_K"] <= spec.K + 1e-9
+
+
+def test_a1_margins_match_faces_evaluated_by_rates():
+    # the audit keeps the monomials free of u_i on the face u_i = 0; the
+    # reference zeroes column i of the samples and evaluates f_i there.  The
+    # shifted box keeps the origin, where every margin is 0, out of reach.
+    n = 20_000
+    for spec in AUDITED_PRESETS + (DECAY.with_companion(),):
+        for box in ((0.0, 10.0), (0.5, 10.0)):
+            states = box[0] + (box[1] - box[0]) * halton(spec.m, n)
+            margin = np.inf
+            for i in range(spec.m):
+                faces = states.copy()
+                faces[:, i] = 0.0
+                margin = min(margin, float(spec.rates(faces.T)[i].min()))
+            rep = structural_checks(spec, n_samples=n, box=box)
+            np.testing.assert_allclose(rep.details["a1_min_margin"], margin,
+                                       rtol=1e-12, atol=0.0,
+                                       err_msg=f"{spec.name} {box}")
+
+
+def test_a3_lhs_is_the_worst_scaled_row_minus_k():
+    # lhs is max over rows and samples of row/(1 + sum u)^2 - K, so it
+    # shows how near the rows come to K
+    for spec, pinned in ((preset_quad4(), -0.78),
+                         (preset_p_q_2s3(1, 2), -0.39)):
+        states = halton(spec.m, 100_000) * 10.0
+        rows = spec.A @ spec.rates(states.T)
+        worst = float(np.max(rows / (1.0 + states.sum(axis=1)) ** 2))
+        rep = structural_checks(spec, n_samples=100_000)
+        assert rep.lhs == worst - spec.K
+        assert rep.lhs == rep.details["fitted_K"] - spec.K
+        assert round(rep.lhs, 2) == pinned
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -502,7 +577,7 @@ def test_row_sums_beat_naive_species_bounds():
     that distinction is the whole point of the triangular structure."""
     spec = preset_s1_2s2()
     state = np.array([[8.0, 9.0, 1.0]])
-    naive = float(poly_eval(spec.reactions[2], state)[0])
+    naive = float(spec.rates(state.T)[2, 0])
     assert naive > spec.K * (1.0 + state.sum()) ** 2
     rep = structural_checks(spec, n_samples=20_000)
     assert rep.passed
@@ -511,7 +586,7 @@ def test_row_sums_beat_naive_species_bounds():
 
 def test_structural_violations_raise_with_witness():
     base = preset_uum(1, (1,))
-    starving = GeneralSystemSpec(base.diffusions, base.reactions,
+    starving = GeneralSystemSpec(base.diffusions, term_lists(base),
                                  base.beta_weights, base.A, K=0.01)
     with pytest.raises(StructuralError) as exc:
         structural_checks(starving, n_samples=20_000)
@@ -634,8 +709,7 @@ def test_general_solve_matches_a_per_step_reference_loop(spec):
     sol = general_solve(inits, spec, 0.05, n_frames=9)
     assert sol.companion_added == (spec is DECAY)
     spec, dt, m = sol.spec, sol.dt, sol.spec.m
-    plan, coeffs = spec._table
-    table = np.ascontiguousarray(dt * coeffs.T)
+    table = np.ascontiguousarray(dt * spec.coeffs.T)
     d = np.asarray(spec.diffusions)
     bd = np.asarray(spec.beta_weights) * d
     lap = mask.laplacian_matrix()
@@ -643,10 +717,11 @@ def test_general_solve_matches_a_per_step_reference_loop(spec):
     U[:len(inits)] = [f.values for f in inits]
     states = [U]
     for _ in range(sol.steps):
-        mono = np.ones((len(plan), mask.active_count))
-        for j, factors in enumerate(plan):
-            for r, e in factors:
-                mono[j] = mono[j] * U[r] ** e
+        mono = np.ones((len(spec.powers), mask.active_count))
+        for j, row in enumerate(spec.powers.tolist()):
+            for r, e in enumerate(row):
+                if e:
+                    mono[j] = mono[j] * U[r] ** e
         V = np.vstack([table @ mono, np.dot(bd * dt, U[:m])]) + U
         V[:m] = euler_product_reference(lap, dt * d, U[:m], V[:m])
         V[:m][V[:m] < 0] = 0.0
@@ -708,3 +783,12 @@ def test_transformed_residual_passes_and_refines():
         assert not rep.details["box_exceeded"]
         vals.append(rep.lhs)
     assert vals[0] / vals[1] >= 2.0
+
+
+def test_transformed_residual_needs_an_interior_frame():
+    # a residual over no interior frame would read 0.0 and pass
+    sol = general_solve(general_inits(unit_square(9), 3), preset_uum(1, (1,)),
+                        0.01, n_frames=2)
+    with pytest.raises(SamplingError,
+                       match="transformed_system_residual.*2 frames"):
+        transformed_residual_report(sol)
