@@ -1,13 +1,14 @@
 """Experiment harness: JSON configs in, reproducible reports out.
 
 A config names one of the built-in experiment presets and overrides its
-defaults.  The preset table is the schema: an override may only name a
-field the preset has, and each ``system`` field is read once against the
-type of its default, so a bad config fails before any solve and the echo
-is what ran.  ``run_experiment`` builds the grid, draws every random
-object from the config seed, runs the preset pipeline, and returns a
-:class:`~difflab.report.RunReport` whose config block embeds the resolved
-settings and the explicit-constants bundle in force.  Reports are
+defaults.  The preset table is the schema: a preset has only the fields its
+pipeline reads, an override may only name one of them, and each field is
+read once (``system`` fields against the type of their default), so a bad
+config fails before any solve and the echo is what ran.  ``run_experiment``
+builds the grid, draws every random object from the config seed, runs the
+preset pipeline, and returns a :class:`~difflab.report.RunReport` whose
+config block embeds the resolved settings, plus the explicit-constants
+bundle for ``oscdecay``, the one preset whose checks read it.  Reports are
 deterministic: the same config and seed produce byte-identical JSON/CSV.
 
 Presets
@@ -41,6 +42,7 @@ import copy
 import json
 import math
 import pathlib
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -69,14 +71,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # preset defaults
 
-# every preset is this base with its own entries laid over each block
+# every preset is this base with its own blocks laid over it, time.dt only
+# where it marches; a preset has only the leaves its pipeline reads
 _BASE = {
     "seed": 0,
     "grid": {"dim": 2, "extent": 1.0},
     "time": {"dt": "auto"},
-    "estimate": {"p": "inf", "q": "inf", "alpha": 0.0,
-                 "a0": 1.0, "c0": 2.0, "radius": 0.3, "r0": 0.25,
-                 "eps": 0.25, "C": None},
     "output": {"dir": None, "stem": "report"},
 }
 
@@ -84,12 +84,15 @@ _OWN = {
     "heatkernel": {
         "grid": {"n": 96},
         "time": {"t_end": 0.3, "n_frames": 96},
+        "estimate": {"eps": 0.25},
         "system": {"p_list": [1.0, 2.0, "inf"], "slope_tol": 0.1,
                    "moment_tol": 0.05, "source": "center"},
     },
     "oscdecay": {
         "grid": {"n": 33},
         "time": {"t_end": 0.06, "n_frames": 129},
+        "estimate": {"p": "inf", "q": "inf", "a0": 1.0, "c0": 2.0,
+                     "radius": 0.3, "eps": 0.25},
         "system": {"forcing": "none", "f_amp": 1.0, "w_amp": 1.0,
                    "n_bumps": 6},
     },
@@ -101,7 +104,8 @@ _OWN = {
                    "d11": 1.0, "d12": 0.5, "d21": 0.5, "d22": 1.0,
                    "u_amp": 0.8, "v_amp": 0.8, "n_bumps": 5,
                    "energy_p": 2},
-        "estimate": {"p": 2.0, "q": 3.0, "r0": 0.3},
+        "estimate": {"p": 2.0, "q": 3.0, "alpha": 0.0, "r0": 0.3,
+                     "C": None},
     },
     "quad4": {
         "grid": {"n": 32},
@@ -119,9 +123,9 @@ _OWN = {
     },
     "interp": {
         "grid": {"dim": 3, "n": 24},
-        "time": {"t_end": 0.0, "n_frames": 2},
         "system": {"n_bumps": 6, "margin": 0.5, "domain_radius": 0.3},
-        "estimate": {"p": 2.0, "q": "auto", "alpha": 0.3, "r0": 0.2},
+        "estimate": {"p": 2.0, "q": "auto", "alpha": 0.3, "r0": 0.2,
+                     "C": None, "radius": 0.3},
     },
 }
 
@@ -129,7 +133,8 @@ _OWN = {
 # the one schema: an override may only name a leaf these dicts have, and
 # each ``system`` leaf is read against the type of its default here
 _PRESETS: dict[str, dict] = {
-    name: {"experiment": name, **_BASE,
+    name: {"experiment": name,
+           **{k: v for k, v in _BASE.items() if k != "time"},
            **{block: {**_BASE.get(block, {}), **entries}
               for block, entries in own.items()}}
     for name, own in _OWN.items()}
@@ -170,21 +175,16 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _num(data: dict, section: str, key: str, *, lo=None, hi=None,
-         strict_lo=False, allow_inf=False, allow_auto=False,
-         integer=False):
-    """Fetch ``section.key`` as a number with a field-precise error."""
-    where = f"{section}.{key}"
-    val = data[key]
-    if allow_auto and val == "auto":
-        return "auto"
-    if isinstance(val, str):
-        if allow_inf and val in ("inf", "Infinity"):
-            return math.inf
-        raise ConfigError(f"{where} must be a number, got {val!r}")
+def _num(val, where: str, *, lo=None, hi=None, strict_lo=False,
+         strict_hi=False, allow_inf=False, keep=(), integer=False):
+    """The config value ``val`` at ``where`` as a checked number (a value in
+    ``keep`` passes as is)."""
+    if val in keep:
+        return val
+    if allow_inf and val in ("inf", "Infinity"):
+        return math.inf
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where} must be a number, got "
-                          f"{type(val).__name__}")
+        raise ConfigError(f"{where} must be a number, got {val!r}")
     try:
         val = float(val)
     except OverflowError:
@@ -198,16 +198,37 @@ def _num(data: dict, section: str, key: str, *, lo=None, hi=None,
             raise ConfigError(f"{where} must be an integer, got {val}")
         val = int(val)
     if lo is not None and (val <= lo if strict_lo else val < lo):
-        op = ">" if strict_lo else ">="
-        raise ConfigError(f"{where} must be {op} {lo}, got {val}")
-    if hi is not None and val > hi:
-        raise ConfigError(f"{where} must be <= {hi}, got {val}")
+        raise ConfigError(f"{where} must be {'>' if strict_lo else '>='} "
+                          f"{lo}, got {val}")
+    if hi is not None and (val >= hi if strict_hi else val > hi):
+        raise ConfigError(f"{where} must be {'<' if strict_hi else '<='} "
+                          f"{hi}, got {val}")
     return val
 
 
+# the bounds of every grid, time and estimate leaf, keyed by leaf name
+_LEAVES = {
+    "dim": dict(lo=1, hi=4, integer=True),
+    "n": dict(lo=3, integer=True),
+    "extent": dict(lo=0, strict_lo=True),
+    "t_end": dict(lo=0),
+    "dt": dict(lo=0, strict_lo=True, keep=("auto",)),
+    "n_frames": dict(lo=2, integer=True),
+    "p": dict(lo=1, allow_inf=True),
+    "q": dict(lo=1, allow_inf=True, keep=("auto",)),
+    "alpha": dict(lo=0, hi=1, strict_hi=True),
+    "a0": dict(lo=0, strict_lo=True),
+    "c0": dict(lo=1),
+    "radius": dict(lo=0, strict_lo=True),
+    "r0": dict(lo=0, strict_lo=True),
+    "eps": dict(lo=0, strict_lo=True, hi=0.5),
+    "C": dict(lo=0, strict_lo=True, keep=(None,)),
+}
+
+
 def _system(name: str, sysc: dict, dim: int) -> dict:
-    """Each ``system`` leaf read against its preset default: a number, an
-    integer >= 1, or a list of numbers for a list or null default
+    """Each ``system`` leaf read against its preset default: a number >= 0,
+    an integer >= 1, or a list of numbers for a list or null default
     (_numbers).  Shapes are checked too: ``source`` is "center" or ``dim``
     numbers, ``box`` two numbers lo < hi, and ``domain_radius`` is
     positive.  Pipelines check the other strings."""
@@ -219,10 +240,10 @@ def _system(name: str, sysc: dict, dim: int) -> dict:
         elif isinstance(default, str) or (default is None and val is None):
             out[key] = val
         elif isinstance(default, int):
-            out[key] = _num(sysc, "system", key, lo=1, integer=True)
+            out[key] = _num(val, f"system.{key}", lo=1, integer=True)
         elif isinstance(default, float):
-            out[key] = _num(sysc, "system", key, strict_lo=True,
-                            lo=0 if key == "domain_radius" else None)
+            out[key] = _num(val, f"system.{key}", lo=0,
+                            strict_lo=key == "domain_radius")
         else:
             out[key] = _numbers(key, val, 2 if key == "box" else None)
     box = out.get("box")
@@ -241,13 +262,16 @@ def _numbers(key: str, val, length: int | None) -> list:
     if length is not None and len(val) != length:
         raise ConfigError(f"system.{key} has {len(val)} entries, needs "
                           f"{length}")
-    return [float(_num({f"{key}[{i}]": v}, "system", f"{key}[{i}]",
-                       allow_inf=key == "p_list", integer=key == "b"))
+    return [float(_num(v, f"system.{key}[{i}]", allow_inf=key == "p_list",
+                       integer=key == "b"))
             for i, v in enumerate(val)]
 
 
 class ExperimentConfig:
-    """Validated, fully resolved experiment configuration."""
+    """Validated, fully resolved experiment configuration: each grid, time
+    and estimate leaf is the attribute of its name (``n`` one count per
+    axis).  The constants bundle is built when the preset has ``a0``, and
+    the interpolation hypotheses are checked when it has ``alpha``."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
@@ -261,65 +285,41 @@ class ExperimentConfig:
             raise ConfigError("config is missing the mandatory 'seed' field")
 
         self.experiment = name
-        self.seed = _num(merged, "", "seed", lo=0, integer=True)
+        self.seed = _num(merged["seed"], "seed", lo=0, integer=True)
+        for block in ("grid", "time", "estimate"):
+            for key, val in merged.get(block, {}).items():
+                where = f"{block}.{key}"
+                if key == "n":                   # one count per axis
+                    val = val if isinstance(val, list) else [val] * self.dim
+                    if len(val) != self.dim:
+                        raise ConfigError(f"grid.n has {len(val)} entries "
+                                          f"for dim {self.dim}")
+                    val = tuple(_num(k, where, **_LEAVES[key]) for k in val)
+                else:
+                    val = _num(val, where, **_LEAVES[key])
+                setattr(self, key, val)
 
-        g = merged["grid"]
-        self.dim = _num(g, "grid", "dim", lo=1, hi=4, integer=True)
-        n = g["n"]
-        if isinstance(n, list):
-            if len(n) != self.dim:
-                raise ConfigError(
-                    f"grid.n has {len(n)} entries for dim {self.dim}")
-            self.n = tuple(_num({"n": k}, "grid", "n", lo=3, integer=True)
-                           for k in n)
-        else:
-            self.n = (_num(g, "grid", "n", lo=3, integer=True),) * self.dim
-        self.extent = _num(g, "grid", "extent", lo=0, strict_lo=True)
-
-        t = merged["time"]
-        self.t_end = _num(t, "time", "t_end", lo=0)
-        self.dt = _num(t, "time", "dt", lo=0, strict_lo=True,
-                       allow_auto=True)
-        self.n_frames = _num(t, "time", "n_frames", lo=2, integer=True)
-
-        e = merged["estimate"]
-        self.p = _num(e, "estimate", "p", lo=1, allow_inf=True)
-        alpha = _num(e, "estimate", "alpha", lo=0)
-        if alpha >= 1:
-            raise ConfigError(f"estimate.alpha must be < 1, got {alpha}")
-        self.alpha = alpha
-        q = e["q"]
-        if q == "auto":
+        e = merged.get("estimate", {})
+        if e.get("q") == "auto":                 # the echo shows the q run
             if math.isinf(self.p):
                 raise ConfigError("estimate.q 'auto' needs a finite estimate.p")
-            q = self.p * (3.0 - alpha) / (2.0 - alpha)
-        else:
-            q = _num(e, "estimate", "q", lo=1, allow_inf=True)
-        self.q = q
-        self.a0 = _num(e, "estimate", "a0", lo=0, strict_lo=True)
-        self.c0 = _num(e, "estimate", "c0", lo=1)
-        self.radius = _num(e, "estimate", "radius", lo=0, strict_lo=True)
-        self.r0 = _num(e, "estimate", "r0", lo=0, strict_lo=True)
-        self.eps = _num(e, "estimate", "eps", lo=0, strict_lo=True, hi=0.5)
-        self.frozen_c = (None if e["C"] is None
-                         else _num(e, "estimate", "C", lo=0, strict_lo=True))
+            alpha = getattr(self, "alpha", 0.0)
+            e["q"] = self.q = self.p * (3.0 - alpha) / (2.0 - alpha)
+        self.constants = None
         try:
-            self.constants = explicit_constants(self.dim, self.p, self.q,
-                                                self.a0, self.c0)
+            if "a0" in e:
+                fault = (f"grid.dim = {self.dim}, estimate.p = {self.p:g} "
+                         f"and estimate.q = {self.q:g} admit no constants "
+                         f"bundle")
+                self.constants = explicit_constants(self.dim, self.p, self.q,
+                                                    self.a0, self.c0)
+            if "alpha" in e:
+                fault = (f"grid.dim = {self.dim}, estimate.p = {self.p:g}, "
+                         f"estimate.q = {self.q:g} and estimate.alpha = "
+                         f"{self.alpha:g} fail the interpolation hypotheses")
+                _validate_hypotheses(self.dim, self.p, self.q, self.alpha)
         except ParameterError as exc:
-            raise ConfigError(
-                f"grid.dim = {self.dim}, estimate.p = {self.p:g} and "
-                f"estimate.q = {self.q:g} admit no constants bundle: "
-                f"{exc}") from exc
-        if name in ("skt", "interp"):      # they run interpolation_check
-            try:
-                _validate_hypotheses(self.dim, self.p, self.q, alpha)
-            except ParameterError as exc:
-                raise ConfigError(
-                    f"grid.dim = {self.dim}, estimate.p = {self.p:g}, "
-                    f"estimate.q = {self.q:g} and estimate.alpha = "
-                    f"{alpha:g} fail the interpolation hypotheses: "
-                    f"{exc}") from exc
+            raise ConfigError(f"{fault}: {exc}") from exc
 
         self.system = merged["system"] = _system(name, merged["system"],
                                                    self.dim)
@@ -343,8 +343,7 @@ class ExperimentConfig:
             try:
                 text = pathlib.Path(text).read_text()
             except OSError as exc:
-                raise ConfigError(
-                    f"cannot read config {text}: {exc}") from exc
+                raise ConfigError(f"cannot read config {text}: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -361,22 +360,27 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Config block embedded in every report (JSON-safe)."""
-        block = copy.deepcopy(self.resolved)
-        block["estimate"]["q"] = self.q          # resolve 'auto'
-        block["constants"] = self.constants.to_dict()
+        block = dict(self.resolved)
+        if self.constants is not None:
+            block["constants"] = self.constants.to_dict()
         return jsonable(block)
 
     def refined(self, k: int) -> "ExperimentConfig":
-        """Same experiment with the mesh halved k times (frames scaled)."""
+        """Level k of a refinement ladder: the mesh halved k times, files
+        stemmed ``<stem>_r<k>`` for k > 0 and, where there is a time block,
+        the frames and a set dt scaled with the mesh."""
         if k < 0:
-            raise ConfigError(f"refinement level must be >= 0, got {k}")
+            raise ConfigError(f"refinement levels must be >= 0, got {k}")
         data = copy.deepcopy(self.resolved)
+        if k > 0:
+            data["output"]["stem"] = f"{self.stem}_r{k}"
         factor = 2 ** k
         n = [(m - 1) * factor + 1 for m in self.n]
         data["grid"]["n"] = n if isinstance(data["grid"]["n"], list) else n[0]
-        data["time"]["n_frames"] = (self.n_frames - 1) * factor + 1
-        if self.dt != "auto":
-            data["time"]["dt"] = self.dt / factor ** 2
+        if "time" in data:
+            data["time"]["n_frames"] = (self.n_frames - 1) * factor + 1
+            if self.dt != "auto":
+                data["time"]["dt"] = self.dt / factor ** 2
         return ExperimentConfig(data)
 
 
@@ -554,7 +558,7 @@ def _run_skt(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     u_T = Field(mask, sol.u.values[-1])
     interp = interpolation_check(
         u_T, w_t, p=cfg.p, q=cfg.q, alpha=cfg.alpha, r0=cfg.r0,
-        C=cfg.frozen_c, lap_w=lap_t)
+        C=cfg.C, lap_w=lap_t)
     interp.details["convexity_coefficient"] = aux.coef
     checks.append(interp)
     return checks
@@ -618,7 +622,7 @@ def _run_interp(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     u, w = random_admissible_pair(
         mask, domain, rng, n_bumps=sysc["n_bumps"], margin=sysc["margin"])
     full = interpolation_check(u, w, p=cfg.p, q=cfg.q, alpha=cfg.alpha,
-                               r0=cfg.r0, C=cfg.frozen_c, domain=domain)
+                               r0=cfg.r0, C=cfg.C, domain=domain)
     ladder = cut_ball_check(u, w, center, cfg.radius, p=cfg.p, q=cfg.q,
                             alpha=cfg.alpha, domain=domain)
     return [full, ladder]
@@ -651,15 +655,14 @@ def run_experiment(config) -> RunReport:
     """Run one experiment described by a config (dict, path, or JSON text).
 
     Deterministic: every random draw comes from ``config.seed``.  The
-    returned report embeds the resolved config and the constants bundle.
+    returned report embeds the resolved config (and the constants bundle
+    when the preset builds one).
     """
-    import time as _time
-
     cfg = _as_config(config)
     rng = np.random.default_rng(cfg.seed)
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     checks = _PIPELINES[cfg.experiment](cfg, rng)
-    wall = _time.perf_counter() - t0
+    wall = time.perf_counter() - t0
     report = RunReport(config=cfg.echo(), checks=checks, wall_time=wall)
     if cfg.out_dir is not None:
         emit(report, cfg.out_dir, stem=cfg.stem)
@@ -671,11 +674,5 @@ def run_with_refinement(config, levels: int) -> list[RunReport]:
     if levels < 0:
         raise ConfigError(f"refinement levels must be >= 0, got {levels}")
     cfg = _as_config(config)
-    reports = []
-    for k in range(levels + 1):
-        sub = cfg if k == 0 else cfg.refined(k)
-        if sub.out_dir is not None and k > 0:
-            sub.resolved["output"]["stem"] = f"{cfg.stem}_r{k}"
-            sub.stem = f"{cfg.stem}_r{k}"
-        reports.append(run_experiment(sub))
-    return reports
+    return [run_experiment(cfg.refined(k) if k else cfg)
+            for k in range(levels + 1)]

@@ -365,8 +365,9 @@ class GeneralSystemSpec:
     def __init__(self, diffusions, reactions, beta_weights, A, K: float,
                  name: str = "custom"):
         self.m = m = len(reactions)
-        if len(diffusions) != self.m or len(beta_weights) != self.m:
-            raise ParameterError("inconsistent species count")
+        if not m or len(diffusions) != m or len(beta_weights) != m:
+            raise ParameterError("a network needs one or more species, each "
+                                 "with one diffusion and one beta weight")
         self.diffusions = tuple(float(d) for d in diffusions)
         if min(self.diffusions) <= 0:
             raise ParameterError("diffusions must be positive")
@@ -586,6 +587,8 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
     states (diagnostic only).  A violation raises StructuralError carrying
     a witness state unless ``raise_on_violation`` is false.
     """
+    if n_samples < 1:
+        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     m = spec.m
     states = box[0] + (box[1] - box[0]) * halton(m, n_samples)
     u = states.T                                 # species-major (m, N)

@@ -18,6 +18,7 @@ from difflab import (
     Field,
     GridSpec,
     LabError,
+    PRESET_SYSTEMS,
     ParameterError,
     Trajectory,
     admissible_graph_domain,
@@ -31,6 +32,7 @@ from difflab import (
     save_trajectory,
     source_ball_center,
 )
+from difflab import harness
 from difflab.cli import main
 from difflab.harness import (
     ExperimentConfig,
@@ -100,8 +102,8 @@ def test_config_requires_experiment_and_seed():
     ({"time": {"n_frames": 1}}, "time.n_frames"),
     ({"estimate": {"alpha": 1.0}}, "estimate.alpha"),
     ({"estimate": {"p": 0.5}}, "estimate.p"),
-    ({"estimate": {"eps": 0.7}}, "estimate.eps"),
-    ({"estimate": {"c0": 0.5}}, "estimate.c0"),
+    ({"experiment": "oscdecay", "estimate": {"eps": 0.7}}, "estimate.eps"),
+    ({"experiment": "oscdecay", "estimate": {"c0": 0.5}}, "estimate.c0"),
     ({"estimate": {"C": -1.0}}, "estimate.C"),
     ({"seed": 1.5}, "seed"),
     ({"output": {"stem": ""}}, "output.stem"),
@@ -122,6 +124,12 @@ def test_config_requires_experiment_and_seed():
      "system.box has 1 entries"),
     ({"experiment": "general", "system": {"box": [2.0, 1.0]}},
      "system.box must be"),
+    # a leaf the preset's pipeline does not read is not in its schema
+    ({"estimate": {"a0": 0.25}}, "unknown config field estimate.a0"),
+    ({"experiment": "quad4", "estimate": {"alpha": 0.9}},
+     "unknown config field estimate"),
+    ({"experiment": "interp", "time": {"t_end": 1.0}},
+     "unknown config field time"),
 ])
 def test_config_errors_name_the_offending_field(override, fragment):
     data = {"experiment": "skt", "seed": 0, **override}
@@ -158,6 +166,26 @@ def test_config_keeps_infinite_exponents():
     assert cfg.system["p_list"] == [1.0, math.inf]
 
 
+@pytest.mark.parametrize("experiment, key, value", [
+    ("heatkernel", "slope_tol", -1.0),
+    ("skt", "sigma", -0.5),
+    ("skt", "r_u", -1.0),
+    ("quad4", "amp", -1.0),
+    ("interp", "margin", -1.0),
+])
+def test_negative_system_numbers_are_config_errors(experiment, key, value):
+    # each used to run (a FAIL row) or die mid-pipeline
+    data = {"experiment": experiment, "seed": 0, "system": {key: value}}
+    with pytest.raises(ConfigError, match=rf"system\.{key} must be >= 0"):
+        ExperimentConfig(data)
+
+
+def test_zero_skt_rates_stay_valid():
+    cfg = ExperimentConfig({"experiment": "skt", "seed": 0,
+                            "system": {"sigma": 0, "r_u": 0}})
+    assert cfg.system["sigma"] == 0.0 and cfg.system["r_u"] == 0.0
+
+
 def test_interp_rejects_nonpositive_domain_radius_before_any_solve():
     # a negative radius kept one domain node, on which both checks passed
     data = {"experiment": "interp", "seed": 0, "grid": {"n": 9},
@@ -167,8 +195,9 @@ def test_interp_rejects_nonpositive_domain_radius_before_any_solve():
 
 
 def test_config_rejects_nonpositive_gamma_before_any_solve():
-    # 3-D skt with the 2-D preset's p = 2, q = 3: gamma = 2 - 2/p - d/q = 0
-    data = {"experiment": "skt", "seed": 0, "grid": {"dim": 3}}
+    # 3-D oscdecay at p = 2, q = 3: gamma = 2 - 2/p - d/q = 0
+    data = {"experiment": "oscdecay", "seed": 0, "grid": {"dim": 3},
+            "estimate": {"p": 2, "q": 3}}
     fields = r"grid\.dim = 3, estimate\.p = 2 and estimate\.q = 3"
     with pytest.raises(ConfigError, match=fields):
         ExperimentConfig(data)
@@ -200,7 +229,7 @@ def test_config_resolves_auto_exponent():
     assert cfg.q == pytest.approx(cfg.p * (3.0 - alpha) / (2.0 - alpha))
     echo = cfg.echo()
     assert echo["estimate"]["q"] == cfg.q
-    assert "constants" in echo and "gamma" in echo["constants"]
+    assert "constants" not in echo       # interp reads no constants bundle
     with pytest.raises(ConfigError, match="estimate.q"):
         ExperimentConfig({"experiment": "interp", "seed": 0,
                           "estimate": {"p": "inf"}})
@@ -211,6 +240,66 @@ def test_config_infinite_exponents_echo_as_strings():
     assert math.isinf(cfg.p) and math.isinf(cfg.q)
     text = json.dumps(cfg.echo())      # must be JSON-serializable
     assert '"inf"' in text
+
+
+def test_only_oscdecay_builds_and_echoes_the_constants_bundle():
+    for name in preset_names():
+        cfg = ExperimentConfig({"experiment": name, "seed": 0})
+        assert (cfg.constants is not None) == (name == "oscdecay"), name
+        assert ("constants" in cfg.echo()) == (name == "oscdecay"), name
+    assert "gamma" in ExperimentConfig(
+        {"experiment": "oscdecay", "seed": 0}).echo()["constants"]
+
+
+class _ReadLog(dict):
+    """A ``system`` block that records each key a pipeline reads."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.reads = set()
+
+    def __getitem__(self, key):
+        self.reads.add(f"system.{key}")
+        return super().__getitem__(key)
+
+
+def _pipeline_reads(data) -> set:
+    """The grid, time, estimate and system leaves one pipeline run reads:
+    attribute reads on the config, ``system[key]`` reads, and the leaves
+    the constants bundle is built from when the pipeline reads it."""
+    cfg = ExperimentConfig(data)
+    attrs = set()
+    system = cfg.system = _ReadLog(cfg.system)
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, key):
+            attrs.add(key)
+            return object.__getattribute__(self, key)
+
+    cfg.__class__ = Recording
+    harness._PIPELINES[cfg.experiment](cfg, np.random.default_rng(cfg.seed))
+    if "constants" in attrs:
+        attrs |= {"dim", "p", "q", "a0", "c0"}
+    return system.reads | {
+        f"{block}.{key}" for block in ("grid", "time", "estimate")
+        for key in cfg.resolved.get(block, {}) if key in attrs}
+
+
+def test_every_preset_leaf_is_read_by_its_pipeline():
+    variants = {name: [{}] for name in preset_names()}
+    variants["oscdecay"] = [{"system": {"forcing": f}}
+                            for f in ("none", "random")]
+    variants["general"] = [{"system": {"name": key, "samples": 500}}
+                           for key in sorted(PRESET_SYSTEMS)]
+    for name, overrides in variants.items():
+        preset = preset_config(name)
+        leaves = {f"{block}.{key}"
+                  for block in ("grid", "time", "estimate", "system")
+                  for key in preset.get(block, {})}
+        read = set()
+        for override in overrides:
+            read |= _pipeline_reads({**SMALL_CONFIGS[name], **override})
+        assert leaves - read == set(), name
 
 
 def test_refined_scales_mesh_frames_and_dt():
@@ -226,8 +315,13 @@ def test_refined_scales_mesh_frames_and_dt():
     assert same.n == cfg.n and same.dt == cfg.dt
     finer = cfg.refined(2)
     assert finer.n == (65, 65)
+    assert finer.stem == "report_r2"
     with pytest.raises(ConfigError):
         cfg.refined(-1)
+    # interp has no time block: only its mesh refines
+    interp = ExperimentConfig({"experiment": "interp", "seed": 0,
+                               "grid": {"n": 9}}).refined(1)
+    assert interp.n == (17, 17, 17) and "time" not in interp.resolved
 
 
 def test_config_from_json_text_and_path(tmp_path):
@@ -270,6 +364,15 @@ def test_unreadable_config_path_is_a_config_error(tmp_path):
 def test_preset_pipelines_pass_at_small_size(name):
     report = run_experiment(SMALL_CONFIGS[name])
     assert [c.check for c in report.checks] == EXPECTED_CHECKS[name]
+    assert report.passed(), [c.check for c in report.checks if not c.passed]
+
+
+def test_3d_skt_runs_from_its_preset():
+    # with no constants bundle to build, the 2-D exponents p = 2, q = 3
+    # meet the interpolation hypotheses in 3-D too
+    report = run_experiment({"experiment": "skt", "seed": 0,
+                             "grid": {"dim": 3, "n": 17}})
+    assert [c.check for c in report.checks] == EXPECTED_CHECKS["skt"]
     assert report.passed(), [c.check for c in report.checks if not c.passed]
 
 

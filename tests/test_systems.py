@@ -462,6 +462,12 @@ def test_spec_validation_errors():
                           np.array([[1.0, 0.0], [1.0, 0.0]]), K=1.0)
 
 
+def test_network_without_species_is_a_parameter_error():
+    # it used to die with a bare ValueError from min() of an empty sequence
+    with pytest.raises(ParameterError, match="one or more species"):
+        GeneralSystemSpec([], [], [], [[]], 1.0)
+
+
 def test_c_table_solves_defining_identity():
     """The triangular table is defined by requiring that C A recovers
     M_ij = (d_j - d_i) a_ij off the diagonal, which is what makes the
@@ -582,6 +588,12 @@ def test_row_sums_beat_naive_species_bounds():
     rep = structural_checks(spec, n_samples=20_000)
     assert rep.passed
     assert rep.lhs <= 0.0
+
+
+def test_structural_audit_without_samples_is_a_parameter_error():
+    # it used to die with a bare ValueError from argmin of an empty sequence
+    with pytest.raises(ParameterError, match="n_samples must be >= 1"):
+        structural_checks(preset_quad4(), n_samples=0)
 
 
 def test_structural_violations_raise_with_witness():
