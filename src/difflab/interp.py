@@ -11,8 +11,12 @@ norm comes from ``norms`` (space_norm, holder_norm_field) over a node subset:
 the threshold A and every cut-ball rung take the exact seminorm over all
 of their nodes, and the block tree of each node set is kept, so every case
 after the first on the same domain or rung only recomputes the W ranges.
-The covering marks each kept ball from its grid box, so it costs what its
-balls hold rather than a scan of the domain per ball.
+The covering radii skip every ball sum when the domain's whole gradient
+mass cannot reach the smallest threshold, and stop once every node has
+crossed; the greedy cover marks each kept ball from its grid box, so it
+costs what its balls hold rather than a scan of the domain per ball, and
+the covers of the last few (mask, domain, node radii) are kept, so a
+repeated radius field reuses its cover.
 
 The verification domain Omega is a node subset strictly inside the carrier
 mask, so every Laplacian and gradient stencil uses real neighbours; the
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError, SamplingError
 from .grid import DomainMask, Field, gradient
-from .norms import holder_norm_field, lp_norm, space_norm
+from .norms import RecentCache, holder_norm_field, lp_norm, space_norm
 from .report import EstimateReport
 
 
@@ -91,7 +95,7 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
     mask = u.mask
     if w.mask is not mask:
         raise ParameterError("u and w must share one mask")
-    if p < 1 or q < 1 or not (0.0 <= alpha < 1.0):
+    if not (p >= 1 and q >= 1 and 0.0 <= alpha < 1.0):
         raise ParameterError("need p, q >= 1 and alpha in [0, 1)")
     if np.isscalar(radii):
         radii = (radii / 4.0, radii / 2.0, float(radii))
@@ -223,29 +227,40 @@ def _sorted_offsets(dim: int, max_steps: int):
 
 def covering_radii(u: Field, threshold: float, p: float, alpha: float,
                    r0: float, domain: np.ndarray | None = None) -> np.ndarray:
-    """First-crossing radius R(x) for every domain node (capped at r0)."""
+    """First-crossing radius R(x) for every domain node (capped at r0).
+
+    Every ball's gradient mass is a running float sum of nonnegative terms
+    of the domain's total, so it never exceeds that total (up to rounding),
+    and the thresholds fall along the radius ladder.  When the total, with
+    1e-9 headroom, is below the threshold at the largest radius steps*h,
+    no ball can cross and every radius is r0 without any ball sum."""
     mask = u.mask
-    if threshold <= 0:
-        raise ParameterError("threshold A must be positive")
+    if not 0 < threshold < math.inf:
+        raise ParameterError("threshold A must be positive and finite")
     d = mask.grid.dim
-    if not (0.0 <= alpha < 1.0) or p < 1:
-        raise ParameterError("need p >= 1 and alpha in [0, 1)")
+    if not (0.0 <= alpha < 1.0 and 1 <= p < math.inf):
+        raise ParameterError("need finite p >= 1 and alpha in [0, 1)")
     exponent = 3.0 - alpha - d / p
     if exponent <= 0:
         raise ParameterError("covering needs p > d/(3 - alpha)")
-    if r0 <= 0:
-        raise ParameterError("cap radius r0 must be positive")
-    if domain is None:
-        domain = np.ones(mask.active_count, dtype=bool)
-
+    if not 0 < r0 < math.inf:
+        raise ParameterError("cap radius r0 must be positive and finite")
     h = mask.grid.h
-    grad = gradient(u)
-    gmass = h ** d * np.sqrt((grad ** 2).sum(axis=1)) ** p
-    gfull = mask.scatter(np.where(domain, gmass, 0.0))
-
     steps = int(math.floor(r0 / h * (1 + 1e-12)))
     if steps < 1:
         raise ParameterError(f"r0 = {r0:.4g} is below the grid spacing")
+    if domain is None:
+        domain = np.ones(mask.active_count, dtype=bool)
+
+    grad = gradient(u)
+    gmass = np.where(domain, h ** d * np.sqrt((grad ** 2).sum(axis=1)) ** p,
+                     0.0)
+    dom_idx = np.argwhere(mask.active)[domain]    # (n_dom, dim)
+    out = np.full(dom_idx.shape[0], r0)
+    if (not dom_idx.size or float(gmass.sum()) * (1 + 1e-9)
+            < threshold ** p * (steps * h) ** (-p * exponent)):
+        return out
+
     offs, uniq, ends = _sorted_offsets(d, steps)
     radii_ladder = uniq * h
     with np.errstate(divide="ignore"):
@@ -256,14 +271,11 @@ def covering_radii(u: Field, threshold: float, p: float, alpha: float,
     # one accumulator over the domain's bounding box: add the shifted
     # gradient mass of each offset in sorted order, so every node sums its
     # ball in the order of a running sum over the sorted offsets, and test
-    # the domain nodes at the end of each distinct-norm group
-    dom_idx = np.argwhere(mask.active)[domain]    # (n_dom, dim)
-    out = np.full(dom_idx.shape[0], r0)
-    if not dom_idx.size:
-        return out
+    # the domain nodes at the end of each distinct-norm group until none
+    # is pending
     base = dom_idx.min(axis=0)
     shape = tuple(dom_idx.max(axis=0) - base + 1)
-    gpad = np.pad(gfull, steps)
+    gpad = np.pad(mask.scatter(gmass), steps)
     local = np.ravel_multi_index(tuple((dom_idx - base).T), shape)
     acc = np.zeros(shape)
     pending = np.ones(out.size, dtype=bool)
@@ -275,8 +287,15 @@ def covering_radii(u: Field, threshold: float, p: float, alpha: float,
             hit = pending & (acc.ravel()[local] >= thresholds[group])
             out[hit] = min(radii_ladder[group], r0)
             pending &= ~hit
+            if not pending.any():
+                break
             group += 1
     return out
+
+
+# greedy covers of the most recent (mask, domain, node radii)
+_COVERS_KEPT = 4
+_COVERS = RecentCache(_COVERS_KEPT)
 
 
 def build_covering(u: Field, threshold: float, p: float, alpha: float,
@@ -286,14 +305,32 @@ def build_covering(u: Field, threshold: float, p: float, alpha: float,
     are therefore farther apart than the larger radius, which pins the
     overlap multiplicity (audited by the caller against a budget).
 
-    Only still-uncovered nodes are visited, and a kept ball of radius r
-    tests just the domain nodes of its grid box of half-width
-    floor(r/h) + 1 around the center, with the distance test of a scan
-    over all nodes, so centers, radii and counts are those of that scan."""
+    The greedy reads only the mask, the domain and the node radii, so the
+    covers of the last _COVERS_KEPT such inputs are kept, matched by their
+    exact bytes; centers, radii and counts are read-only arrays."""
     mask = u.mask
     if domain is None:
         domain = np.ones(mask.active_count, dtype=bool)
     node_radii = covering_radii(u, threshold, p, alpha, r0, domain)
+    grid = mask.grid
+    centers, radii, counts = _COVERS.get(
+        (mask.active, domain, node_radii, np.array((grid.h, *grid.origin))),
+        lambda: _greedy_cover(mask, domain, node_radii))
+    return BallCover(
+        centers=centers, radii=radii, node_radii=node_radii, counts=counts,
+        domain_index=np.flatnonzero(domain),
+        threshold=threshold, p=p, alpha=alpha, r0=r0,
+    )
+
+
+def _greedy_cover(mask: DomainMask, domain: np.ndarray,
+                  node_radii: np.ndarray):
+    """Centers, radii and multiplicities of the greedy cover, read-only.
+
+    Only still-uncovered nodes are visited, and a kept ball of radius r
+    tests just the domain nodes of its grid box of half-width
+    floor(r/h) + 1 around the center, with the distance test of a scan
+    over all nodes, so centers, radii and counts are those of that scan."""
     coords = mask.node_coords()[domain]
     n = coords.shape[0]
     # each domain node's grid index, and the domain position of every grid
@@ -328,14 +365,10 @@ def build_covering(u: Field, threshold: float, p: float, alpha: float,
         centers.append(i)
         radii.append(r)
         k += 1
-    return BallCover(
-        centers=np.asarray(centers, dtype=np.int64),
-        radii=np.asarray(radii),
-        node_radii=node_radii,
-        counts=counts,
-        domain_index=np.flatnonzero(domain),
-        threshold=threshold, p=p, alpha=alpha, r0=r0,
-    )
+    cover = (np.asarray(centers, dtype=np.int64), np.asarray(radii), counts)
+    for a in cover:
+        a.flags.writeable = False
+    return cover
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +383,7 @@ def interpolation_theta(dim: int, p: float, q: float, alpha: float) -> float:
 def _validate_hypotheses(dim: int, p: float, q: float, alpha: float):
     if not (0.0 <= alpha < 1.0):
         raise ParameterError("alpha must lie in [0, 1)")
-    if p < 1 or q < p:
+    if not 1 <= p <= q:
         raise ParameterError("need 1 <= p <= q")
     if p * (2.0 - alpha) <= dim * (1 - 1e-12):
         raise ParameterError(

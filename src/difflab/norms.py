@@ -14,8 +14,9 @@ over every pair of space-time nodes (every pair of nodes of one field for
 holder_norm_field, whose alpha = 0 is the sup norm), computed exactly by
 branch-and-bound over block pairs (pair_quotient_max).  The block tree
 (leaves of at most _LEAF = 8 points) depends on the points only; the trees
-of the last _TREES_KEPT = 8 point sets are kept, matched by their exact
-bytes, so repeated calls on one node set with new values skip the build.
+of the last _TREES_KEPT = 8 point sets are kept in a RecentCache, matched
+by their exact bytes, so repeated calls on one node set with new values
+skip the build.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class _BlockTree:
     widths, median and split from whole-level array passes, and a stable
     partition moves its left points ahead of its right ones.  The tree
     depends on (X, T) only; W enters through ``ranges``, so one tree
-    serves every W on the same points (see _tree).
+    serves every W on the same points (see _TREES).
     """
 
     def __init__(self, X, T):
@@ -271,24 +272,34 @@ def _segments(a, b):
     return seg, np.arange(size.sum()) + np.repeat(a - offs, size), offs, size
 
 
-# block trees of the most recent point sets, keyed by the exact dtype,
-# shape and bytes of X and T; oldest use first
-_TREES: dict = {}
+class RecentCache:
+    """The values built for the last ``kept`` keys, matched by the exact
+    dtype, shape and bytes of the key arrays (None allowed), so only equal
+    inputs share a value; the least recently used key is dropped first."""
+
+    def __init__(self, kept: int):
+        self.kept = kept
+        self._items: dict = {}       # oldest use first
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, arrays, build):
+        """The value kept for ``arrays``, else ``build()``, kept."""
+        key = tuple(None if v is None else (v.dtype.str, v.shape, v.tobytes())
+                    for v in arrays)
+        value = self._items.pop(key, None)
+        if value is None:
+            value = build()
+            if len(self._items) >= self.kept:
+                del self._items[next(iter(self._items))]
+        self._items[key] = value
+        return value
+
+
+# block trees of the most recent point sets (X, T)
 _TREES_KEPT = 8
-
-
-def _tree(X, T):
-    """The _BlockTree of (X, T), reused while the same points come back.
-    The key holds the full bytes, so only equal point sets share a tree."""
-    key = tuple(None if v is None else (v.dtype.str, v.shape, v.tobytes())
-                for v in (X, T))
-    tree = _TREES.pop(key, None)
-    if tree is None:
-        tree = _BlockTree(X, T)
-        if len(_TREES) >= _TREES_KEPT:
-            del _TREES[next(iter(_TREES))]
-    _TREES[key] = tree
-    return tree
+_TREES = RecentCache(_TREES_KEPT)
 
 
 def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
@@ -316,7 +327,7 @@ def pair_quotient_max(X: np.ndarray, W: np.ndarray, alpha: float,
     best = max(float(_quotients(X, W, T, alpha, everyone,
                                 np.full(n, k)).max())
                for k in (int(np.argmax(W)), int(np.argmin(W))))
-    tree = _tree(X, T)
+    tree = _TREES.get((X, T), lambda: _BlockTree(X, T))
     Wp = W[tree.perm]
     wlo, whi = tree.ranges(Wp)
     a = b = np.zeros(1, dtype=np.int64)

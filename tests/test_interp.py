@@ -23,6 +23,7 @@ from difflab import (
     random_admissible_pair,
 )
 
+from difflab import interp
 from difflab.interp import _dist2
 
 TOL_MACHINE = 1e-12
@@ -123,25 +124,23 @@ def test_cut_ball_validation():
 # covering construction
 
 
-def test_covering_radii_match_brute_force_first_crossing():
+def _brute_first_crossing(u, A, p, alpha, r0, domain=None):
     """Independent O(N^2) scan of the same step function: group nodes by the
     exact integer squared distance and find the first radius where the
-    accumulated gradient mass reaches A^p R^(-p(3 - alpha - d/p))."""
-    mask = unit_square(17)
-    rng = np.random.default_rng(5)
-    u = Field(mask, 0.2 + rng.random(mask.active_count))
-    A, p, alpha, r0 = 0.8, 2.0, 0.3, 0.3
-    radii = covering_radii(u, A, p, alpha, r0)
-
+    accumulated domain gradient mass reaches A^p R^(-p(3 - alpha - d/p))."""
+    mask = u.mask
+    if domain is None:
+        domain = np.ones(mask.active_count, dtype=bool)
     h = mask.grid.h
     d = mask.grid.dim
     expo = 3.0 - alpha - d / p
     grad = gradient(u)
-    gmass = h ** d * np.sqrt((grad ** 2).sum(axis=1)) ** p
+    gmass = np.where(domain, h ** d * np.sqrt((grad ** 2).sum(axis=1)) ** p,
+                     0.0)
     idx = np.argwhere(mask.active)
     steps = int(math.floor(r0 / h * (1 + 1e-12)))
     brute = np.full(mask.active_count, r0)
-    for i in range(mask.active_count):
+    for i in np.flatnonzero(domain):
         d2 = ((idx - idx[i]) ** 2).sum(axis=1)
         keep = d2 <= steps * steps
         order = np.argsort(d2[keep], kind="stable")
@@ -155,7 +154,60 @@ def test_covering_radii_match_brute_force_first_crossing():
             if total >= A ** p * r ** (-p * expo):
                 brute[i] = min(r, r0)
                 break
-    np.testing.assert_array_equal(radii, brute)
+    return brute[domain]
+
+
+def test_covering_radii_match_brute_force_first_crossing():
+    mask = unit_square(17)
+    rng = np.random.default_rng(5)
+    u = Field(mask, 0.2 + rng.random(mask.active_count))
+    A, p, alpha, r0 = 0.8, 2.0, 0.3, 0.3
+    np.testing.assert_array_equal(covering_radii(u, A, p, alpha, r0),
+                                  _brute_first_crossing(u, A, p, alpha, r0))
+
+
+@pytest.mark.parametrize("case, scale, branch", [
+    ("square", 1.01, "all capped"),     # just above the whole-domain bound
+    ("square", 0.99, "scan, none crosses"),
+    ("square", 0.3, "scan, some cross"),
+    ("cube", 0.2, "scan, all cross"),
+])
+def test_covering_radii_early_out_is_exact(case, scale, branch, monkeypatch):
+    """A is ``scale`` times the threshold at which the domain's whole
+    gradient mass meets the smallest ladder threshold, A^p (steps h)^(-p e):
+    above it every radius is r0 with no ball sum taken (the offsets are
+    never built); below it the scan runs.  Every case gives the brute-force
+    first crossing, on a 2-D box and on a 3-D box with a cut domain."""
+    if case == "square":
+        mask, domain = unit_square(17), None
+    else:
+        mask = full_mask(GridSpec.make((1.0,) * 3, 11))
+        domain = interior_domain(mask, 0.1, 0.8)
+    rng = np.random.default_rng(5)
+    u = Field(mask, 0.2 + rng.random(mask.active_count))
+    p, alpha, r0 = 2.0, 0.3, 0.3
+    on = (np.ones(mask.active_count, dtype=bool) if domain is None
+          else domain)
+    h, d = mask.grid.h, mask.grid.dim
+    expo = 3.0 - alpha - d / p
+    total = float((h ** d * np.sqrt((gradient(u) ** 2).sum(axis=1)) ** p)
+                  [on].sum())
+    steps = int(math.floor(r0 / h * (1 + 1e-12)))
+    A = scale * (total * (steps * h) ** (p * expo)) ** (1 / p)
+
+    calls = []
+    sorted_offsets = interp._sorted_offsets
+    monkeypatch.setattr(interp, "_sorted_offsets",
+                        lambda *a: calls.append(a) or sorted_offsets(*a))
+    radii = covering_radii(u, A, p, alpha, r0, domain)
+    np.testing.assert_array_equal(
+        radii, _brute_first_crossing(u, A, p, alpha, r0, domain))
+    assert len(calls) == (0 if branch == "all capped" else 1)
+    crossed = radii < r0
+    assert {"all capped": not crossed.any(),
+            "scan, none crosses": not crossed.any(),
+            "scan, some cross": 0 < crossed.sum() < crossed.size,
+            "scan, all cross": crossed.all()}[branch]
 
 
 def test_covering_radii_monotone_in_threshold():
@@ -241,6 +293,41 @@ def test_build_covering_matches_all_node_greedy(case):
         assert np.array_equal(cover.counts, counts)
 
 
+def test_cover_reuse_follows_its_inputs_and_stays_read_only():
+    """Covers are kept per (mask, domain, node radii): equal node radii on
+    another domain of the same size, or on a mask with another spacing,
+    give that input's own all-node greedy cover; the kept arrays cannot be
+    written, and more inputs than the cache keeps evict the oldest."""
+    fine = unit_square(17)
+    coarse = full_mask(GridSpec.make((2.0, 2.0), 17))   # same nodes, 2h
+    x, y = fine.node_coords().T
+    wide = (x > 0.1) & (x < 0.8) & (y > 0.3) & (y < 0.6)
+    tall = (y > 0.1) & (y < 0.8) & (x > 0.3) & (x < 0.6)
+    p, alpha, r0 = 2.0, 0.3, 0.25
+    seen = []
+    for mask, domain in ((fine, wide), (fine, tall), (coarse, wide),
+                         (fine, wide)):
+        u = Field.constant(mask, 1.0)        # no gradient: every R(x) = r0
+        cover = build_covering(u, 1.0, p, alpha, r0, domain)
+        assert np.all(cover.node_radii == r0)
+        centers, radii, counts = _greedy_cover_all_nodes(
+            u, 1.0, p, alpha, r0, domain)
+        assert cover.centers.tolist() == centers
+        assert cover.radii.tolist() == radii
+        assert np.array_equal(cover.counts, counts)
+        seen.append(centers)
+        for kept in (cover.counts, cover.centers, cover.radii):
+            with pytest.raises(ValueError):
+                kept[0] = 7
+    assert seen[1] != seen[0] and seen[2] != seen[0]     # inputs differ
+
+    u = Field.constant(fine, 1.0)
+    for k in range(interp._COVERS_KEPT + 3):
+        cover = build_covering(u, 1.0, p, alpha, r0 - 0.01 * k, wide)
+        assert np.all(cover.node_radii == r0 - 0.01 * k)
+    assert len(interp._COVERS) <= interp._COVERS_KEPT
+
+
 @pytest.mark.parametrize("dim, n", [(1, 65), (2, 33), (3, 17)])
 def test_dist2_matches_row_sums(dim, n):
     """Squared distances summed column by column are the bits of the row
@@ -266,6 +353,46 @@ def test_covering_validation():
         # 3D with p = 1: the radius exponent 3 - alpha - d/p is negative
         covering_radii(Field.constant(full_mask(GridSpec.make((1.0,) * 3, 9)),
                                       1.0), 1.0, 1.0, 0.3, 0.2)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    "interpolation q nan", "interpolation p nan", "interpolation r0 inf",
+    "cut ball p nan", "cut ball q nan", "radii threshold nan",
+    "radii threshold inf", "radii p nan", "radii p inf", "radii r0 inf"])
+def test_non_finite_exponents_and_covering_inputs_are_parameter_errors(call):
+    """A NaN exponent never passes a check or dies on an empty ladder,
+    and a non-finite covering input is not silently capped."""
+    mask, domain, u, w = admissible_case(17)
+    run = {
+        "interpolation q nan": lambda: interpolation_check(
+            u, w, p=2.0, q=NAN, alpha=ALPHA, r0=0.25, domain=domain),
+        "interpolation p nan": lambda: interpolation_check(
+            u, w, p=NAN, q=Q_MIN, alpha=ALPHA, r0=0.25, domain=domain),
+        "interpolation r0 inf": lambda: interpolation_check(
+            u, w, p=2.0, q=Q_MIN, alpha=ALPHA, r0=INF, domain=domain),
+        "cut ball p nan": lambda: cut_ball_check(
+            u, w, (0.5, 0.5), 0.2, p=NAN, q=3, domain=domain),
+        "cut ball q nan": lambda: cut_ball_check(
+            u, w, (0.5, 0.5), 0.2, p=2, q=NAN, domain=domain),
+        "radii threshold nan": lambda: covering_radii(u, NAN, 2.0, 0.3, 0.2),
+        "radii threshold inf": lambda: covering_radii(u, INF, 2.0, 0.3, 0.2),
+        "radii p nan": lambda: covering_radii(u, 1.0, NAN, 0.3, 0.2),
+        "radii p inf": lambda: covering_radii(u, 1.0, INF, 0.3, 0.2),
+        "radii r0 inf": lambda: covering_radii(u, 1.0, 2.0, 0.3, INF),
+    }[call]
+    with pytest.raises(ParameterError):
+        run()
+
+
+def test_infinite_q_stays_valid():
+    mask, domain, u, w = admissible_case(17)
+    assert interpolation_check(u, w, p=2.0, q=INF, alpha=ALPHA, r0=0.25,
+                               domain=domain).passed
+    assert cut_ball_check(u, w, (0.5, 0.5), 0.2, p=2, q=INF,
+                          domain=domain).passed
 
 
 # ---------------------------------------------------------------------------
