@@ -41,7 +41,7 @@ from .interp import (BallCover, build_covering, covering_radii,
                      interpolation_check, interpolation_theta,
                      random_admissible_pair)
 from .report import EstimateReport, RunReport, emit, parse_report
-from .fieldio import export_csv, load_trajectory, save_field, save_trajectory
+from .fieldio import load_trajectory, save_trajectory
 from .harness import (ExperimentConfig, kernel_calibration, preset_config,
                       preset_names, run_experiment, run_with_refinement)
 

@@ -11,19 +11,17 @@ Binary trajectory layout, version 2 (little endian):
 * float64 values of the active nodes, frame after frame.
 
 The file length must match its header exactly: a truncated or foreign file
-raises ``ParameterError``.  CSV export writes one row per active node
-(coordinates, value).
+raises ``ParameterError``.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import DomainMask, Field, GridSpec, Trajectory
+from .grid import DomainMask, GridSpec, Trajectory
 
 _HEAD = struct.Struct("<8sii")       # magic, version, dim
 _MAGIC = b"DIFFLAB\0"
@@ -72,18 +70,3 @@ def load_trajectory(path) -> Trajectory:
     mask = DomainMask(grid, active, (classes == _DIRICHLET).reshape(n))
     return Trajectory(mask, times.astype(float),
                       values.reshape(n_frames, -1).astype(float))
-
-
-def save_field(path, field: Field) -> None:
-    traj = Trajectory(field.mask, np.array([0.0]), field.values[None, :])
-    save_trajectory(path, traj)
-
-
-def export_csv(path, field: Field) -> None:
-    coords = field.mask.node_coords()
-    dim = field.grid.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(dim)] + ["value"])
-        for row, val in zip(coords, field.values):
-            writer.writerow([repr(float(c)) for c in row] + [repr(float(val))])

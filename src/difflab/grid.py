@@ -564,7 +564,7 @@ class Marched(NamedTuple):
 
 def march(mask: DomainMask, state: np.ndarray, prefill, diffusions,
           t_end: float, dt: float | None, limit: float, frames,
-          t0: float = 0.0, finish=None, clip: int = 0) -> Marched:
+          finish=None, clip: int = 0) -> Marched:
     """Explicit Euler for a species-major (k, N) active-node state.
 
     The state U is one C-contiguous (k, N) block whose rows are species,
@@ -604,9 +604,9 @@ def march(mask: DomainMask, state: np.ndarray, prefill, diffusions,
     differ only in the last two or three of the 16 significant digits.
 
     ``dt`` defaults to 0.9 ``limit``, must be positive and finite, and may
-    not exceed the stability ``limit``; the span t_end - t0 must be
-    positive and finite.  The step count is ceil((t_end - t0)/dt) and dt
-    shrinks to divide the span exactly.
+    not exceed the stability ``limit``; the march runs from 0 and
+    ``t_end`` must be positive and finite.  The step count is
+    ceil(t_end/dt) and dt shrinks to divide t_end exactly.
 
     ``frames`` is a frame count of at least 2, spread linearly over the
     steps so that the first and last step are recorded, or a function of
@@ -618,10 +618,8 @@ def march(mask: DomainMask, state: np.ndarray, prefill, diffusions,
     exceed 1e-8 of the final mass of those rows; a density above 1e9 or
     non-finite aborts the run as a blow-up.
     """
-    span = t_end - t0
-    if not (math.isfinite(span) and span > 0):
-        raise ParameterError(
-            f"t_end must exceed t0 by a finite span, got {t0} to {t_end}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ParameterError(f"t_end must be positive and finite, got {t_end}")
     if not callable(frames) and frames < 2:
         raise ParameterError(
             f"need at least 2 frames (start and end), got {frames}")
@@ -632,11 +630,10 @@ def march(mask: DomainMask, state: np.ndarray, prefill, diffusions,
     if dt > limit * (1 + 1e-12):
         raise ParameterError(
             f"dt={dt:.3e} violates the stability limit {limit:.3e}")
-    n_steps = max(1, math.ceil(span / dt))
-    dt = span / n_steps
+    n_steps = max(1, math.ceil(t_end / dt))
+    dt = t_end / n_steps
     if callable(frames):
-        record = np.clip(np.rint((np.asarray(frames(dt)) - t0) / dt),
-                         1, n_steps)
+        record = np.clip(np.rint(np.asarray(frames(dt)) / dt), 1, n_steps)
     else:
         record = np.rint(np.linspace(0, n_steps, min(frames, n_steps + 1)))
     record = np.union1d(0, record.astype(int))
@@ -659,7 +656,7 @@ def march(mask: DomainMask, state: np.ndarray, prefill, diffusions,
     peak = -math.inf
     slot = 1
     for k in range(1, n_steps + 1):
-        t = t0 + (k - 1) * dt
+        t = (k - 1) * dt
         rows = prefill(k, t, dt, U, V, top)
         if rows.shape != shape:        # the kernels check no sizes
             raise ParameterError(
@@ -687,5 +684,4 @@ def march(mask: DomainMask, state: np.ndarray, prefill, diffusions,
         if clipped > 1e-8 * max(total, 1e-30):
             raise SolverError(f"clipped mass {clipped:.3e} exceeds 1e-8 of "
                               f"total {total:.3e}")
-    return Marched(t0 + record * dt, record, stack, dt, n_steps, clipped,
-                   peak)
+    return Marched(record * dt, record, stack, dt, n_steps, clipped, peak)

@@ -15,11 +15,12 @@ Presets
 -------
 ``heatkernel``
     Neumann box kernel: mass conservation, decay-slope and first-moment
-    reports, fitted prefactors.
+    reports, fitted prefactors (``estimate.eps`` sets the moment one).
 ``oscdecay``
     Rough-coefficient run plus oscillation-decay and supremum checks on a
-    parabolic cylinder (optionally forced, with a kernel-calibrated
-    forcing constant).
+    parabolic cylinder (optionally forced, with a forcing constant from the
+    kernel's fitted decay prefactor).  Its estimate leaves are p, q, a0, c0
+    and the cylinder radius.
 ``skt``
     Cross-diffusion pair: positivity / ceiling / clipping audits, the
     companion-variable identity residual, nu bounds, an energy balance,
@@ -92,7 +93,7 @@ _OWN = {
         "grid": {"n": 33},
         "time": {"t_end": 0.06, "n_frames": 129},
         "estimate": {"p": "inf", "q": "inf", "a0": 1.0, "c0": 2.0,
-                     "radius": 0.3, "eps": 0.25},
+                     "radius": 0.3},
         "system": {"forcing": "none", "f_amp": 1.0, "w_amp": 1.0,
                    "n_bumps": 6},
     },
@@ -406,41 +407,32 @@ def _random_bumps(mask, rng, n_bumps: int, amp: float) -> np.ndarray:
     return vals
 
 
-def _positive_bumps(mask, rng, n_bumps: int, amp: float,
-                    floor: float = 0.05) -> Field:
+def _positive_bumps(mask, rng, n_bumps: int, amp: float) -> Field:
+    """Positive smooth field in about [0.05 amp, 1.05 amp]."""
     vals = _random_bumps(mask, rng, n_bumps, amp)
-    return Field(mask, floor * amp + 0.5 * amp + 0.5 * vals)
+    return Field(mask, 0.05 * amp + 0.5 * amp + 0.5 * vals)
 
 
-# fitted kernel prefactors are geometry-determined; cache by geometry so a
+# the fitted decay prefactor is geometry-determined; cache by geometry so a
 # batch of runs on the same grid calibrates once.  Hits and misses give the
-# same numbers, so caching cannot break determinism.
+# same number, so caching cannot break determinism.
 _CALIBRATION_CACHE: dict = {}
 
 
-def kernel_calibration(mask, t_end: float, q: float,
-                       eps: float = 0.25) -> dict:
-    """Fitted decay/moment prefactors for the Neumann kernel on ``mask``.
-
-    Returns {"decay": sup_t ||G(t)||_{q'} t^{d/(2q)},
-             "moment": sup_t m(t) / t^{1/2 - eps}} over the recorded frames
-    up to ``t_end``.
-    """
+def kernel_calibration(mask, t_end: float, q: float) -> float:
+    """Fitted decay prefactor sup_t ||G(t)||_{q'} t^{d/(2q)} of the Neumann
+    kernel from the center of ``mask``, over the recorded frames up to
+    ``t_end``."""
     key = (mask.grid.dim, tuple(mask.grid.n),
            tuple(np.round(mask.grid.extent, 12)),
            int(mask.active_count), round(float(t_end), 12),
-           round(float(q), 12), round(float(eps), 12))
-    if key in _CALIBRATION_CACHE:
-        return _CALIBRATION_CACHE[key]
-    center = tuple(0.5 * e for e in mask.grid.extent)
-    kern = kernel_evolve(mask, center, t_end, n_frames=64)
-    out = {
-        "decay": fitted_prefactor(kern, reciprocal(1.0 - reciprocal(q)),
-                                  t_hi=t_end),
-        "moment": fitted_moment_prefactor(kern, eps, t_hi=t_end),
-    }
-    _CALIBRATION_CACHE[key] = out
-    return out
+           round(float(q), 12))
+    if key not in _CALIBRATION_CACHE:
+        center = tuple(0.5 * e for e in mask.grid.extent)
+        kern = kernel_evolve(mask, center, t_end, n_frames=64)
+        _CALIBRATION_CACHE[key] = fitted_prefactor(
+            kern, reciprocal(1.0 - reciprocal(q)), t_hi=t_end)
+    return _CALIBRATION_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +486,7 @@ def _run_oscdecay(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     if sysc["forcing"] == "random":
         f_vals = _random_bumps(mask, rng, sysc["n_bumps"], sysc["f_amp"])
         forcing = Field(mask, f_vals)
-        prefactor = kernel_calibration(mask, cyl_window, cfg.q,
-                                       cfg.eps)["decay"]
+        prefactor = kernel_calibration(mask, cyl_window, cfg.q)
     elif sysc["forcing"] != "none":
         raise ConfigError("system.forcing must be 'none' or 'random'")
     sol = solve_rough(w0, coeff, forcing=forcing, t_end=cfg.t_end,

@@ -78,19 +78,16 @@ def _lap_values(lap_w, w: Field) -> np.ndarray:
 def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
                    alpha: float = 0.0, C: float | None = None,
                    domain: np.ndarray | None = None,
-                   lap_w: np.ndarray | None = None,
-                   expected_slopes: dict | None = None,
-                   slope_tol: float = 0.1) -> EstimateReport:
+                   lap_w: np.ndarray | None = None) -> EstimateReport:
     """Localized bound on the cut ball B(center, R) within the domain:
 
         ||u||_{L^q(B)} <= C [ R^(1 - d(1/p - 1/q)) ||grad u||_{L^p(B)}
                               + R^(-2 + alpha + d/q) ||w||_{C^alpha(B)} ]
 
     evaluated across a ladder of radii.  Calibration mode (C None) fits the
-    constant; otherwise the inequality gates at every rung.  When
-    ``expected_slopes`` maps any of lhs/grad_term/w_term to a target, the
-    log-log regression slope across the ladder must match within
-    ``slope_tol``.
+    constant; otherwise the inequality gates at every rung.  The log-log
+    regression slopes of lhs, grad_term and w_term across the ladder are
+    reported, not gated.
     """
     mask = u.mask
     if w.mask is not mask:
@@ -141,17 +138,12 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
         vals = np.array([r[key] for r in rows])
         if len(rows) >= 2 and np.all(vals > 0):
             slopes[key] = float(np.polyfit(logr, np.log(vals), 1)[0])
-    slope_ok = True
-    if expected_slopes:
-        for key, target in expected_slopes.items():
-            got = slopes.get(key)
-            slope_ok &= got is not None and abs(got - target) <= slope_tol
 
     worst = max(l / c if c > 0 else 0.0 for l, c in zip(lhss, cores))
     return EstimateReport(
         check="cut_ball_estimate",
         lhs=worst, rhs=C,
-        passed=bool(ineq_ok and slope_ok),
+        passed=bool(ineq_ok),
         params={"p": p, "q": q, "alpha": alpha, "C": C, "mode": mode,
                 "center": [float(c) for c in center]},
         grid=mask.grid.record(),
@@ -178,10 +170,6 @@ class BallCover:
     radii: np.ndarray          # radius per selected ball
     node_radii: np.ndarray     # R(x) for every domain node
     counts: np.ndarray         # covering multiplicity per domain node
-    domain_index: np.ndarray   # active-node indices of the domain
-    threshold: float
-    p: float
-    alpha: float
     r0: float
 
     @property
@@ -316,11 +304,8 @@ def build_covering(u: Field, threshold: float, p: float, alpha: float,
     centers, radii, counts = _COVERS.get(
         (mask.active, domain, node_radii, np.array((grid.h, *grid.origin))),
         lambda: _greedy_cover(mask, domain, node_radii))
-    return BallCover(
-        centers=centers, radii=radii, node_radii=node_radii, counts=counts,
-        domain_index=np.flatnonzero(domain),
-        threshold=threshold, p=p, alpha=alpha, r0=r0,
-    )
+    return BallCover(centers=centers, radii=radii, node_radii=node_radii,
+                     counts=counts, r0=r0)
 
 
 def _greedy_cover(mask: DomainMask, domain: np.ndarray,
@@ -444,11 +429,18 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
 
     # per-ball aggregation diagnostics (the proof chain, made measurable):
     # a sum over the kept balls of sums over their members counts each
-    # node once per ball that holds it
+    # node once per ball that holds it; at q = inf the balls' L^inf norms
+    # combine by max, so the ratio is the largest |u| any ball holds over
+    # ||u||_inf
     hd = mask.grid.h ** d
-    sum_lq_q = hd * float(cover.counts @ np.abs(uv[domain]) ** q)
+    u_dom = np.abs(uv[domain])
+    if math.isinf(q):
+        cover_lq_ratio = (float(u_dom.max(where=cover.counts > 0,
+                                          initial=0.0)) / max(lhs, 1e-300))
+    else:
+        cover_lq_ratio = (hd * float(cover.counts @ u_dom ** q)
+                          / max(lhs ** q, 1e-300))
     sum_gp_p = hd * float(cover.counts @ gmag[domain] ** p)
-    cover_lq_ratio = sum_lq_q / max(lhs ** q, 1e-300)
     grad_chain_ratio = sum_gp_p / max(grad_norm ** p, 1e-300)
 
     core = a_norm ** (1.0 - theta) * grad_norm ** theta + a_norm

@@ -65,11 +65,10 @@ def gaussian_moment_1d(t):
 
 
 class KernelField(Trajectory):
-    """Kernel trajectory plus the source node it was seeded at."""
+    """Kernel trajectory plus the mesh point of the node it was seeded at."""
 
-    def __init__(self, mask, times, values, source_index, source_point):
+    def __init__(self, mask, times, values, source_point):
         super().__init__(mask, times, values)
-        self.source_index = source_index
         self.source_point = np.asarray(source_point, dtype=float)
 
 
@@ -136,7 +135,7 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
             raise SolverError(
                 f"kernel mass increased on a Dirichlet mask at step {k}")
         last_mass = mass
-    return KernelField(mask, run.times, values, source, mesh_point)
+    return KernelField(mask, run.times, values, mesh_point)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,8 @@ def kernel_moment(kern: KernelField) -> np.ndarray:
 
 
 def moment_report(kern: KernelField, tol: float = 0.05) -> EstimateReport:
-    """Fit m(t) ~ C t^s over the intermediate regime; target s = 1/2."""
+    """Fit m(t) ~ C t^s over the intermediate regime and gate
+    |s - 1/2| <= tol."""
     idx = intermediate_regime(kern)
     t = kern.times[idx]
     m = kernel_moment(kern)[idx]
@@ -224,10 +224,11 @@ def moment_report(kern: KernelField, tol: float = 0.05) -> EstimateReport:
     err = abs(slope - 0.5)
     return EstimateReport(
         check="kernel_moment_slope",
-        lhs=slope, rhs=0.5, passed=bool(err <= tol),
+        lhs=err, rhs=tol, passed=bool(err <= tol),
         params={"tol": tol},
         grid=kern.grid.record(),
-        details={"fitted_constant": const,
+        details={"slope": slope, "target_slope": 0.5,
+                 "fitted_constant": const,
                  "regime": [float(t[0]), float(t[-1])]},
     )
 

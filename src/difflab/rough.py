@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, PreconditionError
+from .errors import DomainError, ParameterError
 from .grid import Field, ParabolicCylinder, Trajectory, march
 from .norms import (holder_norm, lipschitz_norm, lp_norm, lpq_norm,
                     oscillation, reciprocal)
@@ -225,9 +225,9 @@ class RoughSolution:
 
 
 def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
-                t0: float = 0.0, t_end: float = 1.0,
-                dt: float | None = None, n_frames: int = 129) -> RoughSolution:
-    """Explicit Euler for a dw/dt = lap w + f from t0 to t_end.
+                t_end: float = 1.0, dt: float | None = None,
+                n_frames: int = 129) -> RoughSolution:
+    """Explicit Euler for a dw/dt = lap w + f from 0 to t_end.
 
     Stability requires dt <= a0 h^2 / (stencil row max); the default uses a
     0.9 safety factor.  Frames are linearly spaced including both endpoints.
@@ -261,7 +261,7 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
         v += U[0]
 
     run = march(mask, w_init.values[None], prefill, (1.0,), t_end, dt, limit,
-                n_frames, t0=t0, finish=finish)
+                n_frames, finish=finish)
     traj = Trajectory(mask, run.times, run.frames[0])
     return RoughSolution(traj, run.dt, run.n_steps,
                          negative / (run.n_steps * mask.active_count))

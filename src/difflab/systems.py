@@ -170,15 +170,14 @@ def skt_solve(u_init: Field, v_init: Field, params: SKTParams,
 
 @dataclass
 class SKTAuxiliary:
-    m: Trajectory
     nu: Trajectory
-    w: Trajectory
     coef: float                 # coefficient of |x|^2/(2d) in w-tilde
     residual: EstimateReport
 
 
 def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
-    """Companion chain m, nu, w and the evolution-identity residual.
+    """The weight nu, the convexity coefficient and the evolution-identity
+    residual of the companion chain m, nu, w.
 
     m (dm/dt - lap m = u (d11 u + d12 v), m(0) = 0) and the integrals come
     straight from the solver, which co-evolved them at full step resolution.
@@ -228,13 +227,8 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
     sup_l1_u = float(np.max(hd * sol.u.values.sum(axis=1)))
     coef = float(np.max(np.abs(u0))) + p.r_u * horizon / vol * sup_l1_u
 
-    return SKTAuxiliary(
-        m=sol.m,
-        nu=Trajectory(mask, times, nu_vals),
-        w=sol.w,
-        coef=coef,
-        residual=residual,
-    )
+    return SKTAuxiliary(nu=Trajectory(mask, times, nu_vals), coef=coef,
+                        residual=residual)
 
 
 def nu_bounds_report(sol: SKTSolution, aux: SKTAuxiliary) -> EstimateReport:
@@ -273,8 +267,8 @@ def convexified(sol: SKTSolution, aux: SKTAuxiliary,
     iu = sol.int_u.values[k]
     g = sol.params.r_u * (iu - iu.mean())
     corr = poisson_neumann(Field(mask, g)).values
-    w_t = aux.w.values[k] + aux.coef * quad + corr
-    lap_t = mask.laplacian_matrix() @ aux.w.values[k] + aux.coef + g
+    w_t = sol.w.values[k] + aux.coef * quad + corr
+    lap_t = mask.laplacian_matrix() @ sol.w.values[k] + aux.coef + g
     return Field(mask, w_t), Field(mask, lap_t)
 
 

@@ -187,7 +187,7 @@ def test_criterion_05_oscillation_decay():
         unforced += _osc_case(m1, c1, 10_000 + s).passed
         unforced += _osc_case(m2, c2, 20_000 + s).passed
 
-    prefactor = kernel_calibration(m2, c2.beta * 0.09, INF, 0.25)["decay"]
+    prefactor = kernel_calibration(m2, c2.beta * 0.09, INF)
     forced = 0
     for s in range(100):
         rng = np.random.default_rng(30_000 + s)

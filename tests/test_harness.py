@@ -15,7 +15,6 @@ import pytest
 from difflab import (
     ConfigError,
     DomainMask,
-    Field,
     GridSpec,
     LabError,
     PRESET_SYSTEMS,
@@ -23,12 +22,10 @@ from difflab import (
     Trajectory,
     admissible_graph_domain,
     ball_mask,
-    export_csv,
     full_mask,
     kernel_evolve,
     load_trajectory,
     parse_report,
-    save_field,
     save_trajectory,
     source_ball_center,
 )
@@ -102,7 +99,7 @@ def test_config_requires_experiment_and_seed():
     ({"time": {"n_frames": 1}}, "time.n_frames"),
     ({"estimate": {"alpha": 1.0}}, "estimate.alpha"),
     ({"estimate": {"p": 0.5}}, "estimate.p"),
-    ({"experiment": "oscdecay", "estimate": {"eps": 0.7}}, "estimate.eps"),
+    ({"experiment": "heatkernel", "estimate": {"eps": 0.7}}, "estimate.eps"),
     ({"experiment": "oscdecay", "estimate": {"c0": 0.5}}, "estimate.c0"),
     ({"estimate": {"C": -1.0}}, "estimate.C"),
     ({"seed": 1.5}, "seed"),
@@ -130,6 +127,8 @@ def test_config_requires_experiment_and_seed():
      "unknown config field estimate"),
     ({"experiment": "interp", "time": {"t_end": 1.0}},
      "unknown config field time"),
+    ({"experiment": "oscdecay", "estimate": {"eps": 0.25}},
+     "unknown config field estimate.eps"),
 ])
 def test_config_errors_name_the_offending_field(override, fragment):
     data = {"experiment": "skt", "seed": 0, **override}
@@ -454,18 +453,19 @@ def test_frozen_constant_gates_verification():
 
 def test_trajectory_round_trip(tmp_path):
     mask = ball_mask(GridSpec.make((1.0, 1.0), 21), (0.5, 0.5), 0.4)
-    times = 0.05 * np.arange(4)
     rng = np.random.default_rng(0)
-    values = rng.standard_normal((4, mask.active_count))
-    traj = Trajectory(mask, times, values)
     path = tmp_path / "traj.bin"
-    save_trajectory(path, traj)
-    back = load_trajectory(path)
-    assert back.grid.n == mask.grid.n
-    assert back.grid.h == pytest.approx(mask.grid.h)
-    np.testing.assert_array_equal(back.mask.active, mask.active)
-    np.testing.assert_array_equal(back.values, values)
-    np.testing.assert_allclose(back.times, times, atol=1e-15)
+    for n_frames in (4, 1):                 # a single snapshot is one frame
+        times = 0.05 * np.arange(n_frames)
+        values = rng.standard_normal((n_frames, mask.active_count))
+        save_trajectory(path, Trajectory(mask, times, values))
+        back = load_trajectory(path)
+        assert back.n_frames == n_frames
+        assert back.grid.n == mask.grid.n
+        assert back.grid.h == pytest.approx(mask.grid.h)
+        np.testing.assert_array_equal(back.mask.active, mask.active)
+        np.testing.assert_array_equal(back.values, values)
+        np.testing.assert_allclose(back.times, times, atol=1e-15)
 
 
 def test_graph_domain_kernel_round_trip_keeps_times_origin_and_ghosts(
@@ -511,24 +511,6 @@ def test_snapshot_with_unordered_or_nan_times_raises(tmp_path):
                                       np.array(bad).tobytes()))
         with pytest.raises(ParameterError, match="strictly increasing"):
             load_trajectory(path)
-
-
-def test_field_snapshot_and_csv_export(tmp_path):
-    mask = full_mask(GridSpec.make((1.0,), 9))
-    field = Field(mask, np.linspace(0.0, 1.0, mask.active_count))
-    bin_path = tmp_path / "field.bin"
-    save_field(bin_path, field)
-    back = load_trajectory(bin_path)
-    assert back.n_frames == 1
-    np.testing.assert_array_equal(back.values[0], field.values)
-
-    csv_path = tmp_path / "field.csv"
-    export_csv(csv_path, field)
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "x1,value"
-    assert len(lines) == 1 + mask.active_count
-    x, v = lines[1].split(",")
-    assert float(x) == 0.0 and float(v) == field.values[0]
 
 
 # ---------------------------------------------------------------------------

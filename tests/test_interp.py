@@ -11,6 +11,7 @@ from difflab import (
     GridSpec,
     ParameterError,
     PreconditionError,
+    RunReport,
     build_covering,
     covering_radii,
     cut_ball_check,
@@ -51,9 +52,9 @@ def test_cut_ball_constant_u_slopes_and_modes():
     w = Field(mask, ((coords - 0.5) ** 2).sum(axis=1) / 4.0)
     domain = interior_domain(mask, 0.12, 0.88)
     rep = cut_ball_check(u, w, (0.5, 0.5), (0.1, 0.2, 0.35), p=2, q=3,
-                         domain=domain,
-                         expected_slopes={"lhs": 2.0 / 3.0}, slope_tol=0.1)
+                         domain=domain)
     assert rep.passed
+    assert abs(rep.details["slopes"]["lhs"] - 2.0 / 3.0) <= 0.1
     assert rep.params["mode"] == "calibration"
     assert rep.details["w_exponent"] == -2.0 + 2.0 / 3.0
     c_fit = rep.params["C"]
@@ -389,8 +390,13 @@ def test_non_finite_exponents_and_covering_inputs_are_parameter_errors(call):
 
 def test_infinite_q_stays_valid():
     mask, domain, u, w = admissible_case(17)
-    assert interpolation_check(u, w, p=2.0, q=INF, alpha=ALPHA, r0=0.25,
-                               domain=domain).passed
+    rep = interpolation_check(u, w, p=2.0, q=INF, alpha=ALPHA, r0=0.25,
+                              domain=domain)
+    assert rep.passed
+    # the max form: the balls cover every domain node, so they hold the
+    # largest |u| of the domain
+    assert rep.details["cover_lq_ratio"] == 1.0
+    assert "NaN" not in RunReport(config={}, checks=[rep]).to_json()
     assert cut_ball_check(u, w, (0.5, 0.5), 0.2, p=2, q=INF,
                           domain=domain).passed
 

@@ -221,14 +221,30 @@ def test_moment_matches_1d_closed_form():
 
     rep = moment_report(kern)
     assert rep.passed
-    assert rep.lhs == pytest.approx(0.5, abs=rep.params["tol"])
+    assert rep.details["slope"] == pytest.approx(0.5, abs=rep.params["tol"])
 
 
 def test_moment_slope_2d():
     kern = kernel_evolve(_box(1.0, 49, 2), (0.5, 0.5), 0.3, n_frames=96)
     rep = moment_report(kern)
     assert rep.passed
-    assert rep.lhs == pytest.approx(0.5, abs=0.05)
+    assert rep.details["slope"] == pytest.approx(0.5, abs=0.05)
+
+
+def test_moment_report_prints_the_inequality_it_gates():
+    """lhs = |slope - 1/2| against rhs = tol, so the margin is nonnegative
+    exactly when the check passes, on either side of the target."""
+    kern = kernel_evolve(_box(1.0, 49, 2), (0.5, 0.5), 0.3, n_frames=96)
+    idx = intermediate_regime(kern)
+    slope, _ = fit_power(kern.times[idx], kernel_moment(kern)[idx])
+    err = abs(slope - 0.5)
+    assert err > 0
+    for tol, passes in ((2.0 * err, True), (0.5 * err, False)):
+        rep = moment_report(kern, tol=tol)
+        assert rep.passed is passes and (rep.margin >= 0) is passes
+        assert rep.lhs == err and rep.rhs == tol
+        assert rep.details["slope"] == slope
+        assert rep.details["target_slope"] == 0.5
 
 
 # ---------------------------------------------------------------------------
