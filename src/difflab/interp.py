@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError, SamplingError
+from .errors import (GeometryError, ParameterError, PreconditionError,
+                     SamplingError)
 from .grid import DomainMask, Field, gradient
 from .norms import RecentCache, holder_norm_field, lp_norm, space_norm
-from .report import EstimateReport
+from .report import EstimateReport, fit_constant
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +85,11 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
         ||u||_{L^q(B)} <= C [ R^(1 - d(1/p - 1/q)) ||grad u||_{L^p(B)}
                               + R^(-2 + alpha + d/q) ||w||_{C^alpha(B)} ]
 
-    evaluated across a ladder of radii.  Calibration mode (C None) fits the
-    constant; otherwise the inequality gates at every rung.  The log-log
-    regression slopes of lhs, grad_term and w_term across the ladder are
-    reported, not gated.
+    evaluated across a ladder of radii.  The row gates the worst ratio
+    lhs/core (infinite for a zero core under a positive lhs) against the
+    rhs C (1 + 1e-9) of :func:`~difflab.report.fit_constant`, which fits C
+    as that ratio when it is None.  The log-log regression slopes of lhs,
+    grad_term and w_term across the ladder are reported, not gated.
     """
     mask = u.mask
     if w.mask is not mask:
@@ -123,14 +125,13 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
                      "w_term": R ** e_w * wnorm,
                      "nodes": int(sel.sum())})
 
-    cores = [r["grad_term"] + r["w_term"] for r in rows]
-    lhss = [r["lhs"] for r in rows]
+    lhss = np.array([r["lhs"] for r in rows])
+    cores = np.array([r["grad_term"] + r["w_term"] for r in rows])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = float(np.max(np.where(lhss > 0, lhss / cores, 0.0)))
     mode = "calibration" if C is None else "verification"
-    if C is None:
-        C = max(l / c for l, c in zip(lhss, cores) if c > 0)
-        ineq_ok = True
-    else:
-        ineq_ok = all(l <= C * c * (1 + 1e-9) for l, c in zip(lhss, cores))
+    # the ratio's own core is 1; an infinite ratio has a zero one
+    C, rhs = fit_constant(worst, float(worst < math.inf), C)
 
     slopes = {}
     logr = np.log([r["R"] for r in rows])
@@ -139,11 +140,9 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
         if len(rows) >= 2 and np.all(vals > 0):
             slopes[key] = float(np.polyfit(logr, np.log(vals), 1)[0])
 
-    worst = max(l / c if c > 0 else 0.0 for l, c in zip(lhss, cores))
     return EstimateReport(
         check="cut_ball_estimate",
-        lhs=worst, rhs=C,
-        passed=bool(ineq_ok),
+        lhs=worst, rhs=rhs,
         params={"p": p, "q": q, "alpha": alpha, "C": C, "mode": mode,
                 "center": [float(c) for c in center]},
         grid=mask.grid.record(),
@@ -291,7 +290,8 @@ def build_covering(u: Field, threshold: float, p: float, alpha: float,
     """Radii by first crossing, then a greedy largest-first selection:
     a ball is kept only if its center is not yet covered.  Two kept centers
     are therefore farther apart than the larger radius, which pins the
-    overlap multiplicity (audited by the caller against a budget).
+    overlap multiplicity; a node held by no ball or by more than
+    ``default_overlap_cap(d)`` raises GeometryError.
 
     The greedy reads only the mask, the domain and the node radii, so the
     covers of the last _COVERS_KEPT such inputs are kept, matched by their
@@ -350,6 +350,12 @@ def _greedy_cover(mask: DomainMask, domain: np.ndarray,
         centers.append(i)
         radii.append(r)
         k += 1
+    cap = default_overlap_cap(mask.grid.dim)
+    bad = np.flatnonzero((counts < 1) | (counts > cap))
+    if bad.size:
+        i = bad[0]
+        raise GeometryError(f"greedy cover holds domain node {i} (x = "
+                            f"{coords[i]}) {counts[i]} times, not 1 to {cap}")
     cover = (np.asarray(centers, dtype=np.int64), np.asarray(radii), counts)
     for a in cover:
         a.flags.writeable = False
@@ -400,9 +406,9 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
         sum_B ||u||_{L^q(B)}^q,   sum_B ||grad u||_{L^p(B)}^p <= c_d ||grad u||_p^p,
 
     and the gate is  lhs <= C (A^(1-theta) G^theta + A)  with theta the
-    interpolation exponent and G the global gradient norm.  Calibration
-    mode (C None) fits the constant and always passes the inequality; the
-    overlap audit is part of the verdict in both modes.
+    interpolation exponent and G the global gradient norm, C and the float
+    headroom from :func:`~difflab.report.fit_constant` (fitted when None).
+    The cover is audited where it is built.
     """
     mask = u.mask
     if w.mask is not mask:
@@ -411,7 +417,6 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
     theta = _validate_hypotheses(d, p, q, alpha)
     if domain is None:
         domain = np.ones(mask.active_count, dtype=bool)
-    overlap_cap = default_overlap_cap(d)
     lap_w = _lap_values(lap_w, w)
     _check_one_sided(u, lap_w, domain)
 
@@ -425,7 +430,6 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
         raise ParameterError("w vanishes on the domain; threshold A = 0")
 
     cover = build_covering(u, a_norm, p, alpha, r0, domain)
-    overlap_ok = cover.max_overlap <= overlap_cap and cover.covers_all
 
     # per-ball aggregation diagnostics (the proof chain, made measurable):
     # a sum over the kept balls of sums over their members counts each
@@ -446,18 +450,13 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
     core = a_norm ** (1.0 - theta) * grad_norm ** theta + a_norm
     fitted = lhs / core
     mode = "calibration" if C is None else "verification"
-    if C is None:
-        C = fitted
-        ineq_ok = True
-    else:
-        ineq_ok = lhs <= C * core * (1 + 1e-9)
+    C, rhs = fit_constant(lhs, core, C)
 
     return EstimateReport(
         check="one_sided_interpolation",
-        lhs=lhs, rhs=C * core,
-        passed=bool(ineq_ok and overlap_ok),
+        lhs=lhs, rhs=rhs,
         params={"p": p, "q": q, "alpha": alpha, "theta": theta, "r0": r0,
-                "C": C, "mode": mode, "overlap_cap": overlap_cap},
+                "C": C, "mode": mode, "overlap_cap": default_overlap_cap(d)},
         grid=mask.grid.record(),
         details={"holder_norm_w": a_norm, "grad_norm": grad_norm,
                  "fitted_constant": fitted,

@@ -2,12 +2,14 @@
 
 Every check returns an :class:`EstimateReport` holding the measured quantity
 (lhs), the bound it is compared against (rhs), the margin, and enough context
-(params, grid) to rerun it.  A :class:`RunReport` bundles the reports of one
-experiment together with the echoed config.
+(params, grid) to rerun it; a row passes iff lhs <= rhs, so each check
+prints as rhs the value it gates.  A :class:`RunReport` bundles the reports
+of one experiment together with the echoed config.
 
 Emission is deterministic: identical config and seed must produce
 byte-identical files.  Wall time is therefore kept out of the emitted payload
-unless explicitly requested.
+unless explicitly requested.  The JSON is strict: inf, -inf and nan are
+spelled "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ class EstimateReport:
     check: str
     lhs: float
     rhs: float
-    passed: bool
+    passed: bool | None = None      # derived: lhs <= rhs
     params: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.passed is None:
+            self.passed = bool(self.lhs <= self.rhs)
 
     @property
     def margin(self) -> float:
@@ -73,8 +79,8 @@ class RunReport:
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing),
-                          sort_keys=True, indent=2) + "\n"
+        return json.dumps(jsonable(self.to_dict(include_timing)),
+                          sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -85,15 +91,25 @@ class RunReport:
             writer.writerow([
                 c.check, repr(c.lhs), repr(c.rhs), repr(c.margin),
                 int(c.passed),
-                json.dumps(c.params, sort_keys=True),
-                json.dumps(c.grid, sort_keys=True),
+                *(json.dumps(jsonable(x), sort_keys=True, allow_nan=False)
+                  for x in (c.params, c.grid)),
             ])
         return buf.getvalue()
 
 
+def fit_constant(lhs: float, core: float, C: float | None = None):
+    """The constant C of lhs <= C core, fitted as lhs/core when None, and
+    the gated rhs C core (1 + 1e-9): its headroom covers the rounding of
+    (lhs/core) core, so a calibration row passes by construction.  A zero
+    core fits nothing: C is 1 and the rhs 0, so a positive lhs fails."""
+    if C is None:
+        C = lhs / core if core > 0 else 1.0
+    return C, C * core * (1 + 1e-9)
+
+
 def jsonable(obj):
     """Copy of nested dicts/lists with numpy scalars made Python numbers and
-    infinities spelled "inf", ready for ``json.dumps``."""
+    inf, -inf and nan spelled "inf", "-inf" and "nan", ready for json."""
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -102,8 +118,8 @@ def jsonable(obj):
         return int(obj)
     if isinstance(obj, np.floating):
         obj = float(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     return obj
 
 
@@ -121,27 +137,31 @@ def emit(report: RunReport, out_dir, stem: str = "report",
 
 
 def parse_report(text: str) -> RunReport:
-    """Inverse of :meth:`RunReport.to_json` (round-trip safe); malformed
-    text raises ParameterError."""
+    """Inverse of :meth:`RunReport.to_json`, lhs and rhs read with ``float``;
+    malformed text or a "pass" other than lhs <= rhs raises ParameterError."""
     try:
         raw = json.loads(text)
         schema = raw.get("schema") if isinstance(raw, dict) else None
         if schema != SCHEMA:
             raise ParameterError(f"unknown report schema: {schema!r}")
-        checks = [
-            EstimateReport(
-                check=row["check"], lhs=row["lhs"], rhs=row["rhs"],
-                passed=row["pass"], params=row.get("params", {}),
-                grid=row.get("grid", {}), details=row.get("details", {}),
-            )
-            for row in raw["checks"]
-        ]
+        checks = []
+        for row in raw["checks"]:
+            rep = EstimateReport(
+                check=row["check"], lhs=float(row["lhs"]),
+                rhs=float(row["rhs"]), params=row.get("params", {}),
+                grid=row.get("grid", {}), details=row.get("details", {}))
+            if rep.passed is not row["pass"]:
+                raise ParameterError(
+                    f"{rep.check!r}: pass {row['pass']!r} != lhs <= rhs")
+            checks.append(rep)
         return RunReport(config=raw["config"], checks=checks,
                          wall_time=raw.get("wall_time", 0.0))
+    except ParameterError:
+        raise
     except json.JSONDecodeError as exc:
         raise ParameterError(f"report is not valid JSON: {exc}") from exc
     except KeyError as exc:
         raise ParameterError(f"report lacks the field {exc.args[0]!r}") \
             from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"report has a malformed entry: {exc}") from exc

@@ -9,7 +9,7 @@ them against measured quantities:
   forcing term with constant A times a calibrated kernel prefactor;
 * supremum bound: K1 * C * T^(1 - 1/p - d/(2q)) * ||f_+|| + ||w_init||_inf;
 * Hoelder bound with exponent alpha = min(log4(1/(1-delta)), gamma, 1/2) and
-  the dyadic iteration tracer osc_k <= C1 * (sup + Lip) * Lambda^k.
+  its dyadic iteration tracer osc_k <= C1 * (sup + Lip) * Lambda^k.
 
 The solver *measures* the monotonicity hypothesis dw/dt >= 0 instead of
 enforcing it: the reported fraction of node-steps with negative increment is
@@ -27,7 +27,7 @@ from .errors import DomainError, ParameterError
 from .grid import Field, ParabolicCylinder, Trajectory, march
 from .norms import (holder_norm, lipschitz_norm, lp_norm, lpq_norm,
                     oscillation, reciprocal)
-from .report import EstimateReport
+from .report import EstimateReport, fit_constant
 
 _INF = float("inf")
 
@@ -288,7 +288,8 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
     """Quarter-cylinder oscillation against (1 - delta) plus the forcing term.
 
     The solution is rescaled to [0, 1] on the outer cylinder, so the bound
-    reads osc_quarter/osc_full <= 1 - delta + C_{f,R} R^gamma ||f|| / osc_full.
+    reads osc_quarter/osc_full <= 1 - delta + C_{f,R} R^gamma ||f|| / osc_full
+    (+ 1e-12 of float slack in the printed rhs).
     """
     traj = sol.traj
     if abs(cyl.shape - consts.beta) > 1e-12 * max(1.0, consts.beta):
@@ -299,7 +300,7 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
     if osc_full <= 1e-12 * scale:
         return EstimateReport(
             check="oscillation_decay", lhs=0.0, rhs=1.0 - consts.delta,
-            passed=True, params={"R": cyl.radius, "degenerate": True},
+            params={"R": cyl.radius, "degenerate": True},
             grid=traj.grid.record(), details={"osc_full": osc_full})
     osc_quarter = oscillation(traj, quarter)
     lhs = osc_quarter / osc_full
@@ -317,7 +318,7 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
                     * cyl.radius ** consts.gamma * f_norm / osc_full)
     return EstimateReport(
         check="oscillation_decay",
-        lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs + 1e-12),
+        lhs=lhs, rhs=rhs + 1e-12,
         params={"R": cyl.radius, "beta": consts.beta, "delta": consts.delta,
                 "f_norm": f_norm},
         grid=traj.grid.record(),
@@ -331,7 +332,7 @@ def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
                          kernel_prefactor: float = 1.0) -> EstimateReport:
     """||w||_inf <= K1 C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf,
     with ||w||_inf measured over the frames in (t0, T] (every frame if
-    there is only one)."""
+    there is only one); the printed rhs is bound (1 + 1e-9) + 1e-12."""
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
     t_lo = traj.times[0] if traj.n_frames > 1 else None
@@ -344,8 +345,7 @@ def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     measured = lpq_norm(traj, _INF, _INF, t_lo)
     return EstimateReport(
         check="supremum_bound",
-        lhs=measured, rhs=bound,
-        passed=bool(measured <= bound * (1 + 1e-9) + 1e-12),
+        lhs=measured, rhs=bound * (1 + 1e-9) + 1e-12,
         params={"K1": consts.K1, "kernel_prefactor": kernel_prefactor,
                 "horizon": horizon, "f_plus_norm": fp_norm},
         grid=traj.grid.record(),
@@ -358,7 +358,8 @@ def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
                               eps: float, moment_prefactor: float,
                               kernel_prefactor: float,
                               forcing=None) -> EstimateReport:
-    """osc over (t0, t0 + beta R^2] x B(x0,R) vs K2 R^(1-2eps) Lip + K3 R^gamma ||f||."""
+    """osc over (t0, t0 + beta R^2] x B(x0,R) vs K2 R^(1-2eps) Lip + K3 R^gamma ||f||,
+    printed as bound (1 + 1e-9) + 1e-12."""
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
     k2 = k2_constant(consts, eps, horizon, moment_prefactor)
@@ -380,8 +381,7 @@ def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
              + k3 * cyl.radius ** consts.gamma * f_norm)
     return EstimateReport(
         check="initial_oscillation",
-        lhs=measured, rhs=bound,
-        passed=bool(measured <= bound * (1 + 1e-9) + 1e-12),
+        lhs=measured, rhs=bound * (1 + 1e-9) + 1e-12,
         params={"K2": k2, "K3": k3, "eps": eps, "R": cyl.radius},
         grid=traj.grid.record(),
         details={"w_init_lip": lip, "f_norm": f_norm},
@@ -390,95 +390,90 @@ def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
 
 def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
                        w_init: Field, forcing=None,
-                       kernel_prefactor: float = 1.0,
-                       moment_prefactor: float = 1.0,
-                       r0: float = 1.0, eps: float = 0.25,
                        c_star: float | None = None) -> EstimateReport:
-    """Interpolation-form Hoelder bound plus the dyadic iteration tracer.
-
-    In calibration mode (c_star None) the constant is fitted as
-    measured / core and reported; in verification mode the frozen constant
-    gates the check; the constant at alpha_practical is fitted in either
-    mode.  The tracer follows osc_k, k = 0..5, over cylinders shrunk by 4^k
-    around the end time and the mean node, and compares against
-    C1 (sup + Lip) Lambda^k.
-    A rung is kept only while its radius spans two mesh widths and its
-    window two frame gaps; a tracer that keeps none raises DomainError.
+    """Interpolation-form Hoelder bound [w]_alpha <= C* core, gated by
+    :func:`~difflab.report.fit_constant` plus 1e-12 (C* fitted when c_star
+    is None); the constant at alpha_practical is fitted in either mode.
     """
     traj = sol.traj
     alpha = consts.alpha
-    w_sup = lpq_norm(traj, _INF, _INF)
     lip = lipschitz_norm(w_init)
-    if forcing is not None:
-        f_norm, fp_norm = (
-            lpq_norm(_on_frames(forcing, traj, positive), consts.p, consts.q,
-                     traj.times[0], traj.times[-1])
-            for positive in (False, True))
-    else:
-        f_norm = fp_norm = 0.0
+    f_norm, fp_norm = (
+        lpq_norm(_on_frames(forcing, traj, positive), consts.p, consts.q,
+                 traj.times[0], traj.times[-1]) if forcing is not None
+        else 0.0 for positive in (False, True))
+    lo, hi = fp_norm + lip, f_norm + lip        # ||f_+|| <= ||f||
 
     def core(al: float) -> float:
-        lo = fp_norm + lip
-        hi = f_norm + lip
-        if lo <= 0 or hi <= 0:
-            return 0.0
-        return lo ** (1.0 - al / consts.gamma) * hi ** (al / consts.gamma)
+        g = consts.gamma
+        return lo ** (1.0 - al / g) * hi ** (al / g) if lo > 0 else 0.0
 
     measured = holder_norm(traj, alpha)
     core_a = core(alpha)
     mode = "calibration" if c_star is None else "verification"
-    if c_star is None:
-        c_star = measured / core_a if core_a > 0 else 1.0
-        passed = True
-    else:
-        passed = bool(measured <= c_star * core_a * (1 + 1e-9) + 1e-12)
+    c_star, rhs = fit_constant(measured, core_a, c_star)
     al_pr = alpha_practical(consts)
     measured_pr = holder_norm(traj, al_pr)
-    core_pr = core(al_pr)
-    c_star_practical = measured_pr / core_pr if core_pr > 0 else 1.0
-
-    # dyadic iteration tracer around the trajectory end point
-    k2 = k2_constant(consts, eps, float(traj.times[-1] - traj.times[0]),
-                     moment_prefactor)
-    k3 = k3_constant(consts, kernel_prefactor)
-    c_f1 = forcing_constant(consts, kernel_prefactor)
-    c1 = iteration_c1(consts, k2, k3, c_f1, r0, eps)
-    lam = iteration_lambda(consts, eps)
-    rf = shrunk_radius(consts, r0, f_norm, w_sup, lip)
-    tracer_center = tuple(traj.mask.node_coords().mean(axis=0))
-    amp = w_sup + lip
-    tracer = []
-    t_end = float(traj.times[-1])
-    last_gap = traj.frame_weights()[-1]   # tracer cylinders end at t_end
-    for k in range(6):
-        radius = rf * 4.0 ** (-k)
-        cyl_k = ParabolicCylinder(t_end, tracer_center, radius,
-                                  consts.beta)
-        if radius < 2 * traj.grid.h or cyl_k.window < 2 * last_gap:
-            break
-        osc_k = oscillation(traj, cyl_k)
-        bound_k = c1 * amp * lam ** k
-        tracer.append({"k": k, "radius": radius, "osc": osc_k,
-                       "bound": bound_k,
-                       "pass": bool(osc_k <= bound_k * (1 + 1e-9) + 1e-12)})
-    if not tracer:
-        raise DomainError("Hoelder tracer keeps no rung: the first cylinder "
-                          "is under two mesh widths or two frame gaps")
-    tracer_ok = all(row["pass"] for row in tracer)
+    c_star_practical = fit_constant(measured_pr, core(al_pr))[0]
     return EstimateReport(
         check="holder_bound",
-        lhs=measured, rhs=c_star * core_a,
-        passed=bool(passed and tracer_ok),
-        params={"alpha": alpha, "c_star": c_star, "mode": mode,
-                "eps": eps, "r0": r0},
+        lhs=measured, rhs=rhs + 1e-12,
+        params={"alpha": alpha, "c_star": c_star, "mode": mode},
         grid=traj.grid.record(),
         details={
             "core": core_a,
             "alpha_practical": al_pr,
             "measured_practical": measured_pr,
             "c_star_practical": c_star_practical,
-            "lambda": lam, "C1": c1, "R_f": rf,
-            "tracer": tracer,
             "dtw_negative_fraction": sol.dtw_negative_fraction,
         },
+    )
+
+
+def iteration_tracer_check(sol: RoughSolution, consts: ConstantsBundle,
+                           w_init: Field, forcing=None,
+                           kernel_prefactor: float = 1.0,
+                           moment_prefactor: float = 1.0,
+                           r0: float = 1.0,
+                           eps: float = 0.25) -> EstimateReport:
+    """Dyadic iteration tracer behind the Hoelder bound: osc_k, k = 0..5,
+    over cylinders of radius R_f 4^-k around the end time and the mean node
+    against bound_k = C1 (sup + Lip) Lambda^k.  The lhs is the worst ratio
+    osc_k / (bound_k (1 + 1e-9) + 1e-12), the rhs 1.  A rung is kept only
+    while its radius spans two mesh widths and its window two frame gaps;
+    a tracer that keeps none raises DomainError.
+    """
+    traj = sol.traj
+    w_sup = lpq_norm(traj, _INF, _INF)
+    lip = lipschitz_norm(w_init)
+    t0, t_end = float(traj.times[0]), float(traj.times[-1])
+    f_norm = lpq_norm(_on_frames(forcing, traj), consts.p, consts.q, t0,
+                      t_end) if forcing is not None else 0.0
+    k2 = k2_constant(consts, eps, t_end - t0, moment_prefactor)
+    c1 = iteration_c1(consts, k2, k3_constant(consts, kernel_prefactor),
+                      forcing_constant(consts, kernel_prefactor), r0, eps)
+    lam = iteration_lambda(consts, eps)
+    rf = shrunk_radius(consts, r0, f_norm, w_sup, lip)
+    center = tuple(traj.mask.node_coords().mean(axis=0))
+    rungs = []
+    last_gap = traj.frame_weights()[-1]   # tracer cylinders end at t_end
+    for k in range(6):
+        radius = rf * 4.0 ** (-k)
+        cyl_k = ParabolicCylinder(t_end, center, radius, consts.beta)
+        if radius < 2 * traj.grid.h or cyl_k.window < 2 * last_gap:
+            break
+        osc_k = oscillation(traj, cyl_k)
+        bound_k = c1 * (w_sup + lip) * lam ** k
+        rungs.append({"k": k, "radius": radius, "osc": osc_k, "bound": bound_k,
+                      "ratio": osc_k / (bound_k * (1 + 1e-9) + 1e-12)})
+    if not rungs:
+        raise DomainError("Hoelder tracer keeps no rung: the first cylinder "
+                          "is under two mesh widths or two frame gaps")
+    return EstimateReport(
+        check="iteration_tracer",
+        lhs=max(row["ratio"] for row in rungs), rhs=1.0,
+        params={"eps": eps, "r0": r0},
+        grid=traj.grid.record(),
+        details={"lambda": lam, "C1": c1, "R_f": rf, "rungs": rungs,
+                 "dtw_negative_fraction": sol.dtw_negative_fraction},
     )

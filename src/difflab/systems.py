@@ -33,7 +33,7 @@ from .errors import (ParameterError, SamplingError, SolverError,
                      StructuralError)
 from .grid import (Field, Trajectory, gradient, march, poisson_neumann,
                    stable_dt)
-from .report import EstimateReport
+from .report import EstimateReport, fit_constant
 
 
 def _interior_frames(check: str, times: np.ndarray) -> int:
@@ -215,7 +215,6 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
     residual = EstimateReport(
         check="skt_evolution_identity",
         lhs=worst, rhs=max(scale, 1.0) * 0.1,
-        passed=bool(worst <= max(scale, 1.0) * 0.1),
         params={"dt_saved": dt_s, "frames": int(n_fr)},
         grid=mask.grid.record(),
         details={"residual_inf": worst, "rhs_scale": scale},
@@ -243,7 +242,6 @@ def nu_bounds_report(sol: SKTSolution, aux: SKTAuxiliary) -> EstimateReport:
     return EstimateReport(
         check="skt_nu_bounds",
         lhs=breach, rhs=1e-12,
-        passed=bool(breach <= 1e-12),
         params={"lo": lo, "hi": hi},
         grid=sol.u.grid.record(),
         details={"nu_min": nu_min, "nu_max": nu_max},
@@ -279,7 +277,7 @@ def lp_energy_report(sol: SKTSolution, p: int,
         int u^(p+1)/(p+1) (T) + d1 4p/(p+1)^2 int int |grad u^((p+1)/2)|^2
             <= C_p (1 + int int u^(p+2)).
 
-    Calibration mode (c_p None) fits C_p as lhs/rhs-core and passes.
+    C_p and the gated rhs come from :func:`~difflab.report.fit_constant`.
     """
     if p < 1:
         raise ParameterError("p must be >= 1")
@@ -302,14 +300,10 @@ def lp_energy_report(sol: SKTSolution, p: int,
     lhs += sol.params.d1 * 4.0 * p / (p + 1) ** 2 * grad_term
     core = 1.0 + source
     mode = "calibration" if c_p is None else "verification"
-    if c_p is None:
-        c_p = lhs / core
-        passed = True
-    else:
-        passed = bool(lhs <= c_p * core * (1 + 1e-9))
+    c_p, rhs = fit_constant(lhs, core, c_p)
     return EstimateReport(
         check="lp_energy",
-        lhs=lhs, rhs=c_p * core, passed=passed,
+        lhs=lhs, rhs=rhs,
         params={"p": p, "C_p": c_p, "mode": mode},
         grid=mask.grid.record(),
         details={"gradient_coefficient": 4.0 * p / (p + 1) ** 2,
@@ -567,19 +561,19 @@ def halton(d: int, n: int) -> np.ndarray:
 
 
 def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
-                      box: tuple[float, float] = (0.0, 10.0),
-                      raise_on_violation: bool = True) -> EstimateReport:
+                      box: tuple[float, float] = (0.0, 10.0)) -> EstimateReport:
     """Sample-based audit of quasi-positivity, mass control, and the
     one-sided quadratic row bounds.
 
     The table's monomials are filled once at the Halton samples.
-    Quasi-positivity is checked on the faces u_i = 0, where only the
-    monomials free of u_i survive; the mass combination C beta is a
-    symbolic zero when every coefficient cancels; the row bounds report
-    max row/(1 + sum u)^2 - K over rows and samples (the lhs), the smallest
+    Quasi-positivity (A1) is checked on the faces u_i = 0, where only the
+    monomials free of u_i survive; the mass combination C beta (A2) is a
+    symbolic zero when every coefficient cancels.  A violation of either,
+    which no K repairs, raises StructuralError carrying a witness state.
+    The row is A3: max row/(1 + sum u)^2 - K over rows and samples against
+    1e-12, each row over it a witness in ``details``, with the smallest
     feasible K and the fitted growth exponent of the worst row at large
-    states (diagnostic only).  A violation raises StructuralError carrying
-    a witness state unless ``raise_on_violation`` is false.
+    states (diagnostic only).
     """
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
@@ -591,17 +585,14 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
     scale = (1.0 + total) ** 2
     mono = spec.monomials(u)
 
-    def fail(condition, index, witness_state, value):
-        witness = {"condition": condition, "index": index,
-                   "state": [float(x) for x in witness_state],
-                   "value": float(value)}
-        if raise_on_violation:
-            raise StructuralError(
-                f"{condition} violated at species {index}: "
-                f"value {value:.6g} at state {witness['state']}", witness)
-        return witness
+    def witness(condition, index, state, value):
+        return {"condition": condition, "index": index,
+                "state": [float(x) for x in state], "value": float(value)}
 
-    violations = []
+    def fail(condition, index, state, value):
+        w = witness(condition, index, state, value)
+        raise StructuralError(f"{condition} violated at species {index}: "
+                              f"value {value:.6g} at state {w['state']}", w)
 
     # (A1) quasi-positivity at the faces
     faces = (spec.coeffs * (spec.powers == 0)).T @ mono
@@ -611,7 +602,7 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
     for i in np.flatnonzero(margins < -tol * size * scale[worst]):
         face = states[worst[i]].copy()
         face[i] = 0.0
-        violations.append(fail("A1", int(i), face, margins[i]))
+        fail("A1", int(i), face, margins[i])
 
     # (A2) mass control
     a2_exact = spec.mass_is_exact()
@@ -621,7 +612,7 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
         worst = int(np.argmax(vals))
         a2_worst = float(vals[worst])
         if a2_worst > tol * float(scale[worst]):
-            violations.append(fail("A2", -1, states[worst], a2_worst))
+            fail("A2", -1, states[worst], a2_worst)
 
     # (A3) one-sided quadratic row bounds
     rows = spec.A @ (spec.coeffs.T @ mono)
@@ -629,9 +620,8 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
     worst = np.argmax(ratio, axis=1)
     peaks = ratio[np.arange(m), worst]
     fitted_k = float(peaks.max())
-    for i in np.flatnonzero(peaks - spec.K > tol):
-        violations.append(fail("A3", int(i), states[worst[i]],
-                               rows[i, worst[i]]))
+    violations = [witness("A3", int(i), states[worst[i]], rows[i, worst[i]])
+                  for i in np.flatnonzero(peaks - spec.K > tol)]
     growth_exponent = 0.0
     for row in rows:
         pos = row > 1e-12
@@ -644,8 +634,7 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
 
     return EstimateReport(
         check="structural_assumptions",
-        lhs=fitted_k - spec.K, rhs=0.0,
-        passed=not violations,
+        lhs=fitted_k - spec.K, rhs=tol,
         params={"system": spec.name, "K": spec.K, "samples": n_samples,
                 "box": list(box)},
         grid={},
@@ -765,7 +754,7 @@ def quad_mass_report(sol: GeneralSolution) -> EstimateReport:
     drift = float(np.max(np.abs(totals - totals[0]))) / max(totals[0], 1e-300)
     return EstimateReport(
         check="quad_mass_conservation",
-        lhs=drift, rhs=1e-10, passed=bool(drift <= 1e-10),
+        lhs=drift, rhs=1e-10,
         params={"initial_mass": float(totals[0])},
         grid=sol.w.grid.record(),
         details={"clipped_mass": sol.clipped_mass},
@@ -779,7 +768,7 @@ def quad_mu_report(sol: GeneralSolution, diffusions) -> EstimateReport:
     breach = max(lo - float(mu.min()), float(mu.max()) - hi, 0.0)
     return EstimateReport(
         check="quad_mu_bounds",
-        lhs=breach, rhs=1e-12, passed=bool(breach <= 1e-12),
+        lhs=breach, rhs=1e-12,
         params={"lo": lo, "hi": hi},
         grid=sol.w.grid.record(),
         details={"mu_min": float(mu.min()), "mu_max": float(mu.max())},
@@ -804,7 +793,6 @@ def quad_identity_report(sol: GeneralSolution, diffusions) -> EstimateReport:
     return EstimateReport(
         check="quad_integral_identities",
         lhs=max(worst_lap, worst_evo), rhs=0.1 * max(scale, 1.0),
-        passed=bool(max(worst_lap, worst_evo) <= 0.1 * max(scale, 1.0)),
         params={"frames": int(times.size)},
         grid=mask.grid.record(),
         details={"lap_identity_inf": worst_lap, "evolution_inf": worst_evo},
@@ -840,7 +828,6 @@ def transformed_residual_report(sol: GeneralSolution) -> EstimateReport:
     return EstimateReport(
         check="transformed_system_residual",
         lhs=worst, rhs=0.1 * scale,
-        passed=bool(worst <= 0.1 * scale),
         params={"system": spec.name, "frames": int(times.size),
                 "burn_in": burn_in},
         grid=mask.grid.record(),
@@ -859,7 +846,7 @@ def transform_consistency_report(sol: GeneralSolution) -> EstimateReport:
     err = float(np.max(np.abs(back - u_mat))) / scale
     return EstimateReport(
         check="transform_roundtrip",
-        lhs=err, rhs=1e-12, passed=bool(err <= 1e-12),
+        lhs=err, rhs=1e-12,
         params={"system": spec.name},
         grid=sol.u[0].grid.record(),
         details={},

@@ -149,6 +149,7 @@ def test_criterion_04_gaussian_comparison():
             kern = kernel_evolve(mask, tuple(src), t_end=t_cap, n_frames=64)
             rep = gaussian_lower_bound_check(kern, R, slack=0.05)
             assert rep.details["points_checked"] > 10_000
+            assert rep.passed == (rep.details["violations"] == 0)
             deficits.append((rep.details["violations"], rep.lhs))
         results[label] = deficits
     ok = all(v == 0 for row in results.values() for v, _ in row) \

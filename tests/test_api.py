@@ -13,6 +13,8 @@ ALLOWED_UNUSED = {
     "ball_mask": "ball subdomains; the Hoelder-bound criterion will use it",
     "holder_bound_check": "the Hoelder-bound criterion is not wired in yet",
     "initial_oscillation_check": "as holder_bound_check",
+    "iteration_tracer_check": "the dyadic tracer behind holder_bound_check; "
+                              "wired in with it",
     "gaussian_moment_1d": "closed-form oracle for the kernel moment tests",
     "parse_report": "inverse of RunReport.to_json for report consumers",
 }
@@ -49,3 +51,19 @@ def test_every_export_is_read_outside_its_definition():
     assert not unused, f"exported but read by nothing: {sorted(unused)}"
     # an allowlisted name that gains a reader leaves the list
     assert not set(ALLOWED_UNUSED) & used
+
+
+def test_no_lab_check_passes_its_own_verdict():
+    """Every row's verdict is lhs <= rhs, derived by EstimateReport itself:
+    no call in the library passes ``passed``, by keyword or by position."""
+    calls = []
+    for path in (ROOT / "src/difflab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "EstimateReport"
+                    or getattr(node.func, "attr", None) == "EstimateReport"):
+                calls.append(node)
+                assert len(node.args) <= 3 and all(
+                    kw.arg != "passed" for kw in node.keywords), \
+                    f"{path.name}:{node.lineno} passes its own verdict"
+    assert len(calls) >= 20

@@ -15,10 +15,12 @@ import pytest
 from difflab import (
     ConfigError,
     DomainMask,
+    GeneralSystemSpec,
     GridSpec,
     LabError,
     PRESET_SYSTEMS,
     ParameterError,
+    StructuralError,
     Trajectory,
     admissible_graph_domain,
     ball_mask,
@@ -414,6 +416,56 @@ def test_parse_report_raises_parameter_error_on_malformed_text():
     with pytest.raises(ParameterError, match="'lhs'"):
         parse_report(json.dumps(good))
     assert issubclass(ParameterError, LabError)
+
+
+def test_parse_report_rejects_a_verdict_that_disagrees_with_its_sides():
+    good = json.loads(run_experiment(SMALL_CONFIGS["oscdecay"]).to_json())
+    good["checks"][0]["pass"] = not good["checks"][0]["pass"]
+    with pytest.raises(ParameterError, match="oscillation_decay.*pass"):
+        parse_report(json.dumps(good))
+
+
+def _reject_constant(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def preset_reports():
+    """Every preset at seeds 0-2, and interp at q = inf, with its JSON."""
+    configs = [{"experiment": name, "seed": seed}
+               for name in preset_names() for seed in range(3)]
+    configs.append({"experiment": "interp", "seed": 0, "grid": {"n": 17},
+                    "estimate": {"q": "inf"}})
+    return [(cfg, run_experiment(cfg)) for cfg in configs]
+
+
+def test_preset_reports_are_strict_json_and_reserialise_byte_identically(
+        preset_reports):
+    for cfg, report in preset_reports:
+        text = report.to_json()
+        json.loads(text, parse_constant=_reject_constant)
+        assert parse_report(text).to_json() == text, cfg
+    # the q = inf run spells its exponent, in the echo and in the rows
+    report = preset_reports[-1][1]
+    assert '"q": "inf"' in report.to_json()
+    assert "Infinity" not in report.to_csv()
+
+
+def test_every_preset_row_passes_iff_lhs_le_rhs(preset_reports):
+    for cfg, report in preset_reports:
+        for c in report.checks:
+            assert c.passed == (c.lhs <= c.rhs) == (c.margin >= 0), \
+                (cfg, c.check)
+
+
+def test_a1_violation_raises_where_the_harness_runs_a_network(monkeypatch):
+    sink = GeneralSystemSpec((1.0,), [[(-1.0, (0,))]], (1.0,), [[1.0]],
+                             K=1.0)
+    monkeypatch.setitem(PRESET_SYSTEMS, "quad4", lambda **kw: sink)
+    with pytest.raises(StructuralError) as exc:
+        run_experiment({"experiment": "general", "seed": 0,
+                        "grid": {"n": 9}, "system": {"name": "quad4"}})
+    assert exc.value.witness["condition"] == "A1"
 
 
 def test_emit_writes_byte_identical_files(tmp_path):

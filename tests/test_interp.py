@@ -8,6 +8,7 @@ import pytest
 
 from difflab import (
     Field,
+    GeometryError,
     GridSpec,
     ParameterError,
     PreconditionError,
@@ -74,6 +75,23 @@ def test_cut_ball_zero_u_passes_any_constant():
                          domain=interior_domain(mask), C=1e-6)
     assert rep.passed
     assert rep.lhs == 0.0
+
+
+def test_cut_ball_zero_cores():
+    """u = w = 0 holds with any constant: calibration fits C = 0 and
+    passes.  A zero core under a positive lhs (u = 1 with w = 0, lap w
+    given as 1) holds with none: its ratio is infinite and the row fails
+    in both modes."""
+    mask = unit_square(17)
+    zero = Field.constant(mask, 0.0)
+    rep = cut_ball_check(zero, zero, (0.5, 0.5), 0.3, p=2, q=4)
+    assert rep.passed and rep.lhs == rep.params["C"] == 0.0
+    one = Field.constant(mask, 1.0)
+    lap_w = np.ones(mask.active_count)
+    for C in (None, 1e6):
+        rep = cut_ball_check(one, zero, (0.5, 0.5), 0.3, p=2, q=4, C=C,
+                             lap_w=lap_w)
+        assert rep.lhs == math.inf and not rep.passed
 
 
 def test_cut_ball_exponential_ladder():
@@ -238,6 +256,17 @@ def test_covering_overlap_stays_under_budget():
     assert cover.n_balls == cover.centers.size == cover.radii.size
     # greedy invariant: multiplicities count every selected ball
     assert cover.counts.min() >= 1
+
+
+def test_cover_over_its_overlap_budget_raises(monkeypatch):
+    mask = unit_square(33)
+    rng = np.random.default_rng(21)
+    u = Field(mask, rng.random(mask.active_count))
+    assert build_covering(u, 0.5, 2.0, 0.3, 0.2).max_overlap > 1
+    monkeypatch.setattr(interp, "_COVERS", interp.RecentCache(1))
+    monkeypatch.setattr(interp, "default_overlap_cap", lambda dim: 1)
+    with pytest.raises(GeometryError, match="domain node .* times"):
+        build_covering(u, 0.5, 2.0, 0.3, 0.2)
 
 
 def _greedy_cover_all_nodes(u, threshold, p, alpha, r0, domain):

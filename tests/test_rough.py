@@ -11,8 +11,8 @@ from difflab import (ConstantsBundle, DomainError, Field, GridSpec,
                      fitted_prefactor,
                      fitted_moment_prefactor, forcing_constant, full_mask,
                      holder_bound_check, initial_oscillation_check,
-                     iteration_c1, iteration_lambda, k2_constant,
-                     k3_constant, kernel_evolve, lpq_norm,
+                     iteration_c1, iteration_lambda, iteration_tracer_check,
+                     k2_constant, k3_constant, kernel_evolve, lpq_norm,
                      oscillation_decay_check, shrunk_radius, solve_rough,
                      supremum_bound_check, unit_ball_volume)
 from difflab.rough import _active_at
@@ -409,7 +409,8 @@ def test_supremum_bound_forced_saturates():
     rep = supremum_bound_check(sol, consts, w0, forcing=1.0)
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, abs=1e-12)
-    assert rep.rhs == pytest.approx(1.0, abs=1e-9)
+    # the printed rhs is the gated bound: 1 with its float slack
+    assert rep.rhs == pytest.approx(1.0 * (1 + 1e-9) + 1e-12, abs=1e-12)
 
 
 def test_supremum_bound_nonpositive_forcing():
@@ -428,23 +429,48 @@ def test_holder_bound_calibration_and_tracer():
     kern = kernel_evolve(sol.traj.mask, (0.5, 0.5), 0.06, n_frames=33)
     kp = fitted_prefactor(kern, 1.0, t_hi=0.06)
     mp = fitted_moment_prefactor(kern, 0.25, t_hi=0.06)
-    rep = holder_bound_check(sol, consts, w0, r0=0.3, kernel_prefactor=kp,
-                             moment_prefactor=mp)
+    rep = holder_bound_check(sol, consts, w0)
     assert rep.passed
     assert rep.params["mode"] == "calibration"
-    assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)   # fitted equality
-    assert rep.details["tracer"]
-    assert all(row["pass"] for row in rep.details["tracer"])
-    assert 0.0 < rep.details["lambda"] < 1.0
+    fitted = rep.params["c_star"] * rep.details["core"]
+    assert rep.lhs == pytest.approx(fitted, rel=1e-12)    # fitted equality
+    assert rep.rhs == fitted * (1 + 1e-9) + 1e-12
+    tracer = iteration_tracer_check(sol, consts, w0, r0=0.3,
+                                    kernel_prefactor=kp, moment_prefactor=mp)
+    assert tracer.passed and tracer.rhs == 1.0
+    assert tracer.details["rungs"]
+    assert tracer.lhs == max(row["ratio"] for row in tracer.details["rungs"])
+    assert 0.0 < tracer.details["lambda"] < 1.0
 
     # verification mode with headroom passes, without headroom fails
     c_star = rep.params["c_star"]
-    ver = holder_bound_check(sol, consts, w0, r0=0.3, kernel_prefactor=kp,
-                             moment_prefactor=mp, c_star=1.5 * c_star)
+    ver = holder_bound_check(sol, consts, w0, c_star=1.5 * c_star)
     assert ver.passed and ver.params["mode"] == "verification"
-    bad = holder_bound_check(sol, consts, w0, r0=0.3, kernel_prefactor=kp,
-                             moment_prefactor=mp, c_star=0.5 * c_star)
+    bad = holder_bound_check(sol, consts, w0, c_star=0.5 * c_star)
     assert not bad.passed
+
+
+def test_holder_bound_zero_core_fails_in_calibration():
+    # w_init = 0 and f = -1 give the core (||f_+|| + Lip)^... = 0 under a
+    # positive seminorm: no constant is fitted, and the row must not pass
+    mask = full_mask(GridSpec.make((1.0, 1.0), 33))
+    consts = explicit_constants(2, INF, INF, 1.0, 2.0)
+    w0 = Field.constant(mask, 0.0)
+    sol = solve_rough(w0, RoughCoefficient(1.0, 1.0, 2.0), forcing=-1.0,
+                      t_end=0.06, n_frames=129)
+    rep = holder_bound_check(sol, consts, w0, forcing=-1.0)
+    assert rep.details["core"] == 0.0 and rep.lhs > 0.1
+    assert not rep.passed and rep.margin < 0
+
+
+def test_iteration_tracer_rung_over_its_bound_fails(monkeypatch):
+    import difflab.rough as rough
+    sol, consts, w0, _ = _rough_run()
+    monkeypatch.setattr(rough, "iteration_c1", lambda *args: 1e-6)
+    rep = iteration_tracer_check(sol, consts, w0, r0=0.3)
+    over = [row for row in rep.details["rungs"] if row["ratio"] > 1.0]
+    assert over and rep.lhs == max(row["ratio"] for row in over)
+    assert not rep.passed and rep.rhs == 1.0
 
 
 def test_holder_bound_empty_tracer_raises():
@@ -452,7 +478,7 @@ def test_holder_bound_empty_tracer_raises():
     # widths, so every rung is skipped; an empty tracer checks nothing
     sol, consts, w0, _ = _rough_run()
     with pytest.raises(DomainError, match="no rung"):
-        holder_bound_check(sol, consts, w0, r0=1e-4)
+        iteration_tracer_check(sol, consts, w0, r0=1e-4)
 
 
 def test_initial_oscillation_check_smoke():

@@ -279,7 +279,8 @@ def test_lp_energy_calibration_and_verification():
     cal = lp_energy_report(sol, 2)
     assert cal.passed
     assert cal.params["mode"] == "calibration"
-    assert cal.lhs == cal.rhs
+    # the calibration gate sits its 1e-9 headroom above the fitted lhs
+    assert cal.rhs == pytest.approx(cal.lhs * (1 + 1e-9), rel=1e-15)
     ver = lp_energy_report(sol, 2, c_p=cal.params["C_p"] * 1.5)
     assert ver.passed and ver.params["mode"] == "verification"
     assert not lp_energy_report(sol, 2, c_p=cal.params["C_p"] * 0.5).passed
@@ -600,20 +601,17 @@ def test_structural_violations_raise_with_witness():
     base = preset_uum(1, (1,))
     starving = GeneralSystemSpec(base.diffusions, term_lists(base),
                                  base.beta_weights, base.A, K=0.01)
-    with pytest.raises(StructuralError) as exc:
-        structural_checks(starving, n_samples=20_000)
-    assert exc.value.witness["condition"] == "A3"
-    assert len(exc.value.witness["state"]) == starving.m
+    # an A3 excess is a FAIL row whose witness rides in its details
+    rep = structural_checks(starving, n_samples=20_000)
+    assert not rep.passed and rep.lhs > rep.rhs == 1e-12
+    witness = rep.details["violations"][0]
+    assert witness["condition"] == "A3"
+    assert len(witness["state"]) == starving.m
 
     sink = GeneralSystemSpec((1.0,), [[(-1.0, (0,))]], (1.0,), [[1.0]], K=1.0)
     with pytest.raises(StructuralError) as exc:
         structural_checks(sink, n_samples=1000)
     assert exc.value.witness["condition"] == "A1"
-
-    rep = structural_checks(starving, n_samples=20_000,
-                            raise_on_violation=False)
-    assert not rep.passed
-    assert len(rep.details["violations"]) >= 1
 
 
 def test_preset_constructor_validation():
