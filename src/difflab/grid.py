@@ -147,8 +147,8 @@ class DomainMask:
             self._coords = np.stack([m[self.active] for m in mesh], axis=1)
         return self._coords
 
-    def scatter(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        full = np.full(self.grid.n, fill, dtype=float)
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        full = np.zeros(self.grid.n)
         full[self.active] = values
         return full
 
@@ -330,33 +330,28 @@ def ball_mask(grid: GridSpec, center: Sequence[float], radius: float,
 
 
 def graph_domain_mask(grid: GridSpec, radius: float,
-                      phi: Callable[[np.ndarray], np.ndarray] | float,
-                      center: Sequence[float] | None = None) -> DomainMask:
-    """Ball cut by a graph: active where |x-c| < R and x_d - c_d > phi(x').
+                      phi: Callable[[np.ndarray], np.ndarray] | float
+                      ) -> DomainMask:
+    """Ball at the origin cut by a graph: active where |x| < R and
+    x_d > phi(x'); shift ``GridSpec.origin`` to move the domain.
 
-    phi maps the first d-1 coordinates (relative to the center) to a height;
-    in 1d it is a constant.  Ghosts below the graph are Neumann, the rest of
-    the sphere is Dirichlet.  The admissibility constraints
-    sup phi <= R/(11 d) and Lip(phi) <= 1/(11 d) are the caller's business
-    (checked by the estimates that need them, not here).
+    phi maps the first d-1 coordinates to a height; in 1d it is a constant.
+    Ghosts below the graph are Neumann, the rest of the sphere is
+    Dirichlet.  The admissibility constraints sup phi <= R/(11 d) and
+    Lip(phi) <= 1/(11 d) are the caller's business (checked by the
+    estimates that need them, not here).
     """
-    dim = grid.dim
-    if center is None:
-        center = (0.0,) * dim
-    center = np.asarray(center, dtype=float)
     mesh = grid.meshgrid()
-    rel = [m - c for m, c in zip(mesh, center)]
-    d2 = sum(r ** 2 for r in rel)
+    d2 = sum(x ** 2 for x in mesh)
     if callable(phi):
-        if dim == 1:
+        if grid.dim == 1:
             height = float(np.asarray(phi(np.zeros((1, 0)))).ravel()[0])
-            below = rel[0] <= height
         else:
-            prime = np.stack([r.ravel() for r in rel[:-1]], axis=1)
+            prime = np.stack([x.ravel() for x in mesh[:-1]], axis=1)
             height = np.asarray(phi(prime), dtype=float).reshape(grid.n)
-            below = rel[-1] <= height
     else:
-        below = rel[-1] <= float(phi)
+        height = float(phi)
+    below = mesh[-1] <= height
     active = (d2 < radius * radius) & ~below
     dirichlet = ~active & ~below
     return DomainMask(grid, active, dirichlet)
@@ -433,9 +428,6 @@ class Trajectory:
         gaps = np.diff(self.times)
         return np.append(gaps, gaps[-1:]) if gaps.size \
             else np.zeros(self.times.size)
-
-    def frame(self, k: int) -> Field:
-        return Field(self.mask, self.values[k])
 
     def window(self, t_lo: float, t_hi: float) -> np.ndarray:
         """Indices of frames with t in (t_lo, t_hi], with roundoff slack."""

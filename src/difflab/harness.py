@@ -119,8 +119,7 @@ _OWN = {
         "time": {"t_end": 0.1, "n_frames": 65},
         "system": {"name": "uum", "m": 2, "b": [1.0, 2.0],
                    "sp": 2, "sq": 1, "diffusions": None,
-                   "amp": 1.0, "n_bumps": 4,
-                   "samples": 20000, "box": [0.0, 10.0]},
+                   "amp": 1.0, "n_bumps": 4, "samples": 20000},
     },
     "interp": {
         "grid": {"dim": 3, "n": 24},
@@ -231,8 +230,8 @@ def _system(name: str, sysc: dict, dim: int) -> dict:
     """Each ``system`` leaf read against its preset default: a number >= 0,
     an integer >= 1, or a list of numbers for a list or null default
     (_numbers).  Shapes are checked too: ``source`` is "center" or ``dim``
-    numbers, ``box`` two numbers lo < hi, and ``domain_radius`` is
-    positive.  Pipelines check the other strings."""
+    numbers, and ``domain_radius`` is positive.  Pipelines check the other
+    strings."""
     out = {}
     for key, default in _PRESETS[name]["system"].items():
         val = sysc[key]
@@ -246,11 +245,7 @@ def _system(name: str, sysc: dict, dim: int) -> dict:
             out[key] = _num(val, f"system.{key}", lo=0,
                             strict_lo=key == "domain_radius")
         else:
-            out[key] = _numbers(key, val, 2 if key == "box" else None)
-    box = out.get("box")
-    if box is not None and not box[0] < box[1]:
-        raise ConfigError(f"system.box must be [lo, hi] with lo < hi, "
-                          f"got {box}")
+            out[key] = _numbers(key, val, None)
     return out
 
 
@@ -584,13 +579,12 @@ def _general_spec(sysc: dict):
 def _run_general(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     sysc = cfg.system
     spec = _general_spec(sysc)
-    box = sysc["box"]
-    structural = structural_checks(spec, n_samples=sysc["samples"], box=box)
+    structural = structural_checks(spec, n_samples=sysc["samples"])
     mask = full_mask(cfg.grid_spec())
     inits = [_positive_bumps(mask, rng, sysc["n_bumps"], sysc["amp"])
              for _ in range(spec.m)]
     sol = systems.general_solve(inits, spec, cfg.t_end, dt=cfg.solver_dt(),
-                                n_frames=cfg.n_frames, sampled_box=box)
+                                n_frames=cfg.n_frames)
     return [structural,
             systems.transformed_residual_report(sol),
             systems.transform_consistency_report(sol)] + _network_reports(sol)

@@ -384,13 +384,7 @@ def _validate_hypotheses(dim: int, p: float, q: float, alpha: float):
         raise ParameterError(
             f"hypothesis q >= (3 - alpha)/(2 - alpha) p fails: q = {q}, "
             f"required >= {p * (3.0 - alpha) / (2.0 - alpha):.6g}")
-    theta = interpolation_theta(dim, p, q, alpha)
-    # equivalent to the hypothesis above; kept as an arithmetic cross-check
-    if q * theta < p * (1 - 1e-9):
-        raise ParameterError(
-            f"exponent-sum condition q theta >= p fails: "
-            f"q theta = {q * theta:.6g}, p = {p}")
-    return theta
+    return interpolation_theta(dim, p, q, alpha)
 
 
 def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,

@@ -264,9 +264,11 @@ def fitted_moment_prefactor(kern: KernelField, eps: float,
 # mixed-boundary geometry and the Gaussian lower bound
 
 
-def admissible_graph_domain(grid: GridSpec, radius: float, phi,
-                            center=None) -> DomainMask:
-    """Build the ball-cut-by-graph mask, enforcing the flatness constraints.
+def admissible_graph_domain(grid: GridSpec, radius: float,
+                            phi) -> DomainMask:
+    """Build the ball-cut-by-graph mask at the origin
+    (:func:`~difflab.grid.graph_domain_mask`), enforcing the flatness
+    constraints.
 
     Requires sup phi <= R/(11 d) and a difference-quotient Lipschitz bound
     |phi(x') - phi(y')| <= |x' - y'|/(11 d) on a fine sample.
@@ -301,7 +303,7 @@ def admissible_graph_domain(grid: GridSpec, radius: float, phi,
     if lip > 1.0 / (11.0 * d) * (1 + 1e-9):
         raise PreconditionError(
             f"Lip(phi) = {lip:.3e} exceeds 1/(11d) = {1.0 / (11 * d):.3e}")
-    return graph_domain_mask(grid, radius, phi, center=center)
+    return graph_domain_mask(grid, radius, phi)
 
 
 def source_ball_center(radius: float, center, dim: int) -> np.ndarray:
@@ -313,11 +315,11 @@ def source_ball_center(radius: float, center, dim: int) -> np.ndarray:
 
 
 def gaussian_lower_bound_check(kern: KernelField, radius: float,
-                               center=None,
                                slack: float = 0.05) -> EstimateReport:
     """Check Gamma >= (1 - slack) Psi - 1e-8 on the sampled frames.
 
-    Psi(t, x) = Phi(t, |x - y|) - sup_{s<=t} Phi(s, 7R/10) with the source y;
+    Psi(t, x) = Phi(t, |x - y|) - sup_{s<=t} Phi(s, 7R/10) with the source
+    y, which must lie in B((R/5) e_d, R/10) of the domain at the origin;
     only frames with max(6 h^2, t_cap/10) <= t <= t_cap = 49 R^2/(200 d)
     count: the lower end skips the first few h^2 where the discrete delta
     has not resolved yet.  The lhs is max (Psi - Gamma - 1e-8)/Psi over
@@ -328,10 +330,10 @@ def gaussian_lower_bound_check(kern: KernelField, radius: float,
     t_cap = 49.0 * radius ** 2 / (200.0 * d)
     t_min = max(6.0 * grid.h ** 2, 0.1 * t_cap)
     y = kern.source_point
-    u_center = source_ball_center(radius, center, d)
+    u_center = source_ball_center(radius, None, d)
     if np.linalg.norm(y - u_center) > radius / 10.0 + grid.h:
         raise PreconditionError(
-            "kernel source lies outside the admissible ball B(c + R/5 e_d, R/10)")
+            "kernel source lies outside the admissible ball B(R/5 e_d, R/10)")
     sel = np.nonzero((kern.times >= t_min) &
                      (kern.times <= t_cap * (1 + 1e-12)))[0]
     if sel.size == 0:

@@ -7,7 +7,8 @@ them against measured quantities:
 
 * oscillation decay: osc over the quarter cylinder vs (1 - delta) plus a
   forcing term with constant A times a calibrated kernel prefactor;
-* supremum bound: K1 * C * T^(1 - 1/p - d/(2q)) * ||f_+|| + ||w_init||_inf;
+* supremum bound: (K1/a0) * C * T^(1 - 1/p - d/(2q)) * ||f_+||
+  + ||w_init||_inf;
 * Hoelder bound with exponent alpha = min(log4(1/(1-delta)), gamma, 1/2) and
   its dyadic iteration tracer osc_k <= C1 * (sup + Lip) * Lambda^k.
 
@@ -330,9 +331,20 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
 def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
                          w_init: Field, forcing=None,
                          kernel_prefactor: float = 1.0) -> EstimateReport:
-    """||w||_inf <= K1 C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf,
+    """||w||_inf <= (K1/a0) C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf,
     with ||w||_inf measured over the frames in (t0, T] (every frame if
-    there is only one); the printed rhs is bound (1 + 1e-9) + 1e-12."""
+    there is only one); the printed rhs is bound (1 + 1e-9) + 1e-12.
+
+    K1 is K1(1) a0^(d/(2q)), K1(1) the a0 = 1 constant, and the bound
+    needs one more 1/a0, the time unit.  The change s = t/a0 turns
+    a dw/dt - lap w = f into (a/a0) dw/ds - lap w = f, whose coefficient
+    is >= 1, on the horizon T/a0, and it scales ||f_+||_{L^p L^q} by
+    a0^(-1/p).  The a0 = 1 bound there,
+    K1(1) C (T/a0)^(1 - 1/p - d/(2q)) a0^(-1/p) ||f_+||, is
+    K1(1) a0^(d/(2q) - 1) C T^(1 - 1/p - d/(2q)) ||f_+||, that is
+    (K1/a0) C T^(1 - 1/p - d/(2q)) ||f_+||.  With w_init = 0, f = 1 and
+    a = a0 the exact solution w = t/a0 meets the p = q = inf bound T/a0
+    with equality."""
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
     t_lo = traj.times[0] if traj.n_frames > 1 else None
@@ -340,8 +352,8 @@ def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
                        consts.q, traj.times[0], traj.times[-1]) \
         if forcing is not None else 0.0
     expo = 1.0 - reciprocal(consts.p) - consts.d * reciprocal(consts.q) / 2.0
-    bound = (consts.K1 * kernel_prefactor * horizon ** expo * fp_norm
-             + lp_norm(w_init, _INF))
+    bound = (consts.K1 / consts.a0 * kernel_prefactor * horizon ** expo
+             * fp_norm + lp_norm(w_init, _INF))
     measured = lpq_norm(traj, _INF, _INF, t_lo)
     return EstimateReport(
         check="supremum_bound",

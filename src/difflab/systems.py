@@ -234,17 +234,23 @@ def nu_bounds_report(sol: SKTSolution, aux: SKTAuxiliary) -> EstimateReport:
     """nu pinched in [min(1, d1), max(1, d1 + sigma ||v||_inf)] pointwise."""
     p = sol.params
     v_sup = float(np.max(sol.v.values))
-    lo = min(1.0, p.d1)
-    hi = max(1.0, p.d1 + p.sigma * v_sup)
-    nu_min = float(np.min(aux.nu.values))
-    nu_max = float(np.max(aux.nu.values))
-    breach = max(lo - nu_min, nu_max - hi, 0.0)
+    return _pinch_report("skt_nu_bounds", "nu", aux.nu.values,
+                         min(1.0, p.d1), max(1.0, p.d1 + p.sigma * v_sup),
+                         sol.u.grid)
+
+
+def _pinch_report(check: str, name: str, values: np.ndarray, lo: float,
+                  hi: float, grid) -> EstimateReport:
+    """``values`` pinched in [lo, hi]: the breach max(lo - min, max - hi, 0)
+    against 1e-12, with the extremes in ``details`` as ``<name>_min`` and
+    ``<name>_max``."""
+    v_min, v_max = float(np.min(values)), float(np.max(values))
     return EstimateReport(
-        check="skt_nu_bounds",
-        lhs=breach, rhs=1e-12,
+        check=check,
+        lhs=max(lo - v_min, v_max - hi, 0.0), rhs=1e-12,
         params={"lo": lo, "hi": hi},
-        grid=sol.u.grid.record(),
-        details={"nu_min": nu_min, "nu_max": nu_max},
+        grid=grid.record(),
+        details={f"{name}_min": v_min, f"{name}_max": v_max},
     )
 
 
@@ -560,20 +566,26 @@ def halton(d: int, n: int) -> np.ndarray:
     return out.T
 
 
+# the box [lo, hi]^m the structural audit samples, and above which a
+# network solve is flagged as having left it
+AUDIT_BOX = (0.0, 10.0)
+
+
 def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
-                      box: tuple[float, float] = (0.0, 10.0)) -> EstimateReport:
+                      box: tuple[float, float] = AUDIT_BOX) -> EstimateReport:
     """Sample-based audit of quasi-positivity, mass control, and the
     one-sided quadratic row bounds.
 
-    The table's monomials are filled once at the Halton samples.
-    Quasi-positivity (A1) is checked on the faces u_i = 0, where only the
-    monomials free of u_i survive; the mass combination C beta (A2) is a
-    symbolic zero when every coefficient cancels.  A violation of either,
-    which no K repairs, raises StructuralError carrying a witness state.
-    The row is A3: max row/(1 + sum u)^2 - K over rows and samples against
-    1e-12, each row over it a witness in ``details``, with the smallest
-    feasible K and the fitted growth exponent of the worst row at large
-    states (diagnostic only).
+    The table's monomials are filled once at the Halton samples in
+    ``box``^m.  Quasi-positivity (A1) is checked on the faces u_i = 0, where
+    only the monomials free of u_i survive; the mass combination C beta
+    (A2) is a symbolic zero when every coefficient cancels.  A violation of
+    either, which no K repairs, raises StructuralError carrying a witness
+    state.  The row is A3: max row/(1 + sum u)^2 - K over rows and samples
+    against 1e-12, each row over it a witness in ``details``, with the
+    smallest feasible K and, read off the table, the largest degree of a
+    monomial with a positive coefficient in some row of A f (diagnostic
+    only: the quadratic bound can hold for all u only if it is <= 2).
     """
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
@@ -581,8 +593,7 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
     states = box[0] + (box[1] - box[0]) * halton(m, n_samples)
     u = states.T                                 # species-major (m, N)
     tol = 1e-12
-    total = u.sum(axis=0)
-    scale = (1.0 + total) ** 2
+    scale = (1.0 + u.sum(axis=0)) ** 2
     mono = spec.monomials(u)
 
     def witness(condition, index, state, value):
@@ -622,15 +633,8 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
     fitted_k = float(peaks.max())
     violations = [witness("A3", int(i), states[worst[i]], rows[i, worst[i]])
                   for i in np.flatnonzero(peaks - spec.K > tol)]
-    growth_exponent = 0.0
-    for row in rows:
-        pos = row > 1e-12
-        if pos.sum() > 10:
-            s = np.log1p(total[pos])
-            top = s >= np.quantile(s, 0.9)
-            if top.sum() > 5 and np.ptp(s[top]) > 1e-6:
-                slope = np.polyfit(s[top], np.log(row[pos][top]), 1)[0]
-                growth_exponent = max(growth_exponent, float(slope))
+    positive = (spec.A @ spec.coeffs.T > 0).any(axis=0)
+    degree = int(spec.powers.sum(axis=1)[positive].max(initial=0))
 
     return EstimateReport(
         check="structural_assumptions",
@@ -642,7 +646,7 @@ def structural_checks(spec: GeneralSystemSpec, n_samples: int = 100_000,
                  "a2_symbolic_zero": a2_exact,
                  "a2_worst": a2_worst,
                  "fitted_K": max(fitted_k, 0.0),
-                 "fitted_growth_exponent": growth_exponent,
+                 "max_positive_degree": degree,
                  "violations": violations},
     )
 
@@ -665,7 +669,8 @@ class GeneralSolution:
 
 def general_solve(inits, spec: GeneralSystemSpec, t_end: float,
                   dt: float | None = None, n_frames: int = 33,
-                  sampled_box: tuple[float, float] = (0.0, 10.0)) -> GeneralSolution:
+                  sampled_box: tuple[float, float] = AUDIT_BOX
+                  ) -> GeneralSolution:
     """Explicit Euler for du_i/dt = d_i lap u_i + f_i(u); appends the
     balancing companion when the mass combination is not symbolically zero
     (companion starts at 0), so sum beta_i u_i is conserved.
@@ -763,16 +768,9 @@ def quad_mass_report(sol: GeneralSolution) -> EstimateReport:
 
 def quad_mu_report(sol: GeneralSolution, diffusions) -> EstimateReport:
     """mu pinched in [min d_i, max d_i] pointwise."""
-    mu = _mu(sol, diffusions)[0]
-    lo, hi = min(sol.spec.diffusions), max(sol.spec.diffusions)
-    breach = max(lo - float(mu.min()), float(mu.max()) - hi, 0.0)
-    return EstimateReport(
-        check="quad_mu_bounds",
-        lhs=breach, rhs=1e-12,
-        params={"lo": lo, "hi": hi},
-        grid=sol.w.grid.record(),
-        details={"mu_min": float(mu.min()), "mu_max": float(mu.max())},
-    )
+    d = sol.spec.diffusions
+    return _pinch_report("quad_mu_bounds", "mu", _mu(sol, diffusions)[0],
+                         min(d), max(d), sol.w.grid)
 
 
 def quad_identity_report(sol: GeneralSolution, diffusions) -> EstimateReport:

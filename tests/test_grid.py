@@ -515,14 +515,14 @@ def test_ball_mask_measure():
 
 
 def test_graph_domain_mask_geometry():
-    grid = _grid(49, 2)
-    mask = graph_domain_mask(grid, 0.4, 0.0, center=(0.5, 0.5))
+    grid = GridSpec.make((1.0, 1.0), 49, origin=(-0.5, -0.5))
+    mask = graph_domain_mask(grid, 0.4, 0.0)
     pts = mask.node_coords()
-    r = np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5)
+    r = np.hypot(pts[:, 0], pts[:, 1])
     assert np.all(r < 0.4 + TOL_MACHINE)
-    assert np.all(pts[:, 1] > 0.5)
+    assert np.all(pts[:, 1] > 0.0)
     # roughly half the full ball
-    full_ball = ball_mask(grid, (0.5, 0.5), 0.4)
+    full_ball = ball_mask(grid, (0.0, 0.0), 0.4)
     assert 0.35 <= mask.active_count / full_ball.active_count <= 0.55
 
 
@@ -606,8 +606,7 @@ def test_trajectory_accessors():
     assert traj.n_frames == 9
     assert np.diff(traj.times) == pytest.approx(0.1)
     assert traj.t0 == 0.0
-    f = traj.frame(3)
-    assert isinstance(f, Field)
+    f = Field(traj.mask, traj.values[3])
     assert f.values[0] == pytest.approx(0.3)
 
 
@@ -710,7 +709,7 @@ def test_lebesgue_norms_over_a_node_subset():
     assert lp_norm(f, inf, nodes) == np.max(np.abs(f.values[nodes]))
     assert lp_norm(f, inf, np.zeros(n, dtype=bool)) == 0.0
     traj = Trajectory(mask, 0.1 * np.arange(6), rng.standard_normal((6, n)))
-    per_frame = [lp_norm(traj.frame(k), 3.0, nodes) for k in range(6)]
+    per_frame = [lp_norm(Field(mask, v), 3.0, nodes) for v in traj.values]
     want = math.sqrt(sum(0.1 * v ** 2 for v in per_frame))
     assert lpq_norm(traj, 2.0, 3.0, nodes=nodes) == \
         pytest.approx(want, rel=1e-13)

@@ -119,10 +119,10 @@ def test_config_requires_experiment_and_seed():
      "system.source"),
     ({"experiment": "heatkernel", "system": {"source": [0.5]}},
      "system.source has 1 entries"),
-    ({"experiment": "general", "system": {"box": [1.0]}},
-     "system.box has 1 entries"),
-    ({"experiment": "general", "system": {"box": [2.0, 1.0]}},
-     "system.box must be"),
+    ({"experiment": "general", "system": {"box": [0.0, 10.0]}},
+     "unknown config field system.box"),
+    ({"experiment": "general", "system": {"samples": 0}},
+     "system.samples must be >= 1"),
     # a leaf the preset's pipeline does not read is not in its schema
     ({"estimate": {"a0": 0.25}}, "unknown config field estimate.a0"),
     ({"experiment": "quad4", "estimate": {"alpha": 0.9}},
@@ -145,7 +145,7 @@ def test_config_errors_name_the_offending_field(override, fragment):
     ("oscdecay", '"grid": {"n": Infinity}', "grid.n"),
     ("oscdecay", '"grid": {"extent": 1' + "0" * 400 + "}", "grid.extent"),
     ("oscdecay", '"time": {"t_end": -Infinity}', "time.t_end"),
-    ("general", '"system": {"box": [0.0, Infinity]}', "system.box[1]"),
+    ("general", '"system": {"b": [1, Infinity]}', "system.b[1]"),
     ("heatkernel", '"system": {"p_list": [1.0, NaN]}', "system.p_list[1]"),
 ])
 def test_config_rejects_non_finite_numbers(experiment, block, fragment):

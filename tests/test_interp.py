@@ -298,10 +298,9 @@ def test_build_covering_matches_all_node_greedy(case):
     distances below a generous cap, so nodes sit exactly on ball
     boundaries."""
     if case == "graph":
-        grid = GridSpec.make((1.0, 1.0), 41)
+        grid = GridSpec.make((1.0, 1.0), 41, origin=(-0.5, -0.5))
         mask = graph_domain_mask(
-            grid, 0.45, lambda x: 0.03 * np.sin(6.0 * x[:, 0]),
-            center=(0.5, 0.5))
+            grid, 0.45, lambda x: 0.03 * np.sin(6.0 * x[:, 0]))
         domain = None
     else:
         dim, n = {"line": (1, 201), "square": (2, 33), "cube": (3, 15)}[case]

@@ -287,12 +287,12 @@ def test_truncated_bound_vanishes_at_barrier():
 
 
 def test_gaussian_lower_bound_on_graph_domain():
-    grid = GridSpec.make((2.0, 2.0), 97)
-    dom = admissible_graph_domain(grid, 1.0, 0.0, center=(1.0, 1.0))
-    src = source_ball_center(1.0, (1.0, 1.0), 2)
-    assert np.allclose(src, (1.0, 1.2))
+    grid = GridSpec.make((2.0, 2.0), 97, origin=(-1.0, -1.0))
+    dom = admissible_graph_domain(grid, 1.0, 0.0)
+    src = source_ball_center(1.0, None, 2)
+    assert np.allclose(src, (0.0, 0.2))
     kern = kernel_evolve(dom, src, 49.0 / 400.0, n_frames=33)
-    rep = gaussian_lower_bound_check(kern, 1.0, center=(1.0, 1.0))
+    rep = gaussian_lower_bound_check(kern, 1.0)
     assert rep.passed
     assert rep.details["violations"] == 0
     assert rep.lhs <= rep.rhs
@@ -311,11 +311,11 @@ def test_kernel_dt_limit_counts_dirichlet_faces():
 
 
 def test_gaussian_lower_bound_rejects_misplaced_source():
-    grid = GridSpec.make((2.0, 2.0), 49)
-    dom = admissible_graph_domain(grid, 1.0, 0.0, center=(1.0, 1.0))
-    kern = kernel_evolve(dom, (1.0, 1.8), 0.02, n_frames=8)
+    grid = GridSpec.make((2.0, 2.0), 49, origin=(-1.0, -1.0))
+    dom = admissible_graph_domain(grid, 1.0, 0.0)
+    kern = kernel_evolve(dom, (0.0, 0.8), 0.02, n_frames=8)
     with pytest.raises(PreconditionError):
-        gaussian_lower_bound_check(kern, 1.0, center=(1.0, 1.0))
+        gaussian_lower_bound_check(kern, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,53 @@ def test_supremum_bound_forced_saturates():
     assert rep.rhs == pytest.approx(1.0 * (1 + 1e-9) + 1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("p, q", [(INF, INF), (2.0, 4.0)])
+@pytest.mark.parametrize("a0", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("shape", [(17,), (17, 17), (9, 9, 9)])
+def test_supremum_bound_holds_for_the_exact_solution_at_any_a0(shape, a0,
+                                                               p, q):
+    # a = a0, f = 1, w0 = 0: w = t/a0, so sup w = T/a0.  The bound carries
+    # K1/a0; with K1 alone it read 0.2 against 0.1 on the line at a0 = 1/2
+    # and p = q = inf, and failed 10 of these 24 cases, all with a0 < 1
+    t_end = 0.1
+    mask = full_mask(GridSpec.make((1.0,) * len(shape), shape))
+    consts = explicit_constants(len(shape), p, q, a0, 1.0)
+    w0 = Field.constant(mask, 0.0)
+    sol = solve_rough(w0, RoughCoefficient(a0, a0, 1.0), forcing=1.0,
+                      t_end=t_end, n_frames=33)
+    rep = supremum_bound_check(sol, consts, w0, forcing=1.0)
+    assert rep.lhs == pytest.approx(t_end / a0, rel=1e-12)
+    assert rep.passed
+    if p == INF:            # met with equality, up to the printed slack
+        assert rep.rhs == pytest.approx(t_end / a0, rel=2e-9)
+
+
+@pytest.mark.parametrize("p, q", [(INF, INF), (2.0, 4.0)])
+@pytest.mark.parametrize("a0", [0.25, 0.5, 2.0])
+def test_supremum_bound_is_the_same_on_the_time_rescaled_twin(a0, p, q):
+    # (a0 a, a0 T) is the run (a, T) in the time unit a0: every frame and
+    # the lhs are bit-identical, and so is the bound up to the rounding of
+    # its powers.  Without the 1/a0 the twin's rhs moved: 1.0809 against
+    # 1.1627 at (2, 4) and a0 = 1/2
+    def run(unit):
+        rng = np.random.default_rng(7)
+        mask = full_mask(GridSpec.make((1.0, 1.0), 17))
+        a = Field(mask, unit * (1.0 + rng.random(mask.active_count)))
+        w0 = Field(mask, rng.random(mask.active_count))
+        f = Field(mask, rng.standard_normal(mask.active_count))
+        sol = solve_rough(w0, RoughCoefficient(a, unit, 2.0), forcing=f,
+                          t_end=0.05 * unit, n_frames=33)
+        consts = explicit_constants(2, p, q, unit, 2.0)
+        return sol, supremum_bound_check(sol, consts, w0, forcing=f)
+
+    base, rep = run(1.0)
+    twin, twin_rep = run(a0)
+    assert np.array_equal(twin.traj.times, a0 * base.traj.times)
+    assert np.array_equal(twin.traj.values, base.traj.values)
+    assert twin_rep.lhs == rep.lhs
+    assert twin_rep.rhs == pytest.approx(rep.rhs, rel=1e-13)
+
+
 def test_supremum_bound_nonpositive_forcing():
     rng = np.random.default_rng(3)
     mask = full_mask(GridSpec.make((1.0, 1.0), 25))

@@ -567,6 +567,21 @@ def test_a3_lhs_is_the_worst_scaled_row_minus_k():
         assert round(rep.lhs, 2) == pinned
 
 
+def test_max_positive_degree_is_read_off_the_table():
+    # every positive monomial of every row of A f is quadratic; the sampled
+    # fit it replaces read 0.0, 2.73, 0.0, 0.72, 0.0 and 0.48 on these six
+    # and 0.0 on the general preset's uum(2, (1, 2))
+    for spec in AUDITED_PRESETS + (preset_uum(2, (1, 2)),):
+        rep = structural_checks(spec, n_samples=1000)
+        assert rep.details["max_positive_degree"] == 2, spec.name
+    # without its third row of A, the cubic exchange keeps the cubic term
+    base = preset_s1_2s2()
+    raw = GeneralSystemSpec(base.diffusions, term_lists(base),
+                            base.beta_weights, np.eye(3), K=base.K)
+    assert structural_checks(raw, n_samples=1000).details[
+        "max_positive_degree"] == 3
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 def test_halton_is_bit_identical_to_scipy(d):
     from scipy.stats import qmc
