@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import ConfigError, LabError
@@ -21,12 +20,6 @@ from .harness import (ExperimentConfig, preset_config, preset_names,
                       run_experiment, run_with_refinement)
 from .report import jsonable
 from .rough import explicit_constants
-
-
-def _float_or_inf(text: str) -> float:
-    if text in ("inf", "Inf", "Infinity"):
-        return math.inf
-    return float(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,9 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("constants",
                          help="print the explicit constants bundle")
     con.add_argument("--d", type=int, required=True, help="dimension")
-    con.add_argument("--p", type=_float_or_inf, required=True,
+    con.add_argument("--p", type=float, required=True,
                      help="time exponent (number or 'inf')")
-    con.add_argument("--q", type=_float_or_inf, required=True,
+    con.add_argument("--q", type=float, required=True,
                      help="space exponent (number or 'inf')")
     con.add_argument("--a0", type=float, default=1.0,
                      help="coefficient floor (default 1.0)")

@@ -87,6 +87,11 @@ class GridSpec:
         origin = tuple(float(o) for o in origin)
         return cls(dim, extent, n, h, origin)
 
+    @property
+    def center(self) -> tuple[float, ...]:
+        """The box center, origin + extent/2."""
+        return tuple(o + 0.5 * e for o, e in zip(self.origin, self.extent))
+
     def axis_coords(self, ax: int) -> np.ndarray:
         return self.origin[ax] + self.h * np.arange(self.n[ax])
 
@@ -459,16 +464,17 @@ class ParabolicCylinder:
 # operators
 
 
-def stable_dt(mask: DomainMask, diffusion: float = 1.0,
-              safety: float = 0.9) -> float:
-    """Largest explicit-Euler step kept positive on this mask.
+def stable_dt(mask: DomainMask, rate: float = 1.0) -> float:
+    """Explicit-Euler step limit h^2/(row max * rate) of du/dt = rate lap u
+    + ... on this mask: the ``limit`` every solver hands :func:`march`,
+    which steps at 0.9 of it by default.
 
-    For an interior node the limit is h^2/(2 d diffusion); Dirichlet faces
-    tighten it because their ghost contributes -2u to the flux.
+    For an interior node the row max is 2d; Dirichlet faces raise it
+    because their ghost contributes -2u to the flux.
     """
-    if diffusion <= 0:
-        raise ParameterError("diffusion must be positive")
-    return safety * mask.grid.h ** 2 / (mask.stencil_row_max() * diffusion)
+    if rate <= 0:
+        raise ParameterError("rate must be positive")
+    return mask.grid.h ** 2 / (mask.stencil_row_max() * rate)
 
 
 def gradient(field: Field) -> np.ndarray:

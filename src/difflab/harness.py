@@ -54,7 +54,7 @@ from .interp import (_validate_hypotheses, cut_ball_check,
                      interpolation_check, random_admissible_pair)
 from .kernel import (fitted_moment_prefactor, fitted_prefactor,
                      kernel_evolve, kernel_norm_report, moment_report)
-from .norms import reciprocal
+from .norms import RecentCache, reciprocal
 from .report import EstimateReport, RunReport, emit, jsonable
 from .rough import (RoughCoefficient, explicit_constants, forcing_constant,
                     oscillation_decay_check, solve_rough,
@@ -271,7 +271,8 @@ class ExperimentConfig:
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
+            raise ConfigError(f"config must be a JSON object, got "
+                              f"{type(data).__name__}")
         name = data.get("experiment")
         if not isinstance(name, str):
             raise ConfigError("config needs an 'experiment' field naming "
@@ -331,20 +332,14 @@ class ExperimentConfig:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_json(cls, text_or_path) -> "ExperimentConfig":
-        """Parse JSON text (first non-blank character ``{``) or read the
-        config file at any other path."""
-        text = str(text_or_path)
-        if not text.lstrip().startswith("{"):
-            try:
-                text = pathlib.Path(text).read_text()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {text}: {exc}") from exc
+    def from_json(cls, path) -> "ExperimentConfig":
+        """Read the JSON config file at ``path``."""
         try:
-            data = json.loads(text)
+            return cls(json.loads(pathlib.Path(path).read_text()))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls(data)
 
     # -- derived objects --------------------------------------------------
 
@@ -408,26 +403,24 @@ def _positive_bumps(mask, rng, n_bumps: int, amp: float) -> Field:
     return Field(mask, 0.05 * amp + 0.5 * amp + 0.5 * vals)
 
 
-# the fitted decay prefactor is geometry-determined; cache by geometry so a
-# batch of runs on the same grid calibrates once.  Hits and misses give the
-# same number, so caching cannot break determinism.
-_CALIBRATION_CACHE: dict = {}
+# fitted decay prefactors of the 8 most recent calibrations, matched by the
+# exact active and Dirichlet sets, h, origin, t_end and q: a batch of runs
+# on one geometry calibrates once, and a hit returns the number a miss
+# would compute, so caching cannot break determinism
+_CALIBRATIONS = RecentCache(8)
 
 
 def kernel_calibration(mask, t_end: float, q: float) -> float:
     """Fitted decay prefactor sup_t ||G(t)||_{q'} t^{d/(2q)} of the Neumann
     kernel from the center of ``mask``, over the recorded frames up to
     ``t_end``."""
-    key = (mask.grid.dim, tuple(mask.grid.n),
-           tuple(np.round(mask.grid.extent, 12)),
-           int(mask.active_count), round(float(t_end), 12),
-           round(float(q), 12))
-    if key not in _CALIBRATION_CACHE:
-        center = tuple(0.5 * e for e in mask.grid.extent)
-        kern = kernel_evolve(mask, center, t_end, n_frames=64)
-        _CALIBRATION_CACHE[key] = fitted_prefactor(
-            kern, reciprocal(1.0 - reciprocal(q)), t_hi=t_end)
-    return _CALIBRATION_CACHE[key]
+    grid = mask.grid
+    return _CALIBRATIONS.get(
+        (mask.active, mask.dirichlet,
+         np.array((grid.h, *grid.origin, t_end, q), dtype=float)),
+        lambda: fitted_prefactor(
+            kernel_evolve(mask, grid.center, t_end, n_frames=64),
+            reciprocal(1.0 - reciprocal(q)), t_hi=t_end))
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +430,7 @@ def kernel_calibration(mask, t_end: float, q: float) -> float:
 def _run_heatkernel(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     mask = full_mask(cfg.grid_spec())
     sysc = cfg.system
-    src = sysc["source"]
-    if src == "center":
-        src = tuple(0.5 * e for e in mask.grid.extent)
+    src = mask.grid.center if sysc["source"] == "center" else sysc["source"]
     kern = kernel_evolve(mask, src, cfg.t_end, dt=cfg.solver_dt(),
                          n_frames=cfg.n_frames)
     hd = mask.grid.h ** mask.grid.dim
@@ -486,9 +477,8 @@ def _run_oscdecay(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
         raise ConfigError("system.forcing must be 'none' or 'random'")
     sol = solve_rough(w0, coeff, forcing=forcing, t_end=cfg.t_end,
                       dt=cfg.solver_dt(), n_frames=cfg.n_frames)
-    center = tuple(0.5 * e for e in mask.grid.extent)
-    cyl = ParabolicCylinder(t0=cfg.t_end, x0=center, radius=cfg.radius,
-                            shape=consts.beta)
+    cyl = ParabolicCylinder(t0=cfg.t_end, x0=mask.grid.center,
+                            radius=cfg.radius, shape=consts.beta)
     checks = [
         oscillation_decay_check(sol, cyl, consts, forcing=forcing,
                                 kernel_prefactor=prefactor),
@@ -593,7 +583,7 @@ def _run_general(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
 def _run_interp(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     mask = full_mask(cfg.grid_spec())
     sysc = cfg.system
-    center = tuple(0.5 * e for e in mask.grid.extent)
+    center = mask.grid.center
     dom_r = sysc["domain_radius"] * cfg.extent
     max_r = 0.5 * cfg.extent - 2.5 * mask.grid.h
     if dom_r > max_r:
@@ -625,16 +615,14 @@ _PIPELINES = {
 
 
 def _as_config(config) -> ExperimentConfig:
-    """An ExperimentConfig as is; a dict, path or JSON text parsed."""
-    if isinstance(config, ExperimentConfig):
-        return config
-    if isinstance(config, dict):
-        return ExperimentConfig(config)
-    return ExperimentConfig.from_json(config)
+    """An ExperimentConfig as is; a dict validated into one."""
+    return config if isinstance(config, ExperimentConfig) \
+        else ExperimentConfig(config)
 
 
 def run_experiment(config) -> RunReport:
-    """Run one experiment described by a config (dict, path, or JSON text).
+    """Run one experiment described by a config (a dict or an
+    ExperimentConfig; ``ExperimentConfig.from_json`` reads a file).
 
     Deterministic: every random draw comes from ``config.seed``.  The
     returned report embeds the resolved config (and the constants bundle

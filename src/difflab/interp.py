@@ -54,26 +54,32 @@ def _dist2(columns: np.ndarray, point) -> np.ndarray:
     return out
 
 
-def _check_one_sided(u: Field, lap_w: np.ndarray, selector: np.ndarray):
+def _one_sided_pair(u: Field, w: Field, domain, lap_w):
+    """The shared mask, the domain (every active node when None) and
+    |grad u| per node of a pair that satisfies 0 <= u <= lap w on the
+    domain up to 1e-10; lap w is ``lap_w`` (a Field or node values) or,
+    when None, the mask Laplacian of w."""
+    mask = u.mask
+    if w.mask is not mask:
+        raise ParameterError("u and w must share one mask")
+    if domain is None:
+        domain = np.ones(mask.active_count, dtype=bool)
+    if isinstance(lap_w, Field):
+        lap_w = lap_w.values
+    lap_w = mask.laplacian_matrix() @ w.values if lap_w is None \
+        else np.asarray(lap_w, dtype=float)
     slack = 1e-10
     uv = u.values
-    bad_lo = selector & (uv < -slack)
-    bad_hi = selector & (uv > lap_w + slack)
+    bad_lo = domain & (uv < -slack)
+    bad_hi = domain & (uv > lap_w + slack)
     if bad_lo.any() or bad_hi.any():
         idx = int(np.argmax(bad_lo if bad_lo.any() else bad_hi))
-        x = u.mask.node_coords()[idx]
+        x = mask.node_coords()[idx]
         raise PreconditionError(
             f"one-sided condition 0 <= u <= lap w fails at node {idx} "
             f"(x = {np.array2string(x, precision=4)}): u = {uv[idx]:.6g}, "
             f"lap w = {lap_w[idx]:.6g}")
-
-
-def _lap_values(lap_w, w: Field) -> np.ndarray:
-    if lap_w is None:
-        return w.mask.laplacian_matrix() @ w.values
-    if isinstance(lap_w, Field):
-        return lap_w.values
-    return np.asarray(lap_w, dtype=float)
+    return mask, domain, np.sqrt((gradient(u) ** 2).sum(axis=1))
 
 
 def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
@@ -91,24 +97,16 @@ def cut_ball_check(u: Field, w: Field, center, radii, p: float, q: float,
     as that ratio when it is None.  The log-log regression slopes of lhs,
     grad_term and w_term across the ladder are reported, not gated.
     """
-    mask = u.mask
-    if w.mask is not mask:
-        raise ParameterError("u and w must share one mask")
     if not (p >= 1 and q >= 1 and 0.0 <= alpha < 1.0):
         raise ParameterError("need p, q >= 1 and alpha in [0, 1)")
     if np.isscalar(radii):
         radii = (radii / 4.0, radii / 2.0, float(radii))
     radii = sorted(float(r) for r in radii)
-    if domain is None:
-        domain = np.ones(mask.active_count, dtype=bool)
-    lap_w = _lap_values(lap_w, w)
-    _check_one_sided(u, lap_w, domain)
+    mask, domain, gmag = _one_sided_pair(u, w, domain, lap_w)
 
     d = mask.grid.dim
     center = np.asarray(center, dtype=float)
     dist2 = _dist2(np.ascontiguousarray(mask.node_coords().T), center)
-    grad = gradient(u)
-    gmag = np.sqrt((grad ** 2).sum(axis=1))
 
     e_grad = 1.0 - d * (1.0 / p - 1.0 / q)
     e_w = -2.0 + alpha + d / q
@@ -404,20 +402,13 @@ def interpolation_check(u: Field, w: Field, p: float, q: float, alpha: float,
     headroom from :func:`~difflab.report.fit_constant` (fitted when None).
     The cover is audited where it is built.
     """
-    mask = u.mask
-    if w.mask is not mask:
-        raise ParameterError("u and w must share one mask")
-    d = mask.grid.dim
+    d = u.mask.grid.dim
     theta = _validate_hypotheses(d, p, q, alpha)
-    if domain is None:
-        domain = np.ones(mask.active_count, dtype=bool)
-    lap_w = _lap_values(lap_w, w)
-    _check_one_sided(u, lap_w, domain)
+    mask, domain, gmag = _one_sided_pair(u, w, domain, lap_w)
 
     uv = np.where(domain, u.values, 0.0)
     lhs = float(space_norm(uv, mask.grid, q))
-    grad = gradient(u)
-    gmag = np.where(domain, np.sqrt((grad ** 2).sum(axis=1)), 0.0)
+    gmag = np.where(domain, gmag, 0.0)
     grad_norm = float(space_norm(gmag, mask.grid, p))
     a_norm = holder_norm_field(w, alpha, domain)
     if a_norm <= 0:
@@ -481,15 +472,14 @@ def random_admissible_pair(mask: DomainMask, domain: np.ndarray,
     coords = mask.node_coords()
     columns = np.ascontiguousarray(coords.T)
     d = mask.grid.dim
-    extent = [mask.grid.extent[ax] for ax in range(d)]
-    lo = np.array([mask.grid.origin[ax] for ax in range(d)])
-    hi = lo + np.array(extent)
+    lo = np.array(mask.grid.origin)
+    hi = lo + np.array(mask.grid.extent)
 
     def bumps():
         out = np.zeros(mask.active_count)
         for _ in range(n_bumps):
             c = lo + rng.uniform(0.15, 0.85, size=d) * (hi - lo)
-            s = rng.uniform(0.08, 0.22) * float(np.max(extent))
+            s = rng.uniform(0.08, 0.22) * max(mask.grid.extent)
             a = rng.uniform(-1.0, 1.0)
             out += a * np.exp(-_dist2(columns, c) / (2 * s * s))
         return out

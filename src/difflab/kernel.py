@@ -75,12 +75,12 @@ class KernelField(Trajectory):
 def kernel_evolve(mask: DomainMask, source, t_end: float,
                   dt: float | None = None, n_frames: int = 64,
                   record_times=None) -> KernelField:
-    """Evolve the discrete delta at ``source`` to time ``t_end``.
+    """Evolve the discrete delta at the active node nearest the point
+    ``source`` to time ``t_end``.
 
-    ``source`` is a node index tuple or a point (snapped to the nearest
-    active node).  Frames are recorded geometrically in time unless
-    ``record_times`` is given.  ``dt`` defaults to 0.9 of the stability
-    limit, the smaller of h^2/(row max) and h^2/(2d), and may not exceed
+    Frames are recorded geometrically in time unless ``record_times`` is
+    given.  ``dt`` defaults to 0.9 of the step limit
+    :func:`~difflab.grid.stable_dt`, h^2/(row max), and may not exceed
     it.  Raises on fewer than 2 geometric frames or an empty
     ``record_times`` (either would drop the final state), a dt that is not
     positive and finite or is above the limit, a non-finite ``t_end``, mass
@@ -93,15 +93,7 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
         raise ParameterError("record_times is empty")
     grid = mask.grid
     d = grid.dim
-    # Dirichlet faces raise the row max above 2d, so the mask's own limit
-    # can be the tighter one
-    limit = min(stable_dt(mask, safety=1.0), grid.h ** 2 / (2.0 * d))
-
-    if not isinstance(source, tuple) or len(source) != d or \
-            not all(isinstance(s, (int, np.integer)) for s in source):
-        source = mask.nearest_node(source)
-    if not mask.active[source]:
-        raise ParameterError(f"source node {source} is not active")
+    source = mask.nearest_node(source)
     mesh_point = [grid.origin[ax] + grid.h * source[ax] for ax in range(d)]
 
     def frames(step):
@@ -118,7 +110,7 @@ def kernel_evolve(mask: DomainMask, source, t_end: float,
         return U
 
     run = march(mask, mask.gather(full)[None], prefill, (1.0,), t_end, dt,
-                limit, frames)
+                stable_dt(mask), frames)
     values = run.frames[0]
 
     # positivity and mass, frame by frame

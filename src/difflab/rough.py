@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .grid import Field, ParabolicCylinder, Trajectory, march
+from .grid import Field, ParabolicCylinder, Trajectory, march, stable_dt
 from .norms import (holder_norm, lipschitz_norm, lp_norm, lpq_norm,
                     oscillation, reciprocal)
 from .report import EstimateReport, fit_constant
@@ -230,8 +230,9 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
                 n_frames: int = 129) -> RoughSolution:
     """Explicit Euler for a dw/dt = lap w + f from 0 to t_end.
 
-    Stability requires dt <= a0 h^2 / (stencil row max); the default uses a
-    0.9 safety factor.  Frames are linearly spaced including both endpoints.
+    The step limit is :func:`~difflab.grid.stable_dt` at rate 1/a0, that is
+    a0 h^2/(row max), and dt defaults to 0.9 of it.  Frames are linearly
+    spaced including both endpoints.
     The fraction of node-steps whose increment is below -1e-10 dt (discrete
     dw/dt < -1e-10) is measured, not enforced.  The forcing must be finite
     (the coefficient is checked when it is built), and a Field or
@@ -243,7 +244,7 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
             raise ParameterError(f"the {name} must live on the mask of w_init")
     if forcing is not None:
         _require_finite("forcing", forcing)
-    limit = coeff.a0 * mask.grid.h ** 2 / mask.stencil_row_max()
+    limit = stable_dt(mask, 1.0 / coeff.a0)
     a_at = _in_time(coeff.a)
     f_at = _in_time(0.0 if forcing is None else forcing)
     below = np.empty(mask.active_count, dtype=bool)
@@ -272,15 +273,20 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
 # measured norms over cylinders
 
 
-def _on_frames(forcing, traj: Trajectory, positive: bool = False):
-    """``forcing``, or its positive part, on the frame times of ``traj`` by
-    the left frame rule of :func:`_active_at`; a scalar or Field is one
-    frame broadcast over every frame time."""
+def _forcing_norm(forcing, traj: Trajectory, consts: ConstantsBundle,
+                  t_lo, t_hi, nodes=None, positive: bool = False) -> float:
+    """L^p L^q norm (``consts``) of ``forcing``, or of its positive part,
+    over (t_lo, t_hi] and ``nodes`` on the frame times of ``traj`` by the
+    left frame rule of :func:`_active_at` (a scalar or Field broadcast over
+    every frame); 0 for no forcing."""
+    if forcing is None:
+        return 0.0
     f = _active_at(forcing, traj.times)
     if positive:
         f = np.maximum(f, 0.0)
-    return Trajectory(traj.mask, traj.times,
-                      np.broadcast_to(f, traj.values.shape))
+    frames = Trajectory(traj.mask, traj.times,
+                        np.broadcast_to(f, traj.values.shape))
+    return lpq_norm(frames, consts.p, consts.q, t_lo, t_hi, nodes)
 
 
 def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
@@ -306,17 +312,14 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
     osc_quarter = oscillation(traj, quarter)
     lhs = osc_quarter / osc_full
     rhs = 1.0 - consts.delta
-    f_norm = 0.0
-    if forcing is not None:
-        nodes = traj.mask.ball_nodes(cyl.x0, cyl.radius)
-        f_norm = lpq_norm(_on_frames(forcing, traj), consts.p, consts.q,
-                          cyl.t0 - cyl.window, cyl.t0, nodes)
-        if f_norm > 0:
-            if kernel_prefactor is None:
-                raise ParameterError(
-                    "kernel_prefactor required when the forcing is nonzero")
-            rhs += (forcing_constant(consts, kernel_prefactor)
-                    * cyl.radius ** consts.gamma * f_norm / osc_full)
+    f_norm = _forcing_norm(forcing, traj, consts, cyl.t0 - cyl.window,
+                           cyl.t0, traj.mask.ball_nodes(cyl.x0, cyl.radius))
+    if f_norm > 0:
+        if kernel_prefactor is None:
+            raise ParameterError(
+                "kernel_prefactor required when the forcing is nonzero")
+        rhs += (forcing_constant(consts, kernel_prefactor)
+                * cyl.radius ** consts.gamma * f_norm / osc_full)
     return EstimateReport(
         check="oscillation_decay",
         lhs=lhs, rhs=rhs + 1e-12,
@@ -348,9 +351,8 @@ def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
     t_lo = traj.times[0] if traj.n_frames > 1 else None
-    fp_norm = lpq_norm(_on_frames(forcing, traj, positive=True), consts.p,
-                       consts.q, traj.times[0], traj.times[-1]) \
-        if forcing is not None else 0.0
+    fp_norm = _forcing_norm(forcing, traj, consts, traj.times[0],
+                            traj.times[-1], positive=True)
     expo = 1.0 - reciprocal(consts.p) - consts.d * reciprocal(consts.q) / 2.0
     bound = (consts.K1 / consts.a0 * kernel_prefactor * horizon ** expo
              * fp_norm + lp_norm(w_init, _INF))
@@ -387,8 +389,7 @@ def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
     hi = max(float(block.max()), float(w0.max()))
     measured = hi - lo
     lip = lipschitz_norm(w_init)
-    f_norm = lpq_norm(_on_frames(forcing, traj), consts.p, consts.q, t0,
-                      t0 + cyl.window, nodes) if forcing is not None else 0.0
+    f_norm = _forcing_norm(forcing, traj, consts, t0, t0 + cyl.window, nodes)
     bound = (k2 * cyl.radius ** (1.0 - 2.0 * eps) * lip
              + k3 * cyl.radius ** consts.gamma * f_norm)
     return EstimateReport(
@@ -411,9 +412,8 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     alpha = consts.alpha
     lip = lipschitz_norm(w_init)
     f_norm, fp_norm = (
-        lpq_norm(_on_frames(forcing, traj, positive), consts.p, consts.q,
-                 traj.times[0], traj.times[-1]) if forcing is not None
-        else 0.0 for positive in (False, True))
+        _forcing_norm(forcing, traj, consts, traj.times[0], traj.times[-1],
+                      positive=positive) for positive in (False, True))
     lo, hi = fp_norm + lip, f_norm + lip        # ||f_+|| <= ||f||
 
     def core(al: float) -> float:
@@ -459,8 +459,7 @@ def iteration_tracer_check(sol: RoughSolution, consts: ConstantsBundle,
     w_sup = lpq_norm(traj, _INF, _INF)
     lip = lipschitz_norm(w_init)
     t0, t_end = float(traj.times[0]), float(traj.times[-1])
-    f_norm = lpq_norm(_on_frames(forcing, traj), consts.p, consts.q, t0,
-                      t_end) if forcing is not None else 0.0
+    f_norm = _forcing_norm(forcing, traj, consts, t0, t_end)
     k2 = k2_constant(consts, eps, t_end - t0, moment_prefactor)
     c1 = iteration_c1(consts, k2, k3_constant(consts, kernel_prefactor),
                       forcing_constant(consts, kernel_prefactor), r0, eps)

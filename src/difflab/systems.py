@@ -33,16 +33,25 @@ from .errors import (ParameterError, SamplingError, SolverError,
                      StructuralError)
 from .grid import (Field, Trajectory, gradient, march, poisson_neumann,
                    stable_dt)
+from .norms import space_norm
 from .report import EstimateReport, fit_constant
 
 
-def _interior_frames(check: str, times: np.ndarray) -> int:
-    """The frame count of a centered-difference check, which needs an
-    interior frame."""
+def _centered(check: str, mask, times: np.ndarray, values: np.ndarray,
+              k: np.ndarray | None = None):
+    """Centered time differences and Laplacians of ``values`` (frames,
+    nodes, ...) at the interior frames ``k``, all by default (SamplingError
+    without one), by one sparse product that sums as a per-frame one."""
     if times.size < 3:
         raise SamplingError(f"{check} needs an interior frame: got "
                             f"{times.size} frames, at least 3 are needed")
-    return times.size
+    k = np.arange(1, times.size - 1) if k is None else k
+    gaps = times[k + 1] - times[k - 1]
+    gaps = gaps.reshape((-1,) + (1,) * (values.ndim - 1))
+    nodes = np.moveaxis(values[k], 1, 0)
+    lap = mask.laplacian_matrix() @ nodes.reshape(len(nodes), -1)
+    return ((values[k + 1] - values[k - 1]) / gaps,
+            np.ascontiguousarray(np.moveaxis(lap.reshape(nodes.shape), 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +128,8 @@ def skt_solve(u_init: Field, v_init: Field, params: SKTParams,
     if float(u_init.values.min()) < 0 or float(v_init.values.min()) < 0:
         raise ParameterError("initial data must be nonnegative")
     p = params
-    h2 = mask.grid.h ** 2
-    row = mask.stencil_row_max()
     v_cap = p.v_ceiling(float(v_init.values.max()))
-    mu_head = p.d1 + 2.0 * p.sigma * v_cap
-    limit = h2 / (row * max(mu_head, p.d2, 1.0))
+    limit = stable_dt(mask, max(p.d1 + 2.0 * p.sigma * v_cap, p.d2, 1.0))
 
     # state rows: u, v, m, int_u, w; u and v are clipped densities.  The
     # flux (d1 + sigma v) u diffuses into u, so once every row of V is
@@ -131,7 +137,7 @@ def skt_solve(u_init: Field, v_init: Field, params: SKTParams,
     # into (u, v, m) with diffusions (1, d2, 1).
     def prefill(k, t, step, U, V, top):
         mu_now = p.d1 + p.sigma * float(top[1])
-        if step > h2 / (row * max(mu_now, p.d2, 1.0)) * (1 + 1e-9):
+        if step > stable_dt(mask, max(mu_now, p.d2, 1.0)) * (1 + 1e-9):
             raise SolverError(f"CFL breach at step {k}: mu reached {mu_now:.4g}")
         u, v, m, int_u, w = U
         vu, vv, vm, vi, vw = V         # vi, vw are scratch until their turn
@@ -193,10 +199,10 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
     mask = sol.u.mask
     p = sol.params
     times = sol.u.times
-    n_fr = _interior_frames("skt_evolution_identity", times)
+    dwdt, lap_w = _centered("skt_evolution_identity", mask, times,
+                            sol.w.values)
     dt_s = float(times[1] - times[0])
     m_vals = sol.m.values
-    w_vals = sol.w.values
 
     mu_vals = p.d1 + p.sigma * sol.v.values
     flux = mu_vals * sol.u.values + m_vals      # mu u + m, per frame
@@ -206,8 +212,6 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
 
     # residual at interior frames
     u0 = sol.u.values[0]
-    dwdt = (w_vals[2:] - w_vals[:-2]) / (times[2:] - times[:-2])[:, None]
-    lap_w = (mask.laplacian_matrix() @ w_vals[1:-1].T).T
     rhs = u0 + p.r_u * sol.int_u.values[1:-1]
     res = dwdt / nu_vals[1:-1] - lap_w - rhs
     worst = float(np.max(np.abs(res)))
@@ -215,7 +219,7 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
     residual = EstimateReport(
         check="skt_evolution_identity",
         lhs=worst, rhs=max(scale, 1.0) * 0.1,
-        params={"dt_saved": dt_s, "frames": int(n_fr)},
+        params={"dt_saved": dt_s, "frames": int(times.size)},
         grid=mask.grid.record(),
         details={"residual_inf": worst, "rhs_scale": scale},
     )
@@ -224,7 +228,8 @@ def skt_auxiliary(sol: SKTSolution) -> SKTAuxiliary:
     vol = mask.active_count * hd
     horizon = float(times[-1])
     sup_l1_u = float(np.max(hd * sol.u.values.sum(axis=1)))
-    coef = float(np.max(np.abs(u0))) + p.r_u * horizon / vol * sup_l1_u
+    coef = float(space_norm(u0, mask.grid, np.inf)) \
+        + p.r_u * horizon / vol * sup_l1_u
 
     return SKTAuxiliary(nu=Trajectory(mask, times, nu_vals), coef=coef,
                         residual=residual)
@@ -692,7 +697,7 @@ def general_solve(inits, spec: GeneralSystemSpec, t_end: float,
         raise ParameterError("all species must share one mask")
     if any(float(f.values.min()) < 0 for f in inits):
         raise ParameterError("initial data must be nonnegative")
-    limit = stable_dt(mask, diffusion=max(spec.diffusions), safety=1.0)
+    limit = stable_dt(mask, max(spec.diffusions))
     m = spec.m
     bd = np.asarray(spec.beta_weights) * np.asarray(spec.diffusions)
     plan = _factors(spec.powers)
@@ -779,13 +784,11 @@ def quad_identity_report(sol: GeneralSolution, diffusions) -> EstimateReport:
     one)."""
     mask = sol.w.mask
     times = sol.w.times
-    _interior_frames("quad_integral_identities", times)
+    dwdt, lap_w = _centered("quad_integral_identities", mask, times,
+                            sol.w.values)
     mu, total = _mu(sol, diffusions)
     sum0 = total[0]
-    w = sol.w.values
-    lap_w = (mask.laplacian_matrix() @ w[1:-1].T).T
     worst_lap = float(np.max(np.abs(lap_w - (total[1:-1] - sum0))))
-    dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
     worst_evo = float(np.max(np.abs(dwdt - mu[1:-1] * (lap_w + sum0))))
     scale = float(np.max(np.abs(total)))
     return EstimateReport(
@@ -809,15 +812,13 @@ def transformed_residual_report(sol: GeneralSolution) -> EstimateReport:
     spec = sol.spec
     mask = sol.u[0].mask
     times = sol.u[0].times
-    n_fr = _interior_frames("transformed_system_residual", times)
     burn_in = 0.1
     lo = max(1, int(np.searchsorted(times, burn_in * float(times[-1]))))
-    k = np.arange(min(lo, max(1, n_fr - 3)), n_fr - 1)
-    u = np.stack([t.values[k] for t in sol.u], axis=-1)          # (K, N, m)
+    k = np.arange(min(lo, max(1, times.size - 3)), times.size - 1)
     v = np.stack([t.values for t in sol.v], axis=-1)             # (F, N, m)
+    dvdt, laps = _centered("transformed_system_residual", mask, times, v, k)
+    u = np.stack([t.values[k] for t in sol.u], axis=-1)          # (K, N, m)
     g = spec.rates(u.reshape(-1, spec.m).T).T.reshape(u.shape) @ spec.A.T
-    laps = np.stack([mask.laplacian_matrix() @ vk for vk in v[k]])
-    dvdt = (v[k + 1] - v[k - 1]) / (times[k + 1] - times[k - 1])[:, None, None]
     diffusive = laps * np.asarray(spec.diffusions)
     res = dvdt - diffusive - g - laps @ spec.c_table().T
     worst = float(np.max(np.abs(res)))

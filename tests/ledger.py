@@ -1,5 +1,6 @@
 """The verdict ledger: one row per check of every preset at seeds 0-2, with
-the experiment, seed, check, both printed sides and the verdict.
+the experiment, seed, check, both printed sides and the verdict, then the
+two checks of the ``interp`` benchmark's geometry at seeds 0-2.
 
     PYTHONPATH=src python tests/ledger.py
 
@@ -12,7 +13,11 @@ import csv
 import io
 import pathlib
 
-from difflab import preset_names, run_experiment
+import numpy as np
+
+from difflab import (GridSpec, cut_ball_check, full_mask,
+                     interpolation_check, preset_names,
+                     random_admissible_pair, run_experiment)
 
 PATH = pathlib.Path(__file__).with_name("ledger.csv")
 HEADER = ["experiment", "seed", "check", "lhs", "rhs", "pass"]
@@ -27,6 +32,30 @@ def rows() -> list[list]:
             report = run_experiment({"experiment": name, "seed": seed})
             out += [[name, seed, c.check, float(c.lhs), float(c.rhs),
                      bool(c.passed)] for c in report.checks]
+    return out + bench_interp_rows()
+
+
+def bench_interp_rows() -> list[list]:
+    """The ``interp`` benchmark's 32^3 box, domain (0.15, 0.85)^3, p = 2,
+    q = 2 (3 - alpha)/(2 - alpha), alpha = 0.3 and r0 = 0.15:
+    interpolation_check at C = 1, whose rhs pins the core and lhs/rhs the
+    fitted constant, and cut_ball_check at R = 0.3 around the center."""
+    mask = full_mask(GridSpec.make((1.0, 1.0, 1.0), 32))
+    coords = mask.node_coords()
+    domain = np.all((coords > 0.15) & (coords < 0.85), axis=1)
+    alpha = 0.3
+    q = 2.0 * (3.0 - alpha) / (2.0 - alpha)
+    out = []
+    for seed in SEEDS:
+        u, w = random_admissible_pair(mask, domain,
+                                      np.random.default_rng(seed))
+        checks = [
+            interpolation_check(u, w, p=2.0, q=q, alpha=alpha, r0=0.15,
+                                domain=domain, C=1.0),
+            cut_ball_check(u, w, (0.5, 0.5, 0.5), 0.3, p=2.0, q=q,
+                           alpha=alpha, domain=domain)]
+        out += [["bench_interp", seed, c.check, float(c.lhs), float(c.rhs),
+                 bool(c.passed)] for c in checks]
     return out
 
 

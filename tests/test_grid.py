@@ -14,6 +14,9 @@ from difflab import (DomainError, DomainMask, Field, GeometryError, GridSpec,
                      holder_norm_field, lipschitz_norm,
                      lp_norm, lpq_norm, oscillation, poisson_neumann,
                      SolverError, stable_dt)
+from difflab import (RoughCoefficient, SKTParams, admissible_graph_domain,
+                     general_solve, kernel_evolve, preset_uum, skt_solve,
+                     solve_rough, source_ball_center)
 from difflab.grid import march
 from difflab import norms
 from difflab.norms import pair_quotient_max
@@ -45,6 +48,9 @@ def test_gridspec_geometry():
     assert x[0] == 0.0 and x[-1] == pytest.approx(1.0, abs=1e-15)
     mesh = g.meshgrid()
     assert mesh[0].shape == (33, 33)
+    assert g.center == (0.5, 0.5)
+    shifted = GridSpec.make((2.0, 1.0, 1.0), (9, 5, 5), origin=(-1, 0, 0.5))
+    assert shifted.center == (0.0, 0.5, 1.0)
 
 
 def test_gridspec_rejects_bad_input():
@@ -185,14 +191,63 @@ def test_gradient_exact_on_linear_fields():
 
 def test_stable_dt_matches_interior_stencil():
     mask = full_mask(_grid(33, 2))
-    assert stable_dt(mask) == pytest.approx(0.9 * mask.grid.h ** 2 / 4.0)
-    assert stable_dt(mask, diffusion=2.0) == pytest.approx(
-        0.45 * mask.grid.h ** 2 / 4.0)
+    assert stable_dt(mask) == mask.grid.h ** 2 / 4.0
+    assert stable_dt(mask, 2.0) == mask.grid.h ** 2 / 8.0
     dir_mask = ball_mask(_grid(33, 2), (0.5, 0.5), 0.3,
                          boundary="dirichlet")
-    assert stable_dt(dir_mask) < stable_dt(mask)
+    assert stable_dt(dir_mask) == dir_mask.grid.h ** 2 / 6.0
     with pytest.raises(ParameterError):
-        stable_dt(mask, diffusion=0.0)
+        stable_dt(mask, 0.0)
+
+
+def _step_rule_cases():
+    """(name, mask, rate, solve(t_end, dt) -> the dt it stepped at) for
+    every explicit solver; each limit is stable_dt(mask, rate)."""
+    box = full_mask(_grid(17, 2))
+    graph = admissible_graph_domain(
+        GridSpec.make((2.0, 2.0), 33, origin=(-1.0, -1.0)), 1.0, 0.0)
+    assert graph.stencil_row_max() == 6.0
+    w0, u0, v0 = (_random_field(box, seed, 0.1, 1.0) for seed in (1, 2, 3))
+    cases = []
+    for a0 in (0.5, 1.0, 2.0):
+        coeff = RoughCoefficient(
+            Field(box, a0 * (1.0 + _random_field(box, 4, 0, 1).values)),
+            a0, 2.0)
+        cases.append((f"rough a0={a0}", box, 1.0 / a0,
+                      lambda t, dt, c=coeff: solve_rough(
+                          w0, c, t_end=t, dt=dt, n_frames=3).dt))
+    skt = SKTParams(d1=0.1, d2=0.2, sigma=0.5, r_u=1.0, r_v=1.0, d11=1.0,
+                    d12=0.5, d21=0.5, d22=1.0)
+    v_cap = skt.v_ceiling(float(v0.values.max()))
+    rate = max(skt.d1 + 2.0 * skt.sigma * v_cap, skt.d2, 1.0)
+    cases.append(("skt", box, rate,
+                  lambda t, dt: skt_solve(u0, v0, skt, t, dt=dt,
+                                          n_frames=3).dt))
+    spec = preset_uum(1, (1,))
+    inits = [_random_field(box, 5 + i, 0.1, 1.0) for i in range(spec.m)]
+    cases.append(("general", box, max(spec.diffusions),
+                  lambda t, dt: general_solve(inits, spec, t, dt=dt,
+                                              n_frames=3).dt))
+    src = tuple(source_ball_center(1.0, None, 2))
+    for name, mask, point in (("kernel box", box, (0.5, 0.5)),
+                              ("kernel graph", graph, src)):
+        # the first geometric frame is step 2
+        cases.append((name, mask, 1.0,
+                      lambda t, dt, m=mask, x=point: kernel_evolve(
+                          m, x, t, dt=dt, n_frames=3).times[1] / 2))
+    return cases
+
+
+@pytest.mark.parametrize("case", _step_rule_cases(), ids=lambda c: c[0])
+def test_every_solver_steps_by_the_one_step_rule(case):
+    """Each solver steps at t_end/ceil(t_end/(0.9 stable_dt(mask, rate)))
+    by default and refuses a dt 1% above stable_dt(mask, rate)."""
+    _, mask, rate, solve = case
+    limit = stable_dt(mask, rate)
+    t_end = 0.01
+    assert solve(t_end, None) == t_end / math.ceil(t_end / (0.9 * limit))
+    with pytest.raises(ParameterError, match="stability limit"):
+        solve(t_end, 1.01 * limit)
 
 
 def test_explicit_step_preserves_positivity_at_stable_dt():

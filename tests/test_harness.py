@@ -33,6 +33,7 @@ from difflab import (
 )
 from difflab import harness
 from difflab.cli import main
+from difflab.norms import RecentCache
 from difflab.harness import (
     ExperimentConfig,
     preset_config,
@@ -148,22 +149,25 @@ def test_config_errors_name_the_offending_field(override, fragment):
     ("general", '"system": {"b": [1, Infinity]}', "system.b[1]"),
     ("heatkernel", '"system": {"p_list": [1.0, NaN]}', "system.p_list[1]"),
 ])
-def test_config_rejects_non_finite_numbers(experiment, block, fragment):
+def test_config_rejects_non_finite_numbers(experiment, block, fragment,
+                                           tmp_path):
     # json parses NaN and Infinity; a NaN a0 would give beta = A = NaN and
     # an infinite extent would fail mid-pipeline
-    text = f'{{"experiment": "{experiment}", "seed": 0, {block}}}'
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"experiment": "{experiment}", "seed": 0, {block}}}')
     with pytest.raises(ConfigError, match=re.escape(fragment) + " must be"):
-        ExperimentConfig.from_json(text)
+        ExperimentConfig.from_json(path)
 
 
-def test_config_keeps_infinite_exponents():
-    cfg = ExperimentConfig.from_json(
-        '{"experiment": "oscdecay", "seed": 0, '
-        '"estimate": {"p": Infinity, "q": Infinity}}')
+def test_config_keeps_infinite_exponents(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"experiment": "oscdecay", "seed": 0, '
+                    '"estimate": {"p": Infinity, "q": Infinity}}')
+    cfg = ExperimentConfig.from_json(path)
     assert math.isinf(cfg.p) and math.isinf(cfg.q)
-    cfg = ExperimentConfig.from_json(
-        '{"experiment": "heatkernel", "seed": 0, '
-        '"system": {"p_list": [1.0, Infinity]}}')
+    path.write_text('{"experiment": "heatkernel", "seed": 0, '
+                    '"system": {"p_list": [1.0, Infinity]}}')
+    cfg = ExperimentConfig.from_json(path)
     assert cfg.system["p_list"] == [1.0, math.inf]
 
 
@@ -325,36 +329,29 @@ def test_refined_scales_mesh_frames_and_dt():
     assert interp.n == (17, 17, 17) and "time" not in interp.resolved
 
 
-def test_config_from_json_text_and_path(tmp_path):
+def test_config_from_json_reads_a_path(tmp_path):
     payload = {"experiment": "skt", "seed": 7, "grid": {"n": 17}}
-    by_text = ExperimentConfig.from_json(json.dumps(payload))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
-    by_path = ExperimentConfig.from_json(path)
-    assert by_text.resolved == by_path.resolved
+    for where in (path, str(path)):
+        assert ExperimentConfig.from_json(where).resolved \
+            == ExperimentConfig(payload).resolved
+    path.write_text("{broken")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        ExperimentConfig.from_json("{broken")
-
-
-def test_config_text_longer_than_a_file_name_runs():
-    """JSON text is told from a path by its leading brace, so text longer
-    than the OS file-name limit is parsed rather than looked up."""
-    cfg = preset_config("oscdecay")
-    cfg["seed"] = 2
-    cfg["grid"]["n"] = 25
-    cfg["system"]["forcing"] = "random"
-    text = "  " + json.dumps(cfg)
-    assert len(text) > 255
-    assert run_experiment(text).to_json() == run_experiment(cfg).to_json()
-    assert ExperimentConfig.from_json(text).resolved \
-        == ExperimentConfig(cfg).resolved
+        ExperimentConfig.from_json(path)
 
 
 def test_unreadable_config_path_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         ExperimentConfig.from_json(tmp_path / "missing.json")
+    # JSON text is a file name to from_json, and run_experiment takes a
+    # dict or an ExperimentConfig only
     with pytest.raises(ConfigError, match="cannot read config"):
-        run_experiment(str(tmp_path / "missing.json"))
+        ExperimentConfig.from_json(json.dumps(SMALL_CONFIGS["oscdecay"]))
+    for config in (str(tmp_path / "missing.json"),
+                   json.dumps(SMALL_CONFIGS["oscdecay"])):
+        with pytest.raises(ConfigError, match="JSON object, got str"):
+            run_experiment(config)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +562,20 @@ def test_snapshot_with_unordered_or_nan_times_raises(tmp_path):
             load_trajectory(path)
 
 
+def test_kernel_calibration_starts_from_the_box_center(monkeypatch):
+    """A box shifted by its origin calibrates from its own center, so it
+    fits the unshifted box's prefactor bit for bit; each call runs in a
+    fresh cache."""
+    def calibrate(origin):
+        monkeypatch.setattr(harness, "_CALIBRATIONS", RecentCache(8))
+        mask = full_mask(GridSpec.make((1.0, 1.0), 33, origin=origin))
+        return harness.kernel_calibration(mask, 0.02, 4.0)
+
+    centered = calibrate(None)
+    assert calibrate((-0.5, -0.5)) == centered
+    assert centered == pytest.approx(0.4507, abs=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -576,6 +587,16 @@ def test_cli_run_passes_and_prints_verdicts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[PASS] oscillation_decay" in out
     assert "overall: PASS" in out
+
+
+def test_cli_run_reads_a_config_file_named_like_json_text(
+        tmp_path, monkeypatch, capsys):
+    # a file name whose first character is a brace is still a file name
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("{run}.json").write_text(
+        json.dumps(SMALL_CONFIGS["oscdecay"]))
+    assert main(["run", "{run}.json"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_cli_run_reports_failure_with_exit_two(tmp_path, capsys):

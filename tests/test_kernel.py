@@ -49,18 +49,23 @@ def test_kernel_evolve_refuses_frames_that_drop_the_final_state():
     # record list keeps t = 0 alone: neither would hold the state at t_end
     mask = _box(1.0, 17, 1)
     with pytest.raises(ParameterError, match="at least 2 frames"):
-        kernel_evolve(mask, (8,), 0.05, n_frames=1)
+        kernel_evolve(mask, (0.5,), 0.05, n_frames=1)
     with pytest.raises(ParameterError, match="record_times"):
-        kernel_evolve(mask, (8,), 0.05, record_times=[])
-    kern = kernel_evolve(mask, (8,), 0.05, n_frames=2)
+        kernel_evolve(mask, (0.5,), 0.05, record_times=[])
+    kern = kernel_evolve(mask, (0.5,), 0.05, n_frames=2)
     assert kern.times[-1] == pytest.approx(0.05, rel=1e-12)
+
+
+def test_kernel_source_is_a_point_even_with_integer_coordinates():
+    kern = kernel_evolve(_box(2.0, 17, 1), (1,), 0.01, n_frames=2)
+    assert kern.source_point.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("t_end, dt", [
     (0.05, -1e-4), (0.05, 0.0), (0.05, float("nan")), (float("inf"), None)])
 def test_kernel_evolve_rejects_a_bad_dt_or_span(t_end, dt):
     with pytest.raises(ParameterError, match="finite"):
-        kernel_evolve(_box(1.0, 17, 1), (8,), t_end, dt=dt)
+        kernel_evolve(_box(1.0, 17, 1), (0.5,), t_end, dt=dt)
 
 
 @pytest.mark.parametrize("domain", ["box", "graph"])
@@ -69,7 +74,7 @@ def test_kernel_evolve_matches_a_per_step_reference_loop(domain):
     # a 1-D box, on the CSR matrix on a 2-D graph domain; dt and t_end are
     # powers of two, so dt divides the span exactly
     if domain == "box":
-        mask, source, dt = _box(1.0, 17, 1), (5,), 2.0 ** -10
+        mask, source, dt = _box(1.0, 17, 1), (0.3125,), 2.0 ** -10
     else:
         grid = GridSpec.make((2.0, 2.0), 17, origin=(-1.0, -1.0))
         mask = admissible_graph_domain(grid, 1.0, 0.0)
@@ -119,7 +124,7 @@ def test_kernel_semigroup_composition():
     kern = kernel_evolve(mask, (0.5, 0.5), t1 + t2,
                          record_times=[t1, t1 + t2])
     u = kern.values[-2].copy()
-    dt = stable_dt(mask) / 2.0
+    dt = 0.45 * stable_dt(mask)
     steps = int(round(t2 / dt))
     dt = t2 / steps
     for _ in range(steps):
