@@ -7,20 +7,20 @@ them against measured quantities:
 
 * oscillation decay: osc over the quarter cylinder vs (1 - delta) plus a
   forcing term with constant A times a calibrated kernel prefactor;
-* supremum bound: (K1/a0) * C * T^(1 - 1/p - d/(2q)) * ||f_+||
-  + ||w_init||_inf;
+* supremum bound: K1 * C * T^(1 - 1/p - d/(2q)) * ||f_+|| + ||w_init||_inf;
 * Hoelder bound with exponent alpha = min(log4(1/(1-delta)), gamma, 1/2) and
   its dyadic iteration tracer osc_k <= C1 * (sup + Lip) * Lambda^k.
 
-The solver *measures* the monotonicity hypothesis dw/dt >= 0 instead of
-enforcing it: the reported fraction of node-steps with negative increment is
-part of every run report.
+Each check bounds a :class:`RoughSolution` in its time unit a0
+(:func:`_unit_problem`).  The solver *measures* the monotonicity hypothesis
+dw/dt >= 0 instead of enforcing it: the reported fraction of node-steps with
+negative increment is part of every run report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class ConstantsBundle:
     K1: float
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
         return asdict(self)
 
 
@@ -219,10 +218,17 @@ def _in_time(data):
 
 @dataclass
 class RoughSolution:
+    """A solve of a dw/dt - lap w = f, with its coefficient and forcing."""
     traj: Trajectory
     dt: float
     steps: int
     dtw_negative_fraction: float
+    coeff: RoughCoefficient
+    forcing: object
+
+    @property
+    def w_init(self) -> Field:
+        return Field(self.traj.mask, self.traj.values[0])   # bit for bit
 
 
 def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
@@ -266,38 +272,62 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
                 n_frames, finish=finish)
     traj = Trajectory(mask, run.times, run.frames[0])
     return RoughSolution(traj, run.dt, run.n_steps,
-                         negative / (run.n_steps * mask.active_count))
+                         negative / (run.n_steps * mask.active_count),
+                         coeff, forcing)
 
 
 # ---------------------------------------------------------------------------
 # measured norms over cylinders
 
 
-def _forcing_norm(forcing, traj: Trajectory, consts: ConstantsBundle,
-                  t_lo, t_hi, nodes=None, positive: bool = False) -> float:
-    """L^p L^q norm (``consts``) of ``forcing``, or of its positive part,
-    over (t_lo, t_hi] and ``nodes`` on the frame times of ``traj`` by the
+def _unit_problem(sol: RoughSolution, consts: ConstantsBundle,
+                  cyl: ParabolicCylinder | None = None):
+    """``sol``, ``consts`` and ``cyl`` in the time unit a0, the one place
+    a0 enters the rough checks.  The change of variable s = t/a0 turns
+    a dw/dt - lap w = f with a0 <= a <= c0 a0 into (a/a0) dw/ds - lap w = f,
+    whose coefficient lies in [1, c0]: the frames and a Trajectory forcing
+    move to the times t/a0, ``cyl`` to t0/a0 with shape beta/a0, and the
+    constants to those at a0 = 1 (``sol.coeff`` keeps a0).  Raises
+    ParameterError unless the bundle's d, a0 and c0 are the solve's."""
+    traj, f, a0 = sol.traj, sol.forcing, sol.coeff.a0
+    want = (traj.grid.dim, a0, sol.coeff.c0)
+    if (consts.d, consts.a0, consts.c0) != want:
+        raise ParameterError(f"the bundle's (d, a0, c0) must be {want}")
+    if isinstance(f, Trajectory):
+        f = Trajectory(f.mask, f.times / a0, f.values)
+    if cyl is not None:
+        cyl = replace(cyl, t0=cyl.t0 / a0, shape=cyl.shape / a0)
+    traj = Trajectory(traj.mask, traj.times / a0, traj.values)
+    unit = explicit_constants(consts.d, consts.p, consts.q, 1.0, consts.c0)
+    return replace(sol, traj=traj, forcing=f), unit, cyl
+
+
+def _forcing_norm(sol: RoughSolution, consts: ConstantsBundle, t_lo, t_hi,
+                  nodes=None, positive: bool = False) -> float:
+    """L^p L^q norm (``consts``) of the forcing of ``sol``, or of its
+    positive part, over (t_lo, t_hi] and ``nodes`` on its frame times by the
     left frame rule of :func:`_active_at` (a scalar or Field broadcast over
     every frame); 0 for no forcing."""
-    if forcing is None:
+    if sol.forcing is None:
         return 0.0
-    f = _active_at(forcing, traj.times)
+    f = _active_at(sol.forcing, sol.traj.times)
     if positive:
         f = np.maximum(f, 0.0)
-    frames = Trajectory(traj.mask, traj.times,
-                        np.broadcast_to(f, traj.values.shape))
+    frames = Trajectory(sol.traj.mask, sol.traj.times,
+                        np.broadcast_to(f, sol.traj.values.shape))
     return lpq_norm(frames, consts.p, consts.q, t_lo, t_hi, nodes)
 
 
 def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
-                            consts: ConstantsBundle, forcing=None,
+                            consts: ConstantsBundle,
                             kernel_prefactor: float | None = None) -> EstimateReport:
     """Quarter-cylinder oscillation against (1 - delta) plus the forcing term.
 
     The solution is rescaled to [0, 1] on the outer cylinder, so the bound
     reads osc_quarter/osc_full <= 1 - delta + C_{f,R} R^gamma ||f|| / osc_full
-    (+ 1e-12 of float slack in the printed rhs).
+    (+ 1e-12 of float slack in the printed rhs; details print C_{f,R}).
     """
+    sol, consts, cyl = _unit_problem(sol, consts, cyl)
     traj = sol.traj
     if abs(cyl.shape - consts.beta) > 1e-12 * max(1.0, consts.beta):
         raise ParameterError("cylinder shape must equal beta from the bundle")
@@ -307,73 +337,65 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
     if osc_full <= 1e-12 * scale:
         return EstimateReport(
             check="oscillation_decay", lhs=0.0, rhs=1.0 - consts.delta,
-            params={"R": cyl.radius, "degenerate": True},
+            params={"R": cyl.radius, "degenerate": True,
+                    "time_unit": sol.coeff.a0},
             grid=traj.grid.record(), details={"osc_full": osc_full})
     osc_quarter = oscillation(traj, quarter)
     lhs = osc_quarter / osc_full
     rhs = 1.0 - consts.delta
-    f_norm = _forcing_norm(forcing, traj, consts, cyl.t0 - cyl.window,
-                           cyl.t0, traj.mask.ball_nodes(cyl.x0, cyl.radius))
+    details = {"osc_full": osc_full, "osc_quarter": osc_quarter,
+               "dtw_negative_fraction": sol.dtw_negative_fraction}
+    f_norm = _forcing_norm(sol, consts, cyl.t0 - cyl.window, cyl.t0,
+                           traj.mask.ball_nodes(cyl.x0, cyl.radius))
     if f_norm > 0:
         if kernel_prefactor is None:
             raise ParameterError(
                 "kernel_prefactor required when the forcing is nonzero")
-        rhs += (forcing_constant(consts, kernel_prefactor)
-                * cyl.radius ** consts.gamma * f_norm / osc_full)
+        c_f = forcing_constant(consts, kernel_prefactor)
+        details["forcing_constant"] = c_f
+        rhs += c_f * cyl.radius ** consts.gamma * f_norm / osc_full
     return EstimateReport(
         check="oscillation_decay",
         lhs=lhs, rhs=rhs + 1e-12,
         params={"R": cyl.radius, "beta": consts.beta, "delta": consts.delta,
-                "f_norm": f_norm},
-        grid=traj.grid.record(),
-        details={"osc_full": osc_full, "osc_quarter": osc_quarter,
-                 "dtw_negative_fraction": sol.dtw_negative_fraction},
+                "f_norm": f_norm, "time_unit": sol.coeff.a0},
+        grid=traj.grid.record(), details=details,
     )
 
 
 def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
-                         w_init: Field, forcing=None,
                          kernel_prefactor: float = 1.0) -> EstimateReport:
-    """||w||_inf <= (K1/a0) C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf,
+    """||w||_inf <= K1 C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf,
     with ||w||_inf measured over the frames in (t0, T] (every frame if
-    there is only one); the printed rhs is bound (1 + 1e-9) + 1e-12.
-
-    K1 is K1(1) a0^(d/(2q)), K1(1) the a0 = 1 constant, and the bound
-    needs one more 1/a0, the time unit.  The change s = t/a0 turns
-    a dw/dt - lap w = f into (a/a0) dw/ds - lap w = f, whose coefficient
-    is >= 1, on the horizon T/a0, and it scales ||f_+||_{L^p L^q} by
-    a0^(-1/p).  The a0 = 1 bound there,
-    K1(1) C (T/a0)^(1 - 1/p - d/(2q)) a0^(-1/p) ||f_+||, is
-    K1(1) a0^(d/(2q) - 1) C T^(1 - 1/p - d/(2q)) ||f_+||, that is
-    (K1/a0) C T^(1 - 1/p - d/(2q)) ||f_+||.  With w_init = 0, f = 1 and
-    a = a0 the exact solution w = t/a0 meets the p = q = inf bound T/a0
-    with equality."""
+    there is only one); the printed rhs is bound (1 + 1e-9) + 1e-12."""
+    sol, consts, _ = _unit_problem(sol, consts)
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
     t_lo = traj.times[0] if traj.n_frames > 1 else None
-    fp_norm = _forcing_norm(forcing, traj, consts, traj.times[0],
-                            traj.times[-1], positive=True)
+    fp_norm = _forcing_norm(sol, consts, traj.times[0], traj.times[-1],
+                            positive=True)
     expo = 1.0 - reciprocal(consts.p) - consts.d * reciprocal(consts.q) / 2.0
-    bound = (consts.K1 / consts.a0 * kernel_prefactor * horizon ** expo
-             * fp_norm + lp_norm(w_init, _INF))
+    bound = (consts.K1 * kernel_prefactor * horizon ** expo
+             * fp_norm + lp_norm(sol.w_init, _INF))
     measured = lpq_norm(traj, _INF, _INF, t_lo)
     return EstimateReport(
         check="supremum_bound",
         lhs=measured, rhs=bound * (1 + 1e-9) + 1e-12,
         params={"K1": consts.K1, "kernel_prefactor": kernel_prefactor,
-                "horizon": horizon, "f_plus_norm": fp_norm},
+                "horizon": horizon, "f_plus_norm": fp_norm,
+                "time_unit": sol.coeff.a0},
         grid=traj.grid.record(),
         details={"dtw_negative_fraction": sol.dtw_negative_fraction},
     )
 
 
 def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
-                              w_init: Field, cyl: ParabolicCylinder,
-                              eps: float, moment_prefactor: float,
-                              kernel_prefactor: float,
-                              forcing=None) -> EstimateReport:
+                              cyl: ParabolicCylinder, eps: float,
+                              moment_prefactor: float,
+                              kernel_prefactor: float) -> EstimateReport:
     """osc over (t0, t0 + beta R^2] x B(x0,R) vs K2 R^(1-2eps) Lip + K3 R^gamma ||f||,
     printed as bound (1 + 1e-9) + 1e-12."""
+    sol, consts, cyl = _unit_problem(sol, consts, cyl)
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
     k2 = k2_constant(consts, eps, horizon, moment_prefactor)
@@ -383,36 +405,34 @@ def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
     nodes = traj.mask.ball_nodes(cyl.x0, cyl.radius)
     if idx.size == 0 or not nodes.any():
         raise DomainError("initial cylinder selects nothing")
-    block = traj.values[np.ix_(idx, nodes)]
-    w0 = w_init.values[nodes]
-    lo = min(float(block.min()), float(w0.min()))
-    hi = max(float(block.max()), float(w0.max()))
-    measured = hi - lo
-    lip = lipschitz_norm(w_init)
-    f_norm = _forcing_norm(forcing, traj, consts, t0, t0 + cyl.window, nodes)
+    block = traj.values[np.ix_(np.r_[0, idx], nodes)]   # w_init is frame 0
+    measured = float(block.max() - block.min())
+    lip = lipschitz_norm(sol.w_init)
+    f_norm = _forcing_norm(sol, consts, t0, t0 + cyl.window, nodes)
     bound = (k2 * cyl.radius ** (1.0 - 2.0 * eps) * lip
              + k3 * cyl.radius ** consts.gamma * f_norm)
     return EstimateReport(
         check="initial_oscillation",
         lhs=measured, rhs=bound * (1 + 1e-9) + 1e-12,
-        params={"K2": k2, "K3": k3, "eps": eps, "R": cyl.radius},
+        params={"K2": k2, "K3": k3, "eps": eps, "R": cyl.radius,
+                "time_unit": sol.coeff.a0},
         grid=traj.grid.record(),
         details={"w_init_lip": lip, "f_norm": f_norm},
     )
 
 
 def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
-                       w_init: Field, forcing=None,
                        c_star: float | None = None) -> EstimateReport:
     """Interpolation-form Hoelder bound [w]_alpha <= C* core, gated by
     :func:`~difflab.report.fit_constant` plus 1e-12 (C* fitted when c_star
     is None); the constant at alpha_practical is fitted in either mode.
     """
+    sol, consts, _ = _unit_problem(sol, consts)
     traj = sol.traj
     alpha = consts.alpha
-    lip = lipschitz_norm(w_init)
+    lip = lipschitz_norm(sol.w_init)
     f_norm, fp_norm = (
-        _forcing_norm(forcing, traj, consts, traj.times[0], traj.times[-1],
+        _forcing_norm(sol, consts, traj.times[0], traj.times[-1],
                       positive=positive) for positive in (False, True))
     lo, hi = fp_norm + lip, f_norm + lip        # ||f_+|| <= ||f||
 
@@ -430,7 +450,8 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     return EstimateReport(
         check="holder_bound",
         lhs=measured, rhs=rhs + 1e-12,
-        params={"alpha": alpha, "c_star": c_star, "mode": mode},
+        params={"alpha": alpha, "c_star": c_star, "mode": mode,
+                "time_unit": sol.coeff.a0},
         grid=traj.grid.record(),
         details={
             "core": core_a,
@@ -443,7 +464,6 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
 
 
 def iteration_tracer_check(sol: RoughSolution, consts: ConstantsBundle,
-                           w_init: Field, forcing=None,
                            kernel_prefactor: float = 1.0,
                            moment_prefactor: float = 1.0,
                            r0: float = 1.0,
@@ -455,11 +475,12 @@ def iteration_tracer_check(sol: RoughSolution, consts: ConstantsBundle,
     while its radius spans two mesh widths and its window two frame gaps;
     a tracer that keeps none raises DomainError.
     """
+    sol, consts, _ = _unit_problem(sol, consts)
     traj = sol.traj
     w_sup = lpq_norm(traj, _INF, _INF)
-    lip = lipschitz_norm(w_init)
+    lip = lipschitz_norm(sol.w_init)
     t0, t_end = float(traj.times[0]), float(traj.times[-1])
-    f_norm = _forcing_norm(forcing, traj, consts, t0, t_end)
+    f_norm = _forcing_norm(sol, consts, t0, t_end)
     k2 = k2_constant(consts, eps, t_end - t0, moment_prefactor)
     c1 = iteration_c1(consts, k2, k3_constant(consts, kernel_prefactor),
                       forcing_constant(consts, kernel_prefactor), r0, eps)
@@ -483,7 +504,7 @@ def iteration_tracer_check(sol: RoughSolution, consts: ConstantsBundle,
     return EstimateReport(
         check="iteration_tracer",
         lhs=max(row["ratio"] for row in rungs), rhs=1.0,
-        params={"eps": eps, "r0": r0},
+        params={"eps": eps, "r0": r0, "time_unit": sol.coeff.a0},
         grid=traj.grid.record(),
         details={"lambda": lam, "C1": c1, "R_f": rf, "rungs": rungs,
                  "dtw_negative_fraction": sol.dtw_negative_fraction},

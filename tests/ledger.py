@@ -1,6 +1,7 @@
 """The verdict ledger: one row per check of every preset at seeds 0-2, with
 the experiment, seed, check, both printed sides and the verdict, then the
-two checks of the ``interp`` benchmark's geometry at seeds 0-2.
+two checks of the ``interp`` benchmark's geometry and of a forced
+``oscdecay`` at a0 = 1/2, each at seeds 0-2.
 
     PYTHONPATH=src python tests/ledger.py
 
@@ -32,7 +33,7 @@ def rows() -> list[list]:
             report = run_experiment({"experiment": name, "seed": seed})
             out += [[name, seed, c.check, float(c.lhs), float(c.rhs),
                      bool(c.passed)] for c in report.checks]
-    return out + bench_interp_rows()
+    return out + bench_interp_rows() + oscdecay_time_unit_rows()
 
 
 def bench_interp_rows() -> list[list]:
@@ -56,6 +57,19 @@ def bench_interp_rows() -> list[list]:
                            alpha=alpha, domain=domain)]
         out += [["bench_interp", seed, c.check, float(c.lhs), float(c.rhs),
                  bool(c.passed)] for c in checks]
+    return out
+
+
+def oscdecay_time_unit_rows() -> list[list]:
+    """``oscdecay`` under its random forcing at ``estimate.a0`` = 1/2: the
+    rows that read the time unit a0."""
+    out = []
+    for seed in SEEDS:
+        report = run_experiment({"experiment": "oscdecay", "seed": seed,
+                                 "estimate": {"a0": 0.5},
+                                 "system": {"forcing": "random"}})
+        out += [["oscdecay_forced_a0_half", seed, c.check, float(c.lhs),
+                 float(c.rhs), bool(c.passed)] for c in report.checks]
     return out
 
 

@@ -173,7 +173,7 @@ def _osc_case(mask, consts, seed, forcing=None, prefactor=None):
     center = tuple(0.5 for _ in range(mask.grid.dim))
     cyl = ParabolicCylinder(t0=0.06, x0=center, radius=0.3,
                             shape=consts.beta)
-    return oscillation_decay_check(sol, cyl, consts, forcing=forcing,
+    return oscillation_decay_check(sol, cyl, consts,
                                    kernel_prefactor=prefactor)
 
 

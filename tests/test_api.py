@@ -34,10 +34,7 @@ ALLOWED_FIXED = {
     ("cut_ball_check", "lap_w"): "the only route to the zero-core FAIL "
                                  "branch its tests pin",
     ("emit", "include_timing"): "the wall-time block of a run profile",
-    ("holder_bound_check", "forcing"): _HOLDER,
     ("holder_bound_check", "c_star"): _HOLDER,
-    ("initial_oscillation_check", "forcing"): _HOLDER,
-    ("iteration_tracer_check", "forcing"): _HOLDER,
     ("iteration_tracer_check", "kernel_prefactor"): _HOLDER,
     ("iteration_tracer_check", "moment_prefactor"): _HOLDER,
     ("iteration_tracer_check", "r0"): _HOLDER,

@@ -622,6 +622,20 @@ def test_cli_rejects_broken_configs_with_exit_one(tmp_path, capsys):
     assert "config error: system.w_amp" in capsys.readouterr().err
 
 
+def test_cli_run_of_a_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    # the bytes once escaped from lab run as a UnicodeDecodeError traceback
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-m", "difflab.cli", "run",
+                          str(path)], capture_output=True, text=True,
+                         env=env)
+    assert out.returncode == 1
+    assert out.stderr.startswith("config error: cannot read config")
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_run_refine_and_out(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL_CONFIGS["quad4"]))

@@ -1,5 +1,6 @@
 """Explicit constants and the rough-coefficient parabolic solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -393,7 +394,7 @@ def test_oscillation_decay_unforced():
 
 def test_supremum_bound_unforced_is_exact():
     sol, consts, w0, _ = _rough_run()
-    rep = supremum_bound_check(sol, consts, w0)
+    rep = supremum_bound_check(sol, consts)
     assert rep.passed
     assert rep.lhs <= np.max(np.abs(w0.values)) + 1e-12
 
@@ -406,7 +407,7 @@ def test_supremum_bound_forced_saturates():
     w0 = Field.constant(mask, 0.0)
     sol = solve_rough(w0, RoughCoefficient(1.0, 1.0, 1.0), forcing=1.0,
                       t_end=1.0, n_frames=17)
-    rep = supremum_bound_check(sol, consts, w0, forcing=1.0)
+    rep = supremum_bound_check(sol, consts)
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, abs=1e-12)
     # the printed rhs is the gated bound: 1 with its float slack
@@ -418,46 +419,84 @@ def test_supremum_bound_forced_saturates():
 @pytest.mark.parametrize("shape", [(17,), (17, 17), (9, 9, 9)])
 def test_supremum_bound_holds_for_the_exact_solution_at_any_a0(shape, a0,
                                                                p, q):
-    # a = a0, f = 1, w0 = 0: w = t/a0, so sup w = T/a0.  The bound carries
-    # K1/a0; with K1 alone it read 0.2 against 0.1 on the line at a0 = 1/2
-    # and p = q = inf, and failed 10 of these 24 cases, all with a0 < 1
+    # a = a0, f = 1, w0 = 0: w = t/a0, so sup w = T/a0.  The bound is
+    # read in the time unit a0; without it it read 0.2 against 0.1 on the
+    # line at a0 = 1/2 and p = q = inf, and failed 10 of these 24 cases, all
+    # with a0 < 1
     t_end = 0.1
     mask = full_mask(GridSpec.make((1.0,) * len(shape), shape))
     consts = explicit_constants(len(shape), p, q, a0, 1.0)
     w0 = Field.constant(mask, 0.0)
     sol = solve_rough(w0, RoughCoefficient(a0, a0, 1.0), forcing=1.0,
                       t_end=t_end, n_frames=33)
-    rep = supremum_bound_check(sol, consts, w0, forcing=1.0)
+    rep = supremum_bound_check(sol, consts)
     assert rep.lhs == pytest.approx(t_end / a0, rel=1e-12)
     assert rep.passed
     if p == INF:            # met with equality, up to the printed slack
         assert rep.rhs == pytest.approx(t_end / a0, rel=2e-9)
 
 
+# the five rough checks, each on a solution, its bundle and a cylinder of
+# shape beta (read by the two that take one)
+ROUGH_CHECKS = {
+    "oscillation_decay": lambda sol, consts, cyl: oscillation_decay_check(
+        sol, cyl, consts, kernel_prefactor=0.5),
+    "supremum_bound": lambda sol, consts, cyl: supremum_bound_check(
+        sol, consts, kernel_prefactor=0.5),
+    "initial_oscillation": lambda sol, consts, cyl: initial_oscillation_check(
+        sol, consts, cyl, 0.25, 1.0, 0.5),
+    "holder_bound": lambda sol, consts, cyl: holder_bound_check(sol, consts),
+    "iteration_tracer": lambda sol, consts, cyl: iteration_tracer_check(
+        sol, consts, kernel_prefactor=0.5, r0=0.3),
+}
+
+
 @pytest.mark.parametrize("p, q", [(INF, INF), (2.0, 4.0)])
 @pytest.mark.parametrize("a0", [0.25, 0.5, 2.0])
-def test_supremum_bound_is_the_same_on_the_time_rescaled_twin(a0, p, q):
-    # (a0 a, a0 T) is the run (a, T) in the time unit a0: every frame and
-    # the lhs are bit-identical, and so is the bound up to the rounding of
-    # its powers.  Without the 1/a0 the twin's rhs moved: 1.0809 against
-    # 1.1627 at (2, 4) and a0 = 1/2
+@pytest.mark.parametrize("check", sorted(ROUGH_CHECKS))
+def test_each_rough_check_is_the_same_on_the_time_rescaled_twin(check, a0,
+                                                                p, q):
+    # (a0 a, a0 T) is the forced run (a, T) in the time unit a0: every frame
+    # is bit-identical, and so is each check's lhs and rhs.  Before the
+    # checks read the a0 = 1 problem, the twin moved the forced oscillation
+    # rhs x0.46-2.61, the initial-oscillation rhs x0.993-1.010 and the
+    # tracer lhs x0.25-16; without the supremum bound's time unit its rhs
+    # read 1.0809 against 1.1627 at (2, 4) and a0 = 1/2
     def run(unit):
         rng = np.random.default_rng(7)
         mask = full_mask(GridSpec.make((1.0, 1.0), 17))
         a = Field(mask, unit * (1.0 + rng.random(mask.active_count)))
         w0 = Field(mask, rng.random(mask.active_count))
-        f = Field(mask, rng.standard_normal(mask.active_count))
+        f = Field(mask, 3.0 * rng.standard_normal(mask.active_count))
         sol = solve_rough(w0, RoughCoefficient(a, unit, 2.0), forcing=f,
                           t_end=0.05 * unit, n_frames=33)
         consts = explicit_constants(2, p, q, unit, 2.0)
-        return sol, supremum_bound_check(sol, consts, w0, forcing=f)
+        cyl = ParabolicCylinder(t0=0.05 * unit, x0=(0.5, 0.5), radius=0.4,
+                                shape=consts.beta)
+        return sol, ROUGH_CHECKS[check](sol, consts, cyl)
 
     base, rep = run(1.0)
     twin, twin_rep = run(a0)
     assert np.array_equal(twin.traj.times, a0 * base.traj.times)
     assert np.array_equal(twin.traj.values, base.traj.values)
-    assert twin_rep.lhs == rep.lhs
+    assert twin_rep.check == rep.check == check
+    assert twin_rep.lhs == pytest.approx(rep.lhs, rel=1e-13)
     assert twin_rep.rhs == pytest.approx(rep.rhs, rel=1e-13)
+    assert (rep.params["time_unit"], twin_rep.params["time_unit"]) == (1.0, a0)
+
+
+@pytest.mark.parametrize("check", sorted(ROUGH_CHECKS))
+def test_each_rough_check_refuses_a_bundle_for_another_problem(check):
+    # the solve is d = 2, a0 = 1, c0 = 2; a bundle off in any one of them
+    # once printed a bound for a different problem
+    sol, _, _, cyl = _rough_run(forcing=1.0)
+    for other in (explicit_constants(1, INF, INF, 1.0, 2.0),
+                  explicit_constants(2, INF, INF, 0.5, 2.0),
+                  explicit_constants(2, INF, INF, 1.0, 3.0)):
+        with pytest.raises(ParameterError,
+                           match=r"\(d, a0, c0\) must be \(2, 1.0, 2.0\)"):
+            ROUGH_CHECKS[check](sol, other,
+                                dataclasses.replace(cyl, shape=other.beta))
 
 
 def test_supremum_bound_nonpositive_forcing():
@@ -476,13 +515,13 @@ def test_holder_bound_calibration_and_tracer():
     kern = kernel_evolve(sol.traj.mask, (0.5, 0.5), 0.06, n_frames=33)
     kp = fitted_prefactor(kern, 1.0, t_hi=0.06)
     mp = fitted_moment_prefactor(kern, 0.25, t_hi=0.06)
-    rep = holder_bound_check(sol, consts, w0)
+    rep = holder_bound_check(sol, consts)
     assert rep.passed
     assert rep.params["mode"] == "calibration"
     fitted = rep.params["c_star"] * rep.details["core"]
     assert rep.lhs == pytest.approx(fitted, rel=1e-12)    # fitted equality
     assert rep.rhs == fitted * (1 + 1e-9) + 1e-12
-    tracer = iteration_tracer_check(sol, consts, w0, r0=0.3,
+    tracer = iteration_tracer_check(sol, consts, r0=0.3,
                                     kernel_prefactor=kp, moment_prefactor=mp)
     assert tracer.passed and tracer.rhs == 1.0
     assert tracer.details["rungs"]
@@ -491,9 +530,9 @@ def test_holder_bound_calibration_and_tracer():
 
     # verification mode with headroom passes, without headroom fails
     c_star = rep.params["c_star"]
-    ver = holder_bound_check(sol, consts, w0, c_star=1.5 * c_star)
+    ver = holder_bound_check(sol, consts, c_star=1.5 * c_star)
     assert ver.passed and ver.params["mode"] == "verification"
-    bad = holder_bound_check(sol, consts, w0, c_star=0.5 * c_star)
+    bad = holder_bound_check(sol, consts, c_star=0.5 * c_star)
     assert not bad.passed
 
 
@@ -505,7 +544,7 @@ def test_holder_bound_zero_core_fails_in_calibration():
     w0 = Field.constant(mask, 0.0)
     sol = solve_rough(w0, RoughCoefficient(1.0, 1.0, 2.0), forcing=-1.0,
                       t_end=0.06, n_frames=129)
-    rep = holder_bound_check(sol, consts, w0, forcing=-1.0)
+    rep = holder_bound_check(sol, consts)
     assert rep.details["core"] == 0.0 and rep.lhs > 0.1
     assert not rep.passed and rep.margin < 0
 
@@ -514,7 +553,7 @@ def test_iteration_tracer_rung_over_its_bound_fails(monkeypatch):
     import difflab.rough as rough
     sol, consts, w0, _ = _rough_run()
     monkeypatch.setattr(rough, "iteration_c1", lambda *args: 1e-6)
-    rep = iteration_tracer_check(sol, consts, w0, r0=0.3)
+    rep = iteration_tracer_check(sol, consts, r0=0.3)
     over = [row for row in rep.details["rungs"] if row["ratio"] > 1.0]
     assert over and rep.lhs == max(row["ratio"] for row in over)
     assert not rep.passed and rep.rhs == 1.0
@@ -525,7 +564,7 @@ def test_holder_bound_empty_tracer_raises():
     # widths, so every rung is skipped; an empty tracer checks nothing
     sol, consts, w0, _ = _rough_run()
     with pytest.raises(DomainError, match="no rung"):
-        iteration_tracer_check(sol, consts, w0, r0=1e-4)
+        iteration_tracer_check(sol, consts, r0=1e-4)
 
 
 def test_initial_oscillation_check_smoke():
@@ -533,7 +572,7 @@ def test_initial_oscillation_check_smoke():
     kern = kernel_evolve(sol.traj.mask, (0.5, 0.5), 0.06, n_frames=33)
     kp = fitted_prefactor(kern, 1.0, t_hi=0.06)
     mp = fitted_moment_prefactor(kern, 0.25, t_hi=0.06)
-    rep = initial_oscillation_check(sol, consts, w0, cyl, 0.25, mp, kp)
+    rep = initial_oscillation_check(sol, consts, cyl, 0.25, mp, kp)
     assert rep.passed
     assert rep.lhs <= rep.rhs
     assert np.isfinite(rep.rhs)
@@ -554,26 +593,27 @@ def _forced_run_4_4():
                       t_end=0.05, n_frames=17)
     cyl = ParabolicCylinder(t0=0.05, x0=(0.5, 0.5), radius=0.3,
                             shape=consts.beta)
-    return sol, consts, w0, cyl, f
+    return sol, consts, cyl, f
 
 
-def _forced_reports(sol, consts, w0, cyl, forcing):
-    return [oscillation_decay_check(sol, cyl, consts, forcing=forcing,
-                                    kernel_prefactor=1.0),
-            supremum_bound_check(sol, consts, w0, forcing=forcing),
-            initial_oscillation_check(sol, consts, w0, cyl, 0.25, 1.0, 1.0,
-                                      forcing=forcing)]
+def _forced_reports(sol, consts, cyl, forcing):
+    """The three forced checks of ``sol`` read with ``forcing`` in place of
+    the solve's own."""
+    sol = dataclasses.replace(sol, forcing=forcing)
+    return [oscillation_decay_check(sol, cyl, consts, kernel_prefactor=1.0),
+            supremum_bound_check(sol, consts),
+            initial_oscillation_check(sol, consts, cyl, 0.25, 1.0, 1.0)]
 
 
 def test_field_forcing_norms_equal_those_of_its_stored_frames():
     """The checks report for a Field forcing the bits of the same frame
     stored on every solution frame time, and the norms are lpq_norm's
     over each check's window and ball."""
-    sol, consts, w0, cyl, f = _forced_run_4_4()
+    sol, consts, cyl, f = _forced_run_4_4()
     times = sol.traj.times
     stored = Trajectory(f.mask, times, np.tile(f.values, (times.size, 1)))
-    by_field = _forced_reports(sol, consts, w0, cyl, f)
-    by_frames = _forced_reports(sol, consts, w0, cyl, stored)
+    by_field = _forced_reports(sol, consts, cyl, f)
+    by_frames = _forced_reports(sol, consts, cyl, stored)
     for a, b in zip(by_field, by_frames):
         assert a.to_dict() == b.to_dict()
     osc, sup, init = by_field
@@ -592,7 +632,7 @@ def test_field_forcing_norms_equal_those_of_its_stored_frames():
 def test_trajectory_forcing_is_sampled_by_the_left_frame_rule():
     """A forcing Trajectory with its own frame times enters each solution
     frame with the frame in force at that time, as in the solver."""
-    sol, consts, w0, cyl, f = _forced_run_4_4()
+    sol, consts, cyl, f = _forced_run_4_4()
     rng = np.random.default_rng(12)
     mask, times = f.mask, sol.traj.times
     forcing = Trajectory(mask, np.array([0.0, 0.011, 0.0305]),
@@ -602,9 +642,9 @@ def test_trajectory_forcing_is_sampled_by_the_left_frame_rule():
     for k, t in enumerate(times):
         assert np.array_equal(rows[k], _active_at(forcing, t))
     sampled = Trajectory(mask, times, rows)
-    osc, sup, init = _forced_reports(sol, consts, w0, cyl, forcing)
+    osc, sup, init = _forced_reports(sol, consts, cyl, forcing)
     assert [r.to_dict() for r in (osc, sup, init)] == \
-        [r.to_dict() for r in _forced_reports(sol, consts, w0, cyl, sampled)]
+        [r.to_dict() for r in _forced_reports(sol, consts, cyl, sampled)]
     ball = mask.ball_nodes(cyl.x0, cyl.radius)
     assert osc.params["f_norm"] == lpq_norm(
         sampled, 4.0, 4.0, cyl.t0 - cyl.window, cyl.t0, ball)
