@@ -225,31 +225,23 @@ def moment_report(kern: KernelField, tol: float = 0.05) -> EstimateReport:
     )
 
 
-def fitted_prefactor(kern: KernelField, p: float,
-                     t_hi: float | None = None) -> float:
+def fitted_prefactor(kern: KernelField, p: float) -> float:
     """Smallest C with ||Gamma(t)||_p <= C t^(-d/(2 p')) on the frames."""
     d = kern.grid.dim
     pp = reciprocal(1.0 - reciprocal(p))
     expo = 0.0 if pp == _INF else d / (2.0 * pp)
-    t = kern.times
-    sel = t > 0
-    if t_hi is not None:
-        sel &= t <= t_hi * (1 + 1e-12)
+    sel = kern.times > 0
     series = space_norm(kern.values[sel], kern.grid, p)
-    return float(np.max(series * t[sel] ** expo))
+    return float(np.max(series * kern.times[sel] ** expo))
 
 
-def fitted_moment_prefactor(kern: KernelField, eps: float,
-                            t_hi: float | None = None) -> float:
+def fitted_moment_prefactor(kern: KernelField, eps: float) -> float:
     """Smallest C with m(t) <= C t^(1/2 - eps) on the frames."""
     if not 0 < eps < 0.5:
         raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
-    t = kern.times
-    sel = t > 0
-    if t_hi is not None:
-        sel &= t <= t_hi * (1 + 1e-12)
+    sel = kern.times > 0
     m = kernel_moment(kern)[sel]
-    return float(np.max(m / t[sel] ** (0.5 - eps)))
+    return float(np.max(m / kern.times[sel] ** (0.5 - eps)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ them against measured quantities:
   its dyadic iteration tracer osc_k <= C1 * (sup + Lip) * Lambda^k.
 
 Each check bounds a :class:`RoughSolution` in its time unit a0
-(:func:`_unit_problem`).  The solver *measures* the monotonicity hypothesis
+(:func:`_unit_problem`), given only the exponents p, q and, for the two
+cylinder checks, a ball.  The solver *measures* the monotonicity hypothesis
 dw/dt >= 0 instead of enforcing it: the reported fraction of node-steps with
 negative increment is part of every run report.
 """
@@ -280,26 +281,29 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
 # measured norms over cylinders
 
 
-def _unit_problem(sol: RoughSolution, consts: ConstantsBundle,
-                  cyl: ParabolicCylinder | None = None):
-    """``sol``, ``consts`` and ``cyl`` in the time unit a0, the one place
-    a0 enters the rough checks.  The change of variable s = t/a0 turns
-    a dw/dt - lap w = f with a0 <= a <= c0 a0 into (a/a0) dw/ds - lap w = f,
-    whose coefficient lies in [1, c0]: the frames and a Trajectory forcing
-    move to the times t/a0, ``cyl`` to t0/a0 with shape beta/a0, and the
-    constants to those at a0 = 1 (``sol.coeff`` keeps a0).  Raises
-    ParameterError unless the bundle's d, a0 and c0 are the solve's."""
+def _unit_problem(sol: RoughSolution, p: float, q: float):
+    """``sol`` in its time unit a0 and the constants of that problem, the
+    one place a0 enters the rough checks.  The change of variable s = t/a0
+    turns a dw/dt - lap w = f, a0 <= a <= c0 a0, into (a/a0) dw/ds - lap w
+    = f: the frames and a Trajectory forcing move to the times t/a0
+    (``sol.coeff`` keeps a0), and the constants to (d, p, q, 1, c0)."""
     traj, f, a0 = sol.traj, sol.forcing, sol.coeff.a0
-    want = (traj.grid.dim, a0, sol.coeff.c0)
-    if (consts.d, consts.a0, consts.c0) != want:
-        raise ParameterError(f"the bundle's (d, a0, c0) must be {want}")
     if isinstance(f, Trajectory):
         f = Trajectory(f.mask, f.times / a0, f.values)
-    if cyl is not None:
-        cyl = replace(cyl, t0=cyl.t0 / a0, shape=cyl.shape / a0)
     traj = Trajectory(traj.mask, traj.times / a0, traj.values)
-    unit = explicit_constants(consts.d, consts.p, consts.q, 1.0, consts.c0)
-    return replace(sol, traj=traj, forcing=f), unit, cyl
+    consts = explicit_constants(traj.grid.dim, p, q, 1.0, sol.coeff.c0)
+    return replace(sol, traj=traj, forcing=f), consts
+
+
+def _fits(traj: Trajectory, window: float, required: bool = False) -> bool:
+    """Whether a window of this length from frame 0, or back from the last
+    frame, lies within the frame times (with the slack of Trajectory.window);
+    DomainError instead of False if ``required``."""
+    fits = window <= traj.times[-1] - traj.times[0] + 1e-9 * max(1.0, window)
+    if required and not fits:
+        raise DomainError(f"the cylinder window beta R^2 = {window:.6g} is "
+                          f"longer than the run, in the time unit a0")
+    return fits
 
 
 def _forcing_norm(sol: RoughSolution, consts: ConstantsBundle, t_lo, t_hi,
@@ -318,21 +322,21 @@ def _forcing_norm(sol: RoughSolution, consts: ConstantsBundle, t_lo, t_hi,
     return lpq_norm(frames, consts.p, consts.q, t_lo, t_hi, nodes)
 
 
-def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
-                            consts: ConstantsBundle,
+def oscillation_decay_check(sol: RoughSolution, p: float, q: float,
+                            center, radius: float,
                             kernel_prefactor: float | None = None) -> EstimateReport:
     """Quarter-cylinder oscillation against (1 - delta) plus the forcing term.
 
-    The solution is rescaled to [0, 1] on the outer cylinder, so the bound
-    reads osc_quarter/osc_full <= 1 - delta + C_{f,R} R^gamma ||f|| / osc_full
+    The cylinder (T - beta R^2, T] x B(center, R) ends at the last frame T.
+    The solution is rescaled to [0, 1] on it, so the bound reads
+    osc_quarter/osc_full <= 1 - delta + C_{f,R} R^gamma ||f|| / osc_full
     (+ 1e-12 of float slack in the printed rhs; details print C_{f,R}).
     """
-    sol, consts, cyl = _unit_problem(sol, consts, cyl)
+    sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
-    if abs(cyl.shape - consts.beta) > 1e-12 * max(1.0, consts.beta):
-        raise ParameterError("cylinder shape must equal beta from the bundle")
+    cyl = ParabolicCylinder(traj.times[-1], center, radius, consts.beta)
+    _fits(traj, cyl.window, required=True)
     osc_full = oscillation(traj, cyl)
-    quarter = cyl.shrink(4.0)
     scale = max(1.0, lpq_norm(traj, _INF, _INF))
     if osc_full <= 1e-12 * scale:
         return EstimateReport(
@@ -340,7 +344,7 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
             params={"R": cyl.radius, "degenerate": True,
                     "time_unit": sol.coeff.a0},
             grid=traj.grid.record(), details={"osc_full": osc_full})
-    osc_quarter = oscillation(traj, quarter)
+    osc_quarter = oscillation(traj, cyl.shrink(4.0))
     lhs = osc_quarter / osc_full
     rhs = 1.0 - consts.delta
     details = {"osc_full": osc_full, "osc_quarter": osc_quarter,
@@ -363,12 +367,12 @@ def oscillation_decay_check(sol: RoughSolution, cyl: ParabolicCylinder,
     )
 
 
-def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
+def supremum_bound_check(sol: RoughSolution, p: float, q: float,
                          kernel_prefactor: float = 1.0) -> EstimateReport:
     """||w||_inf <= K1 C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf,
     with ||w||_inf measured over the frames in (t0, T] (every frame if
     there is only one); the printed rhs is bound (1 + 1e-9) + 1e-12."""
-    sol, consts, _ = _unit_problem(sol, consts)
+    sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
     t_lo = traj.times[0] if traj.n_frames > 1 else None
@@ -389,45 +393,46 @@ def supremum_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     )
 
 
-def initial_oscillation_check(sol: RoughSolution, consts: ConstantsBundle,
-                              cyl: ParabolicCylinder, eps: float,
+def initial_oscillation_check(sol: RoughSolution, p: float, q: float,
+                              center, radius: float, eps: float,
                               moment_prefactor: float,
                               kernel_prefactor: float) -> EstimateReport:
-    """osc over (t0, t0 + beta R^2] x B(x0,R) vs K2 R^(1-2eps) Lip + K3 R^gamma ||f||,
-    printed as bound (1 + 1e-9) + 1e-12."""
-    sol, consts, cyl = _unit_problem(sol, consts, cyl)
+    """osc over [t0, t0 + beta R^2] x B(center, R), t0 the first frame, vs
+    K2 R^(1-2eps) Lip + K3 R^gamma ||f||, as bound (1 + 1e-9) + 1e-12."""
+    sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
-    horizon = float(traj.times[-1] - traj.times[0])
-    k2 = k2_constant(consts, eps, horizon, moment_prefactor)
-    k3 = k3_constant(consts, kernel_prefactor)
     t0 = float(traj.times[0])
-    idx = traj.window(t0, t0 + cyl.window)
-    nodes = traj.mask.ball_nodes(cyl.x0, cyl.radius)
+    k2 = k2_constant(consts, eps, traj.times[-1] - t0, moment_prefactor)
+    k3 = k3_constant(consts, kernel_prefactor)
+    window = consts.beta * radius ** 2
+    _fits(traj, window, required=True)
+    idx = traj.window(t0, t0 + window)
+    nodes = traj.mask.ball_nodes(center, radius)
     if idx.size == 0 or not nodes.any():
         raise DomainError("initial cylinder selects nothing")
     block = traj.values[np.ix_(np.r_[0, idx], nodes)]   # w_init is frame 0
     measured = float(block.max() - block.min())
     lip = lipschitz_norm(sol.w_init)
-    f_norm = _forcing_norm(sol, consts, t0, t0 + cyl.window, nodes)
-    bound = (k2 * cyl.radius ** (1.0 - 2.0 * eps) * lip
-             + k3 * cyl.radius ** consts.gamma * f_norm)
+    f_norm = _forcing_norm(sol, consts, t0, t0 + window, nodes)
+    bound = (k2 * radius ** (1.0 - 2.0 * eps) * lip
+             + k3 * radius ** consts.gamma * f_norm)
     return EstimateReport(
         check="initial_oscillation",
         lhs=measured, rhs=bound * (1 + 1e-9) + 1e-12,
-        params={"K2": k2, "K3": k3, "eps": eps, "R": cyl.radius,
+        params={"K2": k2, "K3": k3, "eps": eps, "R": radius,
                 "time_unit": sol.coeff.a0},
         grid=traj.grid.record(),
         details={"w_init_lip": lip, "f_norm": f_norm},
     )
 
 
-def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
+def holder_bound_check(sol: RoughSolution, p: float, q: float,
                        c_star: float | None = None) -> EstimateReport:
     """Interpolation-form Hoelder bound [w]_alpha <= C* core, gated by
     :func:`~difflab.report.fit_constant` plus 1e-12 (C* fitted when c_star
     is None); the constant at alpha_practical is fitted in either mode.
     """
-    sol, consts, _ = _unit_problem(sol, consts)
+    sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
     alpha = consts.alpha
     lip = lipschitz_norm(sol.w_init)
@@ -463,7 +468,7 @@ def holder_bound_check(sol: RoughSolution, consts: ConstantsBundle,
     )
 
 
-def iteration_tracer_check(sol: RoughSolution, consts: ConstantsBundle,
+def iteration_tracer_check(sol: RoughSolution, p: float, q: float,
                            kernel_prefactor: float = 1.0,
                            moment_prefactor: float = 1.0,
                            r0: float = 1.0,
@@ -472,10 +477,11 @@ def iteration_tracer_check(sol: RoughSolution, consts: ConstantsBundle,
     over cylinders of radius R_f 4^-k around the end time and the mean node
     against bound_k = C1 (sup + Lip) Lambda^k.  The lhs is the worst ratio
     osc_k / (bound_k (1 + 1e-9) + 1e-12), the rhs 1.  A rung is kept only
-    while its radius spans two mesh widths and its window two frame gaps;
-    a tracer that keeps none raises DomainError.
+    while its radius spans two mesh widths and its window two frame gaps,
+    and if its window fits in the run; a tracer that keeps none raises
+    DomainError.
     """
-    sol, consts, _ = _unit_problem(sol, consts)
+    sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
     w_sup = lpq_norm(traj, _INF, _INF)
     lip = lipschitz_norm(sol.w_init)
@@ -494,13 +500,15 @@ def iteration_tracer_check(sol: RoughSolution, consts: ConstantsBundle,
         cyl_k = ParabolicCylinder(t_end, center, radius, consts.beta)
         if radius < 2 * traj.grid.h or cyl_k.window < 2 * last_gap:
             break
+        if not _fits(traj, cyl_k.window):
+            continue
         osc_k = oscillation(traj, cyl_k)
         bound_k = c1 * (w_sup + lip) * lam ** k
         rungs.append({"k": k, "radius": radius, "osc": osc_k, "bound": bound_k,
                       "ratio": osc_k / (bound_k * (1 + 1e-9) + 1e-12)})
     if not rungs:
-        raise DomainError("Hoelder tracer keeps no rung: the first cylinder "
-                          "is under two mesh widths or two frame gaps")
+        raise DomainError("Hoelder tracer keeps no rung: none spans two "
+                          "mesh widths and two frame gaps inside the run")
     return EstimateReport(
         check="iteration_tracer",
         lhs=max(row["ratio"] for row in rungs), rhs=1.0,

@@ -39,7 +39,6 @@ ALLOWED_FIXED = {
     ("iteration_tracer_check", "moment_prefactor"): _HOLDER,
     ("iteration_tracer_check", "r0"): _HOLDER,
     ("iteration_tracer_check", "eps"): _HOLDER,
-    ("fitted_moment_prefactor", "t_hi"): _HOLDER,
     ("kernel_evolve", "record_times"): "the exact-time frames of the "
                                        "semigroup and symmetry tests",
     ("ball_mask", "boundary"): "Dirichlet balls; ball_mask itself is in "

@@ -329,10 +329,10 @@ def test_gaussian_lower_bound_rejects_misplaced_source():
 
 def test_fitted_prefactors_positive_and_deterministic():
     kern = kernel_evolve(_box(1.0, 33, 2), (0.5, 0.5), 0.2, n_frames=64)
-    c1 = fitted_prefactor(kern, 2.0, t_hi=0.2)
-    c2 = fitted_prefactor(kern, 2.0, t_hi=0.2)
+    c1 = fitted_prefactor(kern, 2.0)
+    c2 = fitted_prefactor(kern, 2.0)
     assert c1 > 0 and c1 == c2
-    m1 = fitted_moment_prefactor(kern, 0.25, t_hi=0.2)
+    m1 = fitted_moment_prefactor(kern, 0.25)
     assert m1 > 0
     # the fit dominates the measured series on the window it was fit on
     idx = kern.times > 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from difflab import (ConstantsBundle, DomainError, Field, GridSpec,
-                     ParabolicCylinder, ParameterError, RoughCoefficient,
+                     ParameterError, RoughCoefficient,
                      Trajectory, alpha_practical, explicit_constants,
                      fitted_prefactor,
                      fitted_moment_prefactor, forcing_constant, full_mask,
@@ -370,22 +370,20 @@ def test_coefficient_sandwich():
 # estimate checks
 
 
-def _rough_run(seed=42, n=33, t_end=0.06, forcing=None):
+def _rough_run(seed=42, n=33, t_end=0.06, forcing=None, a0=1.0):
+    """A 2-D run whose coefficient lies in [a0, 2 a0]."""
     rng = np.random.default_rng(seed)
     mask = full_mask(GridSpec.make((1.0, 1.0), n))
-    consts = explicit_constants(2, INF, INF, 1.0, 2.0)
-    a = Field(mask, 1.0 + rng.random(mask.active_count))
+    a = Field(mask, a0 * (1.0 + rng.random(mask.active_count)))
     w0 = Field(mask, 0.5 + 0.5 * rng.random(mask.active_count))
-    sol = solve_rough(w0, RoughCoefficient(a, 1.0, 2.0), forcing=forcing,
+    sol = solve_rough(w0, RoughCoefficient(a, a0, 2.0), forcing=forcing,
                       t_end=t_end, n_frames=129)
-    cyl = ParabolicCylinder(t0=t_end, x0=(0.5, 0.5), radius=0.3,
-                            shape=consts.beta)
-    return sol, consts, w0, cyl
+    return sol, w0
 
 
 def test_oscillation_decay_unforced():
-    sol, consts, w0, cyl = _rough_run()
-    rep = oscillation_decay_check(sol, cyl, consts)
+    sol, w0 = _rough_run()
+    rep = oscillation_decay_check(sol, INF, INF, (0.5, 0.5), 0.3)
     assert rep.passed
     assert rep.lhs <= rep.rhs
     # the quarter-cylinder oscillation really is much smaller here
@@ -393,8 +391,8 @@ def test_oscillation_decay_unforced():
 
 
 def test_supremum_bound_unforced_is_exact():
-    sol, consts, w0, _ = _rough_run()
-    rep = supremum_bound_check(sol, consts)
+    sol, w0 = _rough_run()
+    rep = supremum_bound_check(sol, INF, INF)
     assert rep.passed
     assert rep.lhs <= np.max(np.abs(w0.values)) + 1e-12
 
@@ -403,11 +401,10 @@ def test_supremum_bound_forced_saturates():
     # f = 1, a = 1, w0 = 0 up to T = 1 gives sup w = 1.0 exactly, and the
     # p = q = inf bound 1 * T^(gamma/2) matches it
     mask = full_mask(GridSpec.make((1.0,), 33))
-    consts = explicit_constants(1, INF, INF, 1.0, 1.0)
     w0 = Field.constant(mask, 0.0)
     sol = solve_rough(w0, RoughCoefficient(1.0, 1.0, 1.0), forcing=1.0,
                       t_end=1.0, n_frames=17)
-    rep = supremum_bound_check(sol, consts)
+    rep = supremum_bound_check(sol, INF, INF)
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, abs=1e-12)
     # the printed rhs is the gated bound: 1 with its float slack
@@ -425,29 +422,28 @@ def test_supremum_bound_holds_for_the_exact_solution_at_any_a0(shape, a0,
     # with a0 < 1
     t_end = 0.1
     mask = full_mask(GridSpec.make((1.0,) * len(shape), shape))
-    consts = explicit_constants(len(shape), p, q, a0, 1.0)
     w0 = Field.constant(mask, 0.0)
     sol = solve_rough(w0, RoughCoefficient(a0, a0, 1.0), forcing=1.0,
                       t_end=t_end, n_frames=33)
-    rep = supremum_bound_check(sol, consts)
+    rep = supremum_bound_check(sol, p, q)
     assert rep.lhs == pytest.approx(t_end / a0, rel=1e-12)
     assert rep.passed
     if p == INF:            # met with equality, up to the printed slack
         assert rep.rhs == pytest.approx(t_end / a0, rel=2e-9)
 
 
-# the five rough checks, each on a solution, its bundle and a cylinder of
-# shape beta (read by the two that take one)
+# the five rough checks, each on a solution and its exponents (p, q), the
+# two cylinder checks on the ball of radius 0.4 around (0.5, 0.5)
 ROUGH_CHECKS = {
-    "oscillation_decay": lambda sol, consts, cyl: oscillation_decay_check(
-        sol, cyl, consts, kernel_prefactor=0.5),
-    "supremum_bound": lambda sol, consts, cyl: supremum_bound_check(
-        sol, consts, kernel_prefactor=0.5),
-    "initial_oscillation": lambda sol, consts, cyl: initial_oscillation_check(
-        sol, consts, cyl, 0.25, 1.0, 0.5),
-    "holder_bound": lambda sol, consts, cyl: holder_bound_check(sol, consts),
-    "iteration_tracer": lambda sol, consts, cyl: iteration_tracer_check(
-        sol, consts, kernel_prefactor=0.5, r0=0.3),
+    "oscillation_decay": lambda sol, p, q: oscillation_decay_check(
+        sol, p, q, (0.5, 0.5), 0.4, kernel_prefactor=0.5),
+    "supremum_bound": lambda sol, p, q: supremum_bound_check(
+        sol, p, q, kernel_prefactor=0.5),
+    "initial_oscillation": lambda sol, p, q: initial_oscillation_check(
+        sol, p, q, (0.5, 0.5), 0.4, 0.25, 1.0, 0.5),
+    "holder_bound": lambda sol, p, q: holder_bound_check(sol, p, q),
+    "iteration_tracer": lambda sol, p, q: iteration_tracer_check(
+        sol, p, q, kernel_prefactor=0.5, r0=0.3),
 }
 
 
@@ -470,10 +466,7 @@ def test_each_rough_check_is_the_same_on_the_time_rescaled_twin(check, a0,
         f = Field(mask, 3.0 * rng.standard_normal(mask.active_count))
         sol = solve_rough(w0, RoughCoefficient(a, unit, 2.0), forcing=f,
                           t_end=0.05 * unit, n_frames=33)
-        consts = explicit_constants(2, p, q, unit, 2.0)
-        cyl = ParabolicCylinder(t0=0.05 * unit, x0=(0.5, 0.5), radius=0.4,
-                                shape=consts.beta)
-        return sol, ROUGH_CHECKS[check](sol, consts, cyl)
+        return sol, ROUGH_CHECKS[check](sol, p, q)
 
     base, rep = run(1.0)
     twin, twin_rep = run(a0)
@@ -485,18 +478,29 @@ def test_each_rough_check_is_the_same_on_the_time_rescaled_twin(check, a0,
     assert (rep.params["time_unit"], twin_rep.params["time_unit"]) == (1.0, a0)
 
 
-@pytest.mark.parametrize("check", sorted(ROUGH_CHECKS))
-def test_each_rough_check_refuses_a_bundle_for_another_problem(check):
-    # the solve is d = 2, a0 = 1, c0 = 2; a bundle off in any one of them
-    # once printed a bound for a different problem
-    sol, _, _, cyl = _rough_run(forcing=1.0)
-    for other in (explicit_constants(1, INF, INF, 1.0, 2.0),
-                  explicit_constants(2, INF, INF, 0.5, 2.0),
-                  explicit_constants(2, INF, INF, 1.0, 3.0)):
-        with pytest.raises(ParameterError,
-                           match=r"\(d, a0, c0\) must be \(2, 1.0, 2.0\)"):
-            ROUGH_CHECKS[check](sol, other,
-                                dataclasses.replace(cyl, shape=other.beta))
+# the two cylinder checks on the ball of radius 0.3 around (0.5, 0.5)
+CYLINDER_CHECKS = {
+    "oscillation_decay": lambda sol: oscillation_decay_check(
+        sol, INF, INF, (0.5, 0.5), 0.3),
+    "initial_oscillation": lambda sol: initial_oscillation_check(
+        sol, INF, INF, (0.5, 0.5), 0.3, 0.25, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("a0, t_end, fits", [
+    (1.0, 0.011, False), (1.0, 0.002, False),
+    (0.5, 0.011, True), (0.5, 0.006, True), (0.5, 0.002, False)])
+@pytest.mark.parametrize("check", sorted(CYLINDER_CHECKS))
+def test_a_cylinder_check_needs_its_cylinder_inside_the_run(check, a0,
+                                                            t_end, fits):
+    # beta R^2 = 0.1225 * 0.09 = 0.011025 in the time unit a0, so the
+    # cylinder fits a run of length t_end exactly when a0 beta R^2 <= t_end
+    sol, _ = _rough_run(t_end=t_end, a0=a0)
+    if fits:
+        assert CYLINDER_CHECKS[check](sol).passed
+    else:
+        with pytest.raises(DomainError, match="longer than the run"):
+            CYLINDER_CHECKS[check](sol)
 
 
 def test_supremum_bound_nonpositive_forcing():
@@ -511,17 +515,17 @@ def test_supremum_bound_nonpositive_forcing():
 
 
 def test_holder_bound_calibration_and_tracer():
-    sol, consts, w0, _ = _rough_run()
+    sol, w0 = _rough_run()
     kern = kernel_evolve(sol.traj.mask, (0.5, 0.5), 0.06, n_frames=33)
-    kp = fitted_prefactor(kern, 1.0, t_hi=0.06)
-    mp = fitted_moment_prefactor(kern, 0.25, t_hi=0.06)
-    rep = holder_bound_check(sol, consts)
+    kp = fitted_prefactor(kern, 1.0)
+    mp = fitted_moment_prefactor(kern, 0.25)
+    rep = holder_bound_check(sol, INF, INF)
     assert rep.passed
     assert rep.params["mode"] == "calibration"
     fitted = rep.params["c_star"] * rep.details["core"]
     assert rep.lhs == pytest.approx(fitted, rel=1e-12)    # fitted equality
     assert rep.rhs == fitted * (1 + 1e-9) + 1e-12
-    tracer = iteration_tracer_check(sol, consts, r0=0.3,
+    tracer = iteration_tracer_check(sol, INF, INF, r0=0.3,
                                     kernel_prefactor=kp, moment_prefactor=mp)
     assert tracer.passed and tracer.rhs == 1.0
     assert tracer.details["rungs"]
@@ -530,9 +534,9 @@ def test_holder_bound_calibration_and_tracer():
 
     # verification mode with headroom passes, without headroom fails
     c_star = rep.params["c_star"]
-    ver = holder_bound_check(sol, consts, c_star=1.5 * c_star)
+    ver = holder_bound_check(sol, INF, INF, c_star=1.5 * c_star)
     assert ver.passed and ver.params["mode"] == "verification"
-    bad = holder_bound_check(sol, consts, c_star=0.5 * c_star)
+    bad = holder_bound_check(sol, INF, INF, c_star=0.5 * c_star)
     assert not bad.passed
 
 
@@ -540,20 +544,19 @@ def test_holder_bound_zero_core_fails_in_calibration():
     # w_init = 0 and f = -1 give the core (||f_+|| + Lip)^... = 0 under a
     # positive seminorm: no constant is fitted, and the row must not pass
     mask = full_mask(GridSpec.make((1.0, 1.0), 33))
-    consts = explicit_constants(2, INF, INF, 1.0, 2.0)
     w0 = Field.constant(mask, 0.0)
     sol = solve_rough(w0, RoughCoefficient(1.0, 1.0, 2.0), forcing=-1.0,
                       t_end=0.06, n_frames=129)
-    rep = holder_bound_check(sol, consts)
+    rep = holder_bound_check(sol, INF, INF)
     assert rep.details["core"] == 0.0 and rep.lhs > 0.1
     assert not rep.passed and rep.margin < 0
 
 
 def test_iteration_tracer_rung_over_its_bound_fails(monkeypatch):
     import difflab.rough as rough
-    sol, consts, w0, _ = _rough_run()
+    sol, w0 = _rough_run()
     monkeypatch.setattr(rough, "iteration_c1", lambda *args: 1e-6)
-    rep = iteration_tracer_check(sol, consts, r0=0.3)
+    rep = iteration_tracer_check(sol, INF, INF, r0=0.3)
     over = [row for row in rep.details["rungs"] if row["ratio"] > 1.0]
     assert over and rep.lhs == max(row["ratio"] for row in over)
     assert not rep.passed and rep.rhs == 1.0
@@ -562,17 +565,32 @@ def test_iteration_tracer_rung_over_its_bound_fails(monkeypatch):
 def test_holder_bound_empty_tracer_raises():
     # r0 far under a mesh width shrinks the first cylinder below two mesh
     # widths, so every rung is skipped; an empty tracer checks nothing
-    sol, consts, w0, _ = _rough_run()
+    sol, w0 = _rough_run()
     with pytest.raises(DomainError, match="no rung"):
-        iteration_tracer_check(sol, consts, r0=1e-4)
+        iteration_tracer_check(sol, INF, INF, r0=1e-4)
+
+
+def test_iteration_tracer_keeps_no_rung_that_starts_before_frame_0():
+    # unforced, R_f = r0 = 1: rung 0's window beta = 0.1225 is longer than
+    # the run (0.06), and rung 1's 0.1225/16 fits
+    sol, w0 = _rough_run()
+    rep = iteration_tracer_check(sol, INF, INF, r0=1.0)
+    assert rep.details["R_f"] == 1.0
+    assert [row["k"] for row in rep.details["rungs"]][0] == 1
+    # one step of 1e-4 is a single frame gap, which no rung spanning two
+    # gaps fits in
+    short, _ = _rough_run(t_end=1e-4)
+    with pytest.raises(DomainError, match="no rung"):
+        iteration_tracer_check(short, INF, INF, r0=1.0)
 
 
 def test_initial_oscillation_check_smoke():
-    sol, consts, w0, cyl = _rough_run()
+    sol, w0 = _rough_run()
     kern = kernel_evolve(sol.traj.mask, (0.5, 0.5), 0.06, n_frames=33)
-    kp = fitted_prefactor(kern, 1.0, t_hi=0.06)
-    mp = fitted_moment_prefactor(kern, 0.25, t_hi=0.06)
-    rep = initial_oscillation_check(sol, consts, cyl, 0.25, mp, kp)
+    kp = fitted_prefactor(kern, 1.0)
+    mp = fitted_moment_prefactor(kern, 0.25)
+    rep = initial_oscillation_check(sol, INF, INF, (0.5, 0.5), 0.3, 0.25,
+                                    mp, kp)
     assert rep.passed
     assert rep.lhs <= rep.rhs
     assert np.isfinite(rep.rhs)
@@ -586,42 +604,45 @@ def _forced_run_4_4():
     """A 2-D run at (p, q) = (4, 4) under a sign-changing Field forcing."""
     rng = np.random.default_rng(11)
     mask = full_mask(GridSpec.make((1.0, 1.0), 17))
-    consts = explicit_constants(2, 4.0, 4.0, 1.0, 2.0)
     f = Field(mask, rng.standard_normal(mask.active_count))
     w0 = Field(mask, rng.random(mask.active_count))
     sol = solve_rough(w0, RoughCoefficient(1.0, 1.0, 2.0), forcing=f,
                       t_end=0.05, n_frames=17)
-    cyl = ParabolicCylinder(t0=0.05, x0=(0.5, 0.5), radius=0.3,
-                            shape=consts.beta)
-    return sol, consts, cyl, f
+    return sol, f
 
 
-def _forced_reports(sol, consts, cyl, forcing):
+# the ball of the cylinder checks and the window beta R^2 of its cylinders
+BALL = ((0.5, 0.5), 0.3)
+WINDOW = explicit_constants(2, 4.0, 4.0, 1.0, 2.0).beta * BALL[1] ** 2
+
+
+def _forced_reports(sol, forcing):
     """The three forced checks of ``sol`` read with ``forcing`` in place of
     the solve's own."""
     sol = dataclasses.replace(sol, forcing=forcing)
-    return [oscillation_decay_check(sol, cyl, consts, kernel_prefactor=1.0),
-            supremum_bound_check(sol, consts),
-            initial_oscillation_check(sol, consts, cyl, 0.25, 1.0, 1.0)]
+    return [oscillation_decay_check(sol, 4.0, 4.0, *BALL,
+                                    kernel_prefactor=1.0),
+            supremum_bound_check(sol, 4.0, 4.0),
+            initial_oscillation_check(sol, 4.0, 4.0, *BALL, 0.25, 1.0, 1.0)]
 
 
 def test_field_forcing_norms_equal_those_of_its_stored_frames():
     """The checks report for a Field forcing the bits of the same frame
     stored on every solution frame time, and the norms are lpq_norm's
     over each check's window and ball."""
-    sol, consts, cyl, f = _forced_run_4_4()
+    sol, f = _forced_run_4_4()
     times = sol.traj.times
     stored = Trajectory(f.mask, times, np.tile(f.values, (times.size, 1)))
-    by_field = _forced_reports(sol, consts, cyl, f)
-    by_frames = _forced_reports(sol, consts, cyl, stored)
+    by_field = _forced_reports(sol, f)
+    by_frames = _forced_reports(sol, stored)
     for a, b in zip(by_field, by_frames):
         assert a.to_dict() == b.to_dict()
     osc, sup, init = by_field
-    ball = f.mask.ball_nodes(cyl.x0, cyl.radius)
+    ball = f.mask.ball_nodes(*BALL)
     assert osc.params["f_norm"] == lpq_norm(
-        stored, 4.0, 4.0, cyl.t0 - cyl.window, cyl.t0, ball)
+        stored, 4.0, 4.0, times[-1] - WINDOW, times[-1], ball)
     assert init.details["f_norm"] == lpq_norm(
-        stored, 4.0, 4.0, times[0], times[0] + cyl.window, ball)
+        stored, 4.0, 4.0, times[0], times[0] + WINDOW, ball)
     positive = Trajectory(f.mask, times, np.maximum(stored.values, 0.0))
     assert sup.params["f_plus_norm"] == lpq_norm(positive, 4.0, 4.0,
                                                  times[0], times[-1])
@@ -632,7 +653,7 @@ def test_field_forcing_norms_equal_those_of_its_stored_frames():
 def test_trajectory_forcing_is_sampled_by_the_left_frame_rule():
     """A forcing Trajectory with its own frame times enters each solution
     frame with the frame in force at that time, as in the solver."""
-    sol, consts, cyl, f = _forced_run_4_4()
+    sol, f = _forced_run_4_4()
     rng = np.random.default_rng(12)
     mask, times = f.mask, sol.traj.times
     forcing = Trajectory(mask, np.array([0.0, 0.011, 0.0305]),
@@ -642,9 +663,9 @@ def test_trajectory_forcing_is_sampled_by_the_left_frame_rule():
     for k, t in enumerate(times):
         assert np.array_equal(rows[k], _active_at(forcing, t))
     sampled = Trajectory(mask, times, rows)
-    osc, sup, init = _forced_reports(sol, consts, cyl, forcing)
+    osc, sup, init = _forced_reports(sol, forcing)
     assert [r.to_dict() for r in (osc, sup, init)] == \
-        [r.to_dict() for r in _forced_reports(sol, consts, cyl, sampled)]
-    ball = mask.ball_nodes(cyl.x0, cyl.radius)
+        [r.to_dict() for r in _forced_reports(sol, sampled)]
+    ball = mask.ball_nodes(*BALL)
     assert osc.params["f_norm"] == lpq_norm(
-        sampled, 4.0, 4.0, cyl.t0 - cyl.window, cyl.t0, ball)
+        sampled, 4.0, 4.0, times[-1] - WINDOW, times[-1], ball)
