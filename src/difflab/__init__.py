@@ -9,17 +9,18 @@ checker, and a JSON-config experiment harness.
 from .errors import (ConfigError, DomainError, GeometryError, LabError,
                      ParameterError, PreconditionError, SamplingError,
                      SolverError, StructuralError)
-from .grid import (DomainMask, Field, GridSpec, ParabolicCylinder,
-                   Trajectory, ball_mask, full_mask, gradient,
-                   graph_domain_mask, poisson_neumann, stable_dt)
+from .grid import (DomainMask, Field, GridSpec, Trajectory, ball_mask,
+                   full_mask, gradient, graph_domain_mask, poisson_neumann,
+                   stable_dt)
 from .norms import (holder_norm, holder_norm_field, lipschitz_norm, lp_norm,
                     lpq_norm, oscillation, space_norm)
 from .kernel import (KernelField, admissible_graph_domain, domain_volume,
                      fit_power, fitted_moment_prefactor, fitted_prefactor,
                      gaussian_heat, gaussian_lower_bound_check,
                      gaussian_moment_1d, gaussian_running_sup,
-                     intermediate_regime, kernel_evolve, kernel_moment,
-                     kernel_norm_report, moment_report, source_ball_center)
+                     intermediate_regime, kernel_calibration, kernel_evolve,
+                     kernel_moment, kernel_norm_report, moment_report,
+                     source_ball_center)
 from .rough import (ConstantsBundle, RoughCoefficient, RoughSolution,
                     alpha_practical, explicit_constants, forcing_constant,
                     holder_bound_check, initial_oscillation_check,
@@ -43,7 +44,7 @@ from .interp import (BallCover, build_covering, covering_radii,
                      random_admissible_pair)
 from .report import EstimateReport, RunReport, emit, parse_report
 from .fieldio import load_trajectory, save_trajectory
-from .harness import (ExperimentConfig, kernel_calibration, preset_config,
-                      preset_names, run_experiment, run_with_refinement)
+from .harness import (ExperimentConfig, preset_config, preset_names,
+                      run_experiment, run_with_refinement)
 
 __version__ = "0.1.0"

@@ -441,25 +441,6 @@ class Trajectory:
         return idx
 
 
-@dataclass(frozen=True)
-class ParabolicCylinder:
-    """Backward space-time cylinder (t0 - shape*R^2, t0] x B(x0, R)."""
-
-    t0: float
-    x0: tuple[float, ...]
-    radius: float
-    shape: float
-
-    @property
-    def window(self) -> float:
-        return self.shape * self.radius ** 2
-
-    def shrink(self, factor: float = 4.0) -> "ParabolicCylinder":
-        """Radius divided by ``factor``; the time window shrinks by factor^2."""
-        return ParabolicCylinder(self.t0, self.x0, self.radius / factor,
-                                 self.shape)
-
-
 # ---------------------------------------------------------------------------
 # operators
 

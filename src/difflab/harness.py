@@ -7,9 +7,9 @@ read once (``system`` fields against the type of their default), so a bad
 config fails before any solve and the echo is what ran.  ``run_experiment``
 builds the grid, draws every random object from the config seed, runs the
 preset pipeline, and returns a :class:`~difflab.report.RunReport` whose
-config block embeds the resolved settings, plus the explicit-constants
-bundle for ``oscdecay``, whose window guard and calibration read it.  Reports
-are deterministic: the same config and seed produce byte-identical JSON/CSV.
+config block embeds the resolved settings and, for ``oscdecay``, the a0 = 1
+bundle its checks apply and its window guard reads.  Reports are
+deterministic: the same config and seed produce byte-identical JSON/CSV.
 
 Presets
 -------
@@ -18,9 +18,9 @@ Presets
     reports, fitted prefactors (``estimate.eps`` sets the moment one).
 ``oscdecay``
     Rough-coefficient run plus oscillation-decay and supremum checks on a
-    parabolic cylinder (optionally forced, with a forcing constant from the
-    kernel's fitted decay prefactor).  Its estimate leaves are p, q, a0, c0
-    and the cylinder radius.
+    parabolic cylinder (optionally forced; each check fits the kernel's
+    decay prefactor it applies).  Its estimate leaves are p, q, a0, c0 and
+    the cylinder radius.
 ``skt``
     Cross-diffusion pair: positivity / ceiling / clipping audits, the
     companion-variable identity residual, nu bounds, an energy balance,
@@ -54,7 +54,8 @@ from .interp import (_validate_hypotheses, cut_ball_check,
                      interpolation_check, random_admissible_pair)
 from .kernel import (fitted_moment_prefactor, fitted_prefactor,
                      kernel_evolve, kernel_norm_report, moment_report)
-from .norms import RecentCache, reciprocal
+# bound only for the benchmark span that wraps harness.kernel_calibration
+from .kernel import kernel_calibration  # noqa: F401
 from .report import EstimateReport, RunReport, emit, jsonable
 from .rough import (RoughCoefficient, explicit_constants,
                     oscillation_decay_check, solve_rough,
@@ -266,8 +267,8 @@ def _numbers(key: str, val, length: int | None) -> list:
 class ExperimentConfig:
     """Validated, fully resolved experiment configuration: each grid, time
     and estimate leaf is the attribute of its name (``n`` one count per
-    axis).  The constants bundle is built when the preset has ``a0``, and
-    the interpolation hypotheses are checked when it has ``alpha``."""
+    axis).  The a0 = 1 constants bundle is built when the preset has ``a0``,
+    and the interpolation hypotheses are checked when it has ``alpha``."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
@@ -309,7 +310,7 @@ class ExperimentConfig:
                          f"and estimate.q = {self.q:g} admit no constants "
                          f"bundle")
                 self.constants = explicit_constants(self.dim, self.p, self.q,
-                                                    self.a0, self.c0)
+                                                    1.0, self.c0)
             if "alpha" in e:
                 fault = (f"grid.dim = {self.dim}, estimate.p = {self.p:g}, "
                          f"estimate.q = {self.q:g} and estimate.alpha = "
@@ -403,25 +404,6 @@ def _positive_bumps(mask, rng, n_bumps: int, amp: float) -> Field:
     return Field(mask, 0.05 * amp + 0.5 * amp + 0.5 * vals)
 
 
-# fitted decay prefactors of the 8 most recent calibrations, matched by the
-# exact active and Dirichlet sets, h, origin, t_end and q: a batch of runs
-# on one geometry calibrates once, and a hit returns the number a miss
-# would compute, so caching cannot break determinism
-_CALIBRATIONS = RecentCache(8)
-
-
-def kernel_calibration(mask, t_end: float, q: float) -> float:
-    """Fitted decay prefactor sup_t ||G(t)||_{q'} t^{d/(2q)} of the Neumann
-    kernel from the center of ``mask``, over its frames up to ``t_end``."""
-    grid = mask.grid
-    return _CALIBRATIONS.get(
-        (mask.active, mask.dirichlet,
-         np.array((grid.h, *grid.origin, t_end, q), dtype=float)),
-        lambda: fitted_prefactor(
-            kernel_evolve(mask, grid.center, t_end, n_frames=64),
-            reciprocal(1.0 - reciprocal(q))))
-
-
 # ---------------------------------------------------------------------------
 # preset pipelines
 
@@ -456,30 +438,28 @@ def _run_heatkernel(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
 
 def _run_oscdecay(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     mask = full_mask(cfg.grid_spec())
-    cyl_window = cfg.constants.beta * cfg.radius ** 2
-    if cfg.t_end < cyl_window * (1 + 1e-9):
+    window = cfg.a0 * cfg.constants.beta * cfg.radius ** 2   # real time
+    if cfg.t_end < window * (1 + 1e-9):
         raise ConfigError(
             f"time.t_end={cfg.t_end} is shorter than the parabolic window "
-            f"beta R^2 = {cyl_window:.6g}")
+            f"a0 beta R^2 = {window:.6g}")
     sysc = cfg.system
     a_vals = cfg.a0 * (1.0 + (cfg.c0 - 1.0)
                        * rng.random(mask.active_count))
     coeff = RoughCoefficient(Field(mask, a_vals), cfg.a0, cfg.c0)
     w0 = Field(mask, 0.5 + 0.5 * _random_bumps(
         mask, rng, sysc["n_bumps"], sysc["w_amp"]))
-    forcing = prefactor = None
+    forcing = None
     if sysc["forcing"] == "random":
         f_vals = _random_bumps(mask, rng, sysc["n_bumps"], sysc["f_amp"])
         forcing = Field(mask, f_vals)
-        prefactor = kernel_calibration(mask, cyl_window / cfg.a0, cfg.q)
     elif sysc["forcing"] != "none":
         raise ConfigError("system.forcing must be 'none' or 'random'")
     sol = solve_rough(w0, coeff, forcing=forcing, t_end=cfg.t_end,
                       dt=cfg.solver_dt(), n_frames=cfg.n_frames)
     return [oscillation_decay_check(sol, cfg.p, cfg.q, mask.grid.center,
-                                    cfg.radius, kernel_prefactor=prefactor),
-            supremum_bound_check(sol, cfg.p, cfg.q,
-                                 kernel_prefactor=(prefactor or 1.0))]
+                                    cfg.radius),
+            supremum_bound_check(sol, cfg.p, cfg.q)]
 
 
 def _run_skt(cfg: ExperimentConfig, rng) -> list[EstimateReport]:

@@ -25,7 +25,7 @@ from .errors import (ParameterError, PreconditionError, SamplingError,
                      SolverError)
 from .grid import (DomainMask, GridSpec, Trajectory, graph_domain_mask, march,
                    stable_dt)
-from .norms import reciprocal, space_norm
+from .norms import RecentCache, reciprocal, space_norm
 from .report import EstimateReport
 
 _INF = float("inf")
@@ -242,6 +242,35 @@ def fitted_moment_prefactor(kern: KernelField, eps: float) -> float:
     sel = kern.times > 0
     m = kernel_moment(kern)[sel]
     return float(np.max(m / kern.times[sel] ** (0.5 - eps)))
+
+
+# the 8 most recent fits, keyed by the exact active and Dirichlet sets, h,
+# origin, span, exponent and fit: one geometry fits once, and a hit returns
+# the number a miss would compute, so caching cannot break determinism
+_CALIBRATIONS = RecentCache(8)
+
+
+def _fit_from_center(mask: DomainMask, t_end: float, fit, exponent: float):
+    """``fit`` of the kernel from the center of ``mask``, to ``t_end``."""
+    grid = mask.grid
+    key = (grid.h, *grid.origin, t_end, exponent, fit is fitted_prefactor)
+    return _CALIBRATIONS.get(
+        (mask.active, mask.dirichlet, np.array(key, dtype=float)),
+        lambda: fit(kernel_evolve(mask, grid.center, t_end, n_frames=64),
+                    exponent))
+
+
+def kernel_calibration(mask: DomainMask, t_end: float, q: float) -> float:
+    """Fitted decay prefactor sup_t ||G(t)||_{q'} t^{d/(2q)} of the Neumann
+    kernel from the center of ``mask``, over its frames up to ``t_end``."""
+    return _fit_from_center(mask, t_end, fitted_prefactor,
+                            reciprocal(1.0 - reciprocal(q)))
+
+
+def moment_calibration(mask: DomainMask, t_end: float, eps: float) -> float:
+    """Fitted moment prefactor sup_t m(t) t^(eps - 1/2) of the same kernel
+    (:func:`fitted_moment_prefactor`), over its frames up to ``t_end``."""
+    return _fit_from_center(mask, t_end, fitted_moment_prefactor, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .grid import Field, GridSpec, ParabolicCylinder, Trajectory
+from .grid import Field, GridSpec, Trajectory
 
 _INF = float("inf")
 _LEAF = 8                   # points per leaf of the pair_quotient_max tree
@@ -95,15 +95,15 @@ def lpq_norm(traj: Trajectory, p: float, q: float,
     return float(np.sum(weights * space ** p) ** (1.0 / p))
 
 
-def oscillation(traj: Trajectory, cyl: ParabolicCylinder) -> float:
-    """max - min over the backward cylinder (t0 - shape R^2, t0] x B(x0, R)."""
-    idx = traj.window(cyl.t0 - cyl.window, cyl.t0)
-    if idx.size == 0:
-        raise DomainError("cylinder time window contains no frames")
-    nodes = traj.mask.ball_nodes(cyl.x0, cyl.radius)
+def oscillation(traj: Trajectory, frames: np.ndarray,
+                nodes: np.ndarray) -> float:
+    """max - min of ``traj`` over the frame indices ``frames`` and the
+    boolean ``nodes``; DomainError if either selects nothing."""
+    if frames.size == 0:
+        raise DomainError("the time window contains no frames")
     if not nodes.any():
-        raise DomainError("cylinder ball contains no active nodes")
-    block = traj.values[np.ix_(idx, nodes)]
+        raise DomainError("the node set contains no active nodes")
+    block = traj.values[np.ix_(frames, nodes)]
     return float(block.max() - block.min())
 
 

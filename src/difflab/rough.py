@@ -6,16 +6,17 @@ constants; this module computes those constants in closed form and compares
 them against measured quantities:
 
 * oscillation decay: osc over the quarter cylinder vs (1 - delta) plus a
-  forcing term with constant A times a calibrated kernel prefactor;
+  forcing term with constant A times a fitted kernel prefactor;
 * supremum bound: K1 * C * T^(1 - 1/p - d/(2q)) * ||f_+|| + ||w_init||_inf;
 * Hoelder bound with exponent alpha = min(log4(1/(1-delta)), gamma, 1/2) and
   its dyadic iteration tracer osc_k <= C1 * (sup + Lip) * Lambda^k.
 
 Each check bounds a :class:`RoughSolution` in its time unit a0
 (:func:`_unit_problem`), given only the exponents p, q and, for the two
-cylinder checks, a ball.  The solver *measures* the monotonicity hypothesis
-dw/dt >= 0 instead of enforcing it: the reported fraction of node-steps with
-negative increment is part of every run report.
+cylinder checks, a ball; it fits each kernel constant it applies itself,
+over the span its bound covers.  The solver *measures* the monotonicity
+hypothesis dw/dt >= 0 instead of enforcing it: the reported fraction of
+node-steps with negative increment is part of every run report.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .grid import Field, ParabolicCylinder, Trajectory, march, stable_dt
+from .grid import Field, Trajectory, march, stable_dt
+from .kernel import kernel_calibration, moment_calibration
 from .norms import (holder_norm, lipschitz_norm, lp_norm, lpq_norm,
                     oscillation, reciprocal)
 from .report import EstimateReport, fit_constant
@@ -278,7 +280,7 @@ def solve_rough(w_init: Field, coeff: RoughCoefficient, forcing=None,
 
 
 # ---------------------------------------------------------------------------
-# measured norms over cylinders
+# the checks
 
 
 def _unit_problem(sol: RoughSolution, p: float, q: float):
@@ -323,55 +325,55 @@ def _forcing_norm(sol: RoughSolution, consts: ConstantsBundle, t_lo, t_hi,
 
 
 def oscillation_decay_check(sol: RoughSolution, p: float, q: float,
-                            center, radius: float,
-                            kernel_prefactor: float | None = None) -> EstimateReport:
+                            center, radius: float) -> EstimateReport:
     """Quarter-cylinder oscillation against (1 - delta) plus the forcing term.
 
     The cylinder (T - beta R^2, T] x B(center, R) ends at the last frame T.
     The solution is rescaled to [0, 1] on it, so the bound reads
     osc_quarter/osc_full <= 1 - delta + C_{f,R} R^gamma ||f|| / osc_full
-    (+ 1e-12 of float slack in the printed rhs; details print C_{f,R}).
+    (+ 1e-12 of float slack in the printed rhs), with C_{f,R} = A times the
+    kernel prefactor fitted over beta R^2; details print C_{f,R}.
     """
     sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
-    cyl = ParabolicCylinder(traj.times[-1], center, radius, consts.beta)
-    _fits(traj, cyl.window, required=True)
-    osc_full = oscillation(traj, cyl)
+    window = consts.beta * radius ** 2
+    _fits(traj, window, required=True)
+    t_end = traj.times[-1]
+    ball = traj.mask.ball_nodes(center, radius)
+    osc_full = oscillation(traj, traj.window(t_end - window, t_end), ball)
     scale = max(1.0, lpq_norm(traj, _INF, _INF))
     if osc_full <= 1e-12 * scale:
         return EstimateReport(
             check="oscillation_decay", lhs=0.0, rhs=1.0 - consts.delta,
-            params={"R": cyl.radius, "degenerate": True,
+            params={"R": radius, "degenerate": True,
                     "time_unit": sol.coeff.a0},
             grid=traj.grid.record(), details={"osc_full": osc_full})
-    osc_quarter = oscillation(traj, cyl.shrink(4.0))
+    osc_quarter = oscillation(traj, traj.window(t_end - window / 16, t_end),
+                              traj.mask.ball_nodes(center, radius / 4.0))
     lhs = osc_quarter / osc_full
     rhs = 1.0 - consts.delta
     details = {"osc_full": osc_full, "osc_quarter": osc_quarter,
                "dtw_negative_fraction": sol.dtw_negative_fraction}
-    f_norm = _forcing_norm(sol, consts, cyl.t0 - cyl.window, cyl.t0,
-                           traj.mask.ball_nodes(cyl.x0, cyl.radius))
+    f_norm = _forcing_norm(sol, consts, t_end - window, t_end, ball)
     if f_norm > 0:
-        if kernel_prefactor is None:
-            raise ParameterError(
-                "kernel_prefactor required when the forcing is nonzero")
-        c_f = forcing_constant(consts, kernel_prefactor)
-        details["forcing_constant"] = c_f
-        rhs += c_f * cyl.radius ** consts.gamma * f_norm / osc_full
+        c_f = details["forcing_constant"] = forcing_constant(
+            consts, kernel_calibration(traj.mask, window, q))
+        rhs += c_f * radius ** consts.gamma * f_norm / osc_full
     return EstimateReport(
         check="oscillation_decay",
         lhs=lhs, rhs=rhs + 1e-12,
-        params={"R": cyl.radius, "beta": consts.beta, "delta": consts.delta,
+        params={"R": radius, "beta": consts.beta, "delta": consts.delta,
                 "f_norm": f_norm, "time_unit": sol.coeff.a0},
         grid=traj.grid.record(), details=details,
     )
 
 
-def supremum_bound_check(sol: RoughSolution, p: float, q: float,
-                         kernel_prefactor: float = 1.0) -> EstimateReport:
+def supremum_bound_check(sol: RoughSolution, p: float,
+                         q: float) -> EstimateReport:
     """||w||_inf <= K1 C T^(1 - 1/p - d/(2q)) ||f_+|| + ||w_init||_inf,
     with ||w||_inf measured over the frames in (t0, T] (every frame if
-    there is only one); the printed rhs is bound (1 + 1e-9) + 1e-12."""
+    there is only one) and C, fitted over T - t0 when ||f_+|| > 0; the
+    printed rhs is bound (1 + 1e-9) + 1e-12."""
     sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
     horizon = float(traj.times[-1] - traj.times[0])
@@ -379,41 +381,44 @@ def supremum_bound_check(sol: RoughSolution, p: float, q: float,
     fp_norm = _forcing_norm(sol, consts, traj.times[0], traj.times[-1],
                             positive=True)
     expo = 1.0 - reciprocal(consts.p) - consts.d * reciprocal(consts.q) / 2.0
-    bound = (consts.K1 * kernel_prefactor * horizon ** expo
-             * fp_norm + lp_norm(sol.w_init, _INF))
+    params = {"K1": consts.K1, "horizon": horizon, "f_plus_norm": fp_norm,
+              "time_unit": sol.coeff.a0}
+    bound = lp_norm(sol.w_init, _INF)
+    if fp_norm > 0:
+        c = params["kernel_prefactor"] = kernel_calibration(traj.mask,
+                                                            horizon, q)
+        bound = consts.K1 * c * horizon ** expo * fp_norm + bound
     measured = lpq_norm(traj, _INF, _INF, t_lo)
     return EstimateReport(
         check="supremum_bound",
         lhs=measured, rhs=bound * (1 + 1e-9) + 1e-12,
-        params={"K1": consts.K1, "kernel_prefactor": kernel_prefactor,
-                "horizon": horizon, "f_plus_norm": fp_norm,
-                "time_unit": sol.coeff.a0},
-        grid=traj.grid.record(),
+        params=params, grid=traj.grid.record(),
         details={"dtw_negative_fraction": sol.dtw_negative_fraction},
     )
 
 
 def initial_oscillation_check(sol: RoughSolution, p: float, q: float,
-                              center, radius: float, eps: float,
-                              moment_prefactor: float,
-                              kernel_prefactor: float) -> EstimateReport:
+                              center, radius: float,
+                              eps: float) -> EstimateReport:
     """osc over [t0, t0 + beta R^2] x B(center, R), t0 the first frame, vs
-    K2 R^(1-2eps) Lip + K3 R^gamma ||f||, as bound (1 + 1e-9) + 1e-12."""
+    K2 R^(1-2eps) Lip + K3 R^gamma ||f||, as bound (1 + 1e-9) + 1e-12, the
+    moment fit of K2 over T - t0 and the kernel fit of K3 over beta R^2."""
     sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
     t0 = float(traj.times[0])
-    k2 = k2_constant(consts, eps, traj.times[-1] - t0, moment_prefactor)
-    k3 = k3_constant(consts, kernel_prefactor)
+    horizon = traj.times[-1] - t0
     window = consts.beta * radius ** 2
     _fits(traj, window, required=True)
     idx = traj.window(t0, t0 + window)
+    if idx.size == 0:
+        raise DomainError("the initial window holds no frame after frame 0")
     nodes = traj.mask.ball_nodes(center, radius)
-    if idx.size == 0 or not nodes.any():
-        raise DomainError("initial cylinder selects nothing")
-    block = traj.values[np.ix_(np.r_[0, idx], nodes)]   # w_init is frame 0
-    measured = float(block.max() - block.min())
+    measured = oscillation(traj, np.r_[0, idx], nodes)  # w_init is frame 0
     lip = lipschitz_norm(sol.w_init)
     f_norm = _forcing_norm(sol, consts, t0, t0 + window, nodes)
+    k2 = k2_constant(consts, eps, horizon,
+                     moment_calibration(traj.mask, horizon, eps))
+    k3 = k3_constant(consts, kernel_calibration(traj.mask, window, q))
     bound = (k2 * radius ** (1.0 - 2.0 * eps) * lip
              + k3 * radius ** consts.gamma * f_norm)
     return EstimateReport(
@@ -469,46 +474,49 @@ def holder_bound_check(sol: RoughSolution, p: float, q: float,
 
 
 def iteration_tracer_check(sol: RoughSolution, p: float, q: float,
-                           kernel_prefactor: float = 1.0,
-                           moment_prefactor: float = 1.0,
                            r0: float = 1.0,
                            eps: float = 0.25) -> EstimateReport:
     """Dyadic iteration tracer behind the Hoelder bound: osc_k, k = 0..5,
     over cylinders of radius R_f 4^-k around the end time and the mean node
-    against bound_k = C1 (sup + Lip) Lambda^k.  The lhs is the worst ratio
-    osc_k / (bound_k (1 + 1e-9) + 1e-12), the rhs 1.  A rung is kept only
-    while its radius spans two mesh widths and its window two frame gaps,
-    and if its window fits in the run; a tracer that keeps none raises
-    DomainError.
+    against bound_k = C1 (sup + Lip) Lambda^k, C1 from the kernel and
+    moment prefactors fitted over the horizon T - t0.  The lhs is the worst
+    ratio osc_k / (bound_k (1 + 1e-9) + 1e-12), the rhs 1.  A rung is kept
+    only while its radius spans two mesh widths and its window two frame
+    gaps, and if its window fits in the run; a tracer that keeps none
+    raises DomainError.
     """
     sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
+    lam = iteration_lambda(consts, eps)
     w_sup = lpq_norm(traj, _INF, _INF)
     lip = lipschitz_norm(sol.w_init)
     t0, t_end = float(traj.times[0]), float(traj.times[-1])
     f_norm = _forcing_norm(sol, consts, t0, t_end)
-    k2 = k2_constant(consts, eps, t_end - t0, moment_prefactor)
-    c1 = iteration_c1(consts, k2, k3_constant(consts, kernel_prefactor),
-                      forcing_constant(consts, kernel_prefactor), r0, eps)
-    lam = iteration_lambda(consts, eps)
     rf = shrunk_radius(consts, r0, f_norm, w_sup, lip)
     center = tuple(traj.mask.node_coords().mean(axis=0))
     rungs = []
     last_gap = traj.frame_weights()[-1]   # tracer cylinders end at t_end
     for k in range(6):
         radius = rf * 4.0 ** (-k)
-        cyl_k = ParabolicCylinder(t_end, center, radius, consts.beta)
-        if radius < 2 * traj.grid.h or cyl_k.window < 2 * last_gap:
+        window = consts.beta * radius ** 2
+        if radius < 2 * traj.grid.h or window < 2 * last_gap:
             break
-        if not _fits(traj, cyl_k.window):
-            continue
-        osc_k = oscillation(traj, cyl_k)
-        bound_k = c1 * (w_sup + lip) * lam ** k
-        rungs.append({"k": k, "radius": radius, "osc": osc_k, "bound": bound_k,
-                      "ratio": osc_k / (bound_k * (1 + 1e-9) + 1e-12)})
+        if _fits(traj, window):
+            rungs.append({"k": k, "radius": radius, "osc": oscillation(
+                traj, traj.window(t_end - window, t_end),
+                traj.mask.ball_nodes(center, radius))})
     if not rungs:
         raise DomainError("Hoelder tracer keeps no rung: none spans two "
                           "mesh widths and two frame gaps inside the run")
+    horizon = t_end - t0
+    k2 = k2_constant(consts, eps, horizon,
+                     moment_calibration(traj.mask, horizon, eps))
+    kp = kernel_calibration(traj.mask, horizon, q)
+    c1 = iteration_c1(consts, k2, k3_constant(consts, kp),
+                      forcing_constant(consts, kp), r0, eps)
+    for row in rungs:
+        row["bound"] = c1 * (w_sup + lip) * lam ** row["k"]
+        row["ratio"] = row["osc"] / (row["bound"] * (1 + 1e-9) + 1e-12)
     return EstimateReport(
         check="iteration_tracer",
         lhs=max(row["ratio"] for row in rungs), rhs=1.0,

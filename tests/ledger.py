@@ -1,7 +1,7 @@
 """The verdict ledger: one row per check of every preset at seeds 0-2, with
 the experiment, seed, check, both printed sides and the verdict, then the
 two checks of the ``interp`` benchmark's geometry and of a forced
-``oscdecay`` at a0 = 1/2, each at seeds 0-2.
+``oscdecay`` at a0 = 1/2, at q = inf and at q = 4, each at seeds 0-2.
 
     PYTHONPATH=src python tests/ledger.py
 
@@ -62,14 +62,18 @@ def bench_interp_rows() -> list[list]:
 
 def oscdecay_time_unit_rows() -> list[list]:
     """``oscdecay`` under its random forcing at ``estimate.a0`` = 1/2: the
-    rows that read the time unit a0."""
+    rows that read the time unit a0, at the preset's q = inf and at q = 4,
+    where the kernel prefactor each check fits depends on its span."""
     out = []
-    for seed in SEEDS:
-        report = run_experiment({"experiment": "oscdecay", "seed": seed,
-                                 "estimate": {"a0": 0.5},
-                                 "system": {"forcing": "random"}})
-        out += [["oscdecay_forced_a0_half", seed, c.check, float(c.lhs),
-                 float(c.rhs), bool(c.passed)] for c in report.checks]
+    for name, estimate in (("oscdecay_forced_a0_half", {"a0": 0.5}),
+                           ("oscdecay_forced_a0_half_q4",
+                            {"a0": 0.5, "q": 4})):
+        for seed in SEEDS:
+            report = run_experiment({"experiment": "oscdecay", "seed": seed,
+                                     "estimate": estimate,
+                                     "system": {"forcing": "random"}})
+            out += [[name, seed, c.check, float(c.lhs), float(c.rhs),
+                     bool(c.passed)] for c in report.checks]
     return out
 
 

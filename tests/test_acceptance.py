@@ -46,8 +46,7 @@ from difflab import (
     space_norm,
     structural_checks,
 )
-from difflab.harness import (_positive_bumps, _random_bumps,
-                             kernel_calibration, run_experiment)
+from difflab.harness import _positive_bumps, _random_bumps, run_experiment
 from difflab.kernel import fit_power, intermediate_regime
 from test_rough import CONSTANTS_ORACLE, ORACLE_RTOL
 
@@ -163,14 +162,13 @@ def test_criterion_04_gaussian_comparison():
 # -- criterion 5: oscillation decay over randomized rough runs ---------------
 
 
-def _osc_case(mask, seed, forcing=None, prefactor=None):
+def _osc_case(mask, seed, forcing=None):
     rng = np.random.default_rng(seed)
     a = Field(mask, 1.0 + rng.random(mask.active_count))
     w0 = Field(mask, 0.5 + 0.5 * _random_bumps(mask, rng, 6, 1.0))
     sol = solve_rough(w0, RoughCoefficient(a, 1.0, 2.0), forcing=forcing,
                       t_end=0.06, n_frames=129)
-    return oscillation_decay_check(sol, INF, INF, mask.grid.center, 0.3,
-                                   kernel_prefactor=prefactor)
+    return oscillation_decay_check(sol, INF, INF, mask.grid.center, 0.3)
 
 
 def test_criterion_05_oscillation_decay():
@@ -182,15 +180,13 @@ def test_criterion_05_oscillation_decay():
         unforced += _osc_case(m1, 10_000 + s).passed
         unforced += _osc_case(m2, 20_000 + s).passed
 
-    # calibrated over the 2-D cylinder's window beta R^2
-    beta = explicit_constants(2, INF, INF, 1.0, 2.0).beta
-    prefactor = kernel_calibration(m2, beta * 0.09, INF)
+    # each forced case fits its kernel prefactor over the 2-D cylinder's
+    # window beta R^2
     forced = 0
     for s in range(100):
         rng = np.random.default_rng(30_000 + s)
         f = Field(m2, _random_bumps(m2, rng, 6, 1.0))
-        forced += _osc_case(m2, 30_000 + s, forcing=f,
-                            prefactor=prefactor).passed
+        forced += _osc_case(m2, 30_000 + s, forcing=f).passed
     ok = unforced == 100 and forced == 100
     _verdict(5, "oscillation decay (100 free + 100 forced)", ok,
              f"{unforced}/100 unforced, {forced}/100 forced",

@@ -35,8 +35,6 @@ ALLOWED_FIXED = {
                                  "branch its tests pin",
     ("emit", "include_timing"): "the wall-time block of a run profile",
     ("holder_bound_check", "c_star"): _HOLDER,
-    ("iteration_tracer_check", "kernel_prefactor"): _HOLDER,
-    ("iteration_tracer_check", "moment_prefactor"): _HOLDER,
     ("iteration_tracer_check", "r0"): _HOLDER,
     ("iteration_tracer_check", "eps"): _HOLDER,
     ("kernel_evolve", "record_times"): "the exact-time frames of the "

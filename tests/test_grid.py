@@ -8,8 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage
 
 from difflab import (DomainError, DomainMask, Field, GeometryError, GridSpec,
-                     ParabolicCylinder, ParameterError, Trajectory,
-                     ball_mask,
+                     ParameterError, Trajectory, ball_mask,
                      full_mask, gradient, graph_domain_mask, holder_norm,
                      holder_norm_field, lipschitz_norm,
                      lp_norm, lpq_norm, oscillation, poisson_neumann,
@@ -645,7 +644,7 @@ def test_node_lookup():
 
 
 # ---------------------------------------------------------------------------
-# trajectories and cylinders
+# trajectories
 
 
 def _ramp_trajectory(n=17, frames=9):
@@ -680,15 +679,6 @@ def test_trajectory_window_half_open():
     idx = traj.window(0.2, 0.5)
     assert np.allclose(traj.times[idx], [0.3, 0.4, 0.5], atol=1e-12)
     assert traj.window(1.0, 2.0).size == 0
-
-
-def test_parabolic_cylinder_shrink():
-    cyl = ParabolicCylinder(t0=1.0, x0=(0.5,), radius=0.2, shape=0.245)
-    assert cyl.window == pytest.approx(0.245 * 0.04)
-    small = cyl.shrink(4.0)
-    assert small.radius == pytest.approx(0.05)
-    assert small.window == pytest.approx(cyl.window / 16.0)
-    assert small.t0 == cyl.t0
 
 
 # ---------------------------------------------------------------------------
@@ -815,15 +805,15 @@ def test_a_repeated_frame_is_normed_to_the_bits_of_stored_frames():
 def test_oscillation_constant_and_linear():
     traj = _ramp_trajectory(n=33, frames=5)
     flat = Trajectory(traj.mask, traj.times, np.ones_like(traj.values))
-    cyl = ParabolicCylinder(t0=0.4, x0=(0.4,), radius=0.2, shape=1.0)
-    assert oscillation(flat, cyl) == 0.0
+    ball = traj.mask.ball_nodes((0.4,), 0.2)
+    assert oscillation(flat, traj.window(0.4 - 0.2 ** 2, 0.4), ball) == 0.0
 
-    # w = t + x over B(0.4, 0.2) in one time frame's worth of slack
+    # w = t + x over (0.35, 0.4] x B(0.4, 0.2): one time frame's worth of
+    # slack
     lin = Trajectory(traj.mask, traj.times, traj.values)
-    one_frame = ParabolicCylinder(t0=0.4, x0=(0.4,), radius=0.2,
-                                  shape=0.05 / 0.04)
     h = traj.grid.h
-    assert oscillation(lin, one_frame) == pytest.approx(0.4, abs=h)
+    assert oscillation(lin, traj.window(0.35, 0.4), ball) == \
+        pytest.approx(0.4, abs=h)
 
 
 def test_oscillation_matches_brute_force():
@@ -832,22 +822,24 @@ def test_oscillation_matches_brute_force():
     times = 0.05 * np.arange(9)
     vals = rng.standard_normal((9, mask.active_count))
     traj = Trajectory(mask, times, vals)
-    cyl = ParabolicCylinder(t0=0.31, x0=(0.45, 0.55), radius=0.24,
-                            shape=1.3)
+    t0, window = 0.31, 1.3 * 0.24 ** 2
     pts = mask.node_coords()
     inside = np.hypot(pts[:, 0] - 0.45, pts[:, 1] - 0.55) <= 0.24
-    t_in = (times > cyl.t0 - cyl.window + 1e-12) & (times <= cyl.t0 + 1e-12)
+    t_in = (times > t0 - window + 1e-12) & (times <= t0 + 1e-12)
     block = vals[np.ix_(t_in, inside)]
-    assert oscillation(traj, cyl) == pytest.approx(
-        block.max() - block.min(), abs=0)
+    assert oscillation(traj, traj.window(t0 - window, t0),
+                       mask.ball_nodes((0.45, 0.55), 0.24)) == \
+        pytest.approx(block.max() - block.min(), abs=0)
 
 
 def test_oscillation_empty_cylinder_raises():
     traj = _ramp_trajectory()
-    with pytest.raises(DomainError):
-        oscillation(traj, ParabolicCylinder(-1.0, (0.5,), 0.2, 1.0))
-    with pytest.raises(DomainError):
-        oscillation(traj, ParabolicCylinder(0.4, (9.0,), 0.01, 1.0))
+    with pytest.raises(DomainError, match="no frames"):
+        oscillation(traj, traj.window(-1.04, -1.0),
+                    traj.mask.ball_nodes((0.5,), 0.2))
+    with pytest.raises(DomainError, match="no active nodes"):
+        oscillation(traj, traj.window(0.4 - 1e-4, 0.4),
+                    traj.mask.ball_nodes((9.0,), 0.01))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from difflab import (
     admissible_graph_domain,
     ball_mask,
     full_mask,
+    kernel_calibration,
     kernel_evolve,
     load_trajectory,
     parse_report,
@@ -33,7 +34,6 @@ from difflab import (
 )
 from difflab import harness
 from difflab.cli import main
-from difflab.norms import RecentCache
 from difflab.harness import (
     ExperimentConfig,
     preset_config,
@@ -254,6 +254,39 @@ def test_only_oscdecay_builds_and_echoes_the_constants_bundle():
         assert ("constants" in cfg.echo()) == (name == "oscdecay"), name
     assert "gamma" in ExperimentConfig(
         {"experiment": "oscdecay", "seed": 0}).echo()["constants"]
+
+
+def _forced_oscdecay_at_a0_half():
+    """The preset forced at estimate.q = 4 and a0 = 1/2, with its config."""
+    cfg = ExperimentConfig({"experiment": "oscdecay", "seed": 0,
+                            "estimate": {"a0": 0.5, "q": 4},
+                            "system": {"forcing": "random"}})
+    return cfg, run_experiment(cfg)
+
+
+def test_forced_oscdecay_supremum_applies_the_kernel_fit_over_its_horizon():
+    # the bound integrates over (0, t_end], t_end/a0 = 0.12 in the time unit
+    # a0; the fit over the cylinder window beta R^2 it applied before was
+    # 0.4494
+    cfg, report = _forced_oscdecay_at_a0_half()
+    sup = report.checks[1]
+    assert sup.check == "supremum_bound" and sup.passed
+    mask = full_mask(cfg.grid_spec())
+    assert sup.params["kernel_prefactor"] == \
+        kernel_calibration(mask, cfg.t_end / cfg.a0, 4.0)
+    assert sup.params["kernel_prefactor"] == pytest.approx(0.5796, abs=1e-4)
+
+
+def test_oscdecay_echoes_the_bundle_its_checks_apply():
+    # at a0 = 1/2 the echo printed the bundle at a0 (K1 1.1212, beta
+    # 0.06125) while the rows applied the one at a0 = 1 (K1 1.3333, beta
+    # 0.1225)
+    cfg, report = _forced_oscdecay_at_a0_half()
+    echo = report.to_dict()["config"]["constants"]
+    osc, sup = report.checks
+    assert (echo["K1"], echo["beta"]) == (sup.params["K1"],
+                                          osc.params["beta"])
+    assert echo["a0"] == 1.0 and cfg.a0 == 0.5
 
 
 class _ReadLog(dict):
@@ -560,20 +593,6 @@ def test_snapshot_with_unordered_or_nan_times_raises(tmp_path):
                                       np.array(bad).tobytes()))
         with pytest.raises(ParameterError, match="strictly increasing"):
             load_trajectory(path)
-
-
-def test_kernel_calibration_starts_from_the_box_center(monkeypatch):
-    """A box shifted by its origin calibrates from its own center, so it
-    fits the unshifted box's prefactor bit for bit; each call runs in a
-    fresh cache."""
-    def calibrate(origin):
-        monkeypatch.setattr(harness, "_CALIBRATIONS", RecentCache(8))
-        mask = full_mask(GridSpec.make((1.0, 1.0), 33, origin=origin))
-        return harness.kernel_calibration(mask, 0.02, 4.0)
-
-    centered = calibrate(None)
-    assert calibrate((-0.5, -0.5)) == centered
-    assert centered == pytest.approx(0.4507, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------

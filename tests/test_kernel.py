@@ -9,9 +9,11 @@ from difflab import (Field, GridSpec, ParameterError, PreconditionError,
                      fit_power, fitted_moment_prefactor, fitted_prefactor,
                      full_mask, gaussian_heat, gaussian_lower_bound_check,
                      gaussian_moment_1d, gaussian_running_sup,
-                     intermediate_regime, kernel_evolve, kernel_moment,
-                     kernel_norm_report, moment_report, source_ball_center,
-                     space_norm, stable_dt)
+                     intermediate_regime, kernel_calibration, kernel_evolve,
+                     kernel_moment, kernel_norm_report, moment_report,
+                     source_ball_center, space_norm, stable_dt)
+from difflab import kernel
+from difflab.norms import RecentCache
 from test_grid import euler_product_reference
 
 MASS_TOL = 1e-9
@@ -340,3 +342,17 @@ def test_fitted_prefactors_positive_and_deterministic():
     bound = c1 * kern.times[idx] ** (-(2.0 - 1.0) / 2.0 *
                                      (2.0 / 2.0))  # d/2 (1 - 1/p), d=2, p=2
     assert np.all(series <= bound * (1 + 1e-9))
+
+
+def test_kernel_calibration_starts_from_the_box_center(monkeypatch):
+    """A box shifted by its origin calibrates from its own center, so it
+    fits the unshifted box's prefactor bit for bit; each call runs in a
+    fresh cache."""
+    def calibrate(origin):
+        monkeypatch.setattr(kernel, "_CALIBRATIONS", RecentCache(8))
+        mask = full_mask(GridSpec.make((1.0, 1.0), 33, origin=origin))
+        return kernel_calibration(mask, 0.02, 4.0)
+
+    centered = calibrate(None)
+    assert calibrate((-0.5, -0.5)) == centered
+    assert centered == pytest.approx(0.4507, abs=1e-4)

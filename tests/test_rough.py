@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
+import difflab.rough as rough
 from difflab import (ConstantsBundle, DomainError, Field, GridSpec,
                      ParameterError, RoughCoefficient,
                      Trajectory, alpha_practical, explicit_constants,
-                     fitted_prefactor,
-                     fitted_moment_prefactor, forcing_constant, full_mask,
+                     forcing_constant, full_mask,
                      holder_bound_check, initial_oscillation_check,
                      iteration_c1, iteration_lambda, iteration_tracer_check,
-                     k2_constant, k3_constant, kernel_evolve, lpq_norm,
+                     k2_constant, k3_constant, kernel_calibration,
+                     kernel_evolve, lpq_norm,
                      oscillation_decay_check, shrunk_radius, solve_rough,
                      supremum_bound_check, unit_ball_volume)
 from difflab.rough import _active_at
@@ -436,14 +437,13 @@ def test_supremum_bound_holds_for_the_exact_solution_at_any_a0(shape, a0,
 # two cylinder checks on the ball of radius 0.4 around (0.5, 0.5)
 ROUGH_CHECKS = {
     "oscillation_decay": lambda sol, p, q: oscillation_decay_check(
-        sol, p, q, (0.5, 0.5), 0.4, kernel_prefactor=0.5),
-    "supremum_bound": lambda sol, p, q: supremum_bound_check(
-        sol, p, q, kernel_prefactor=0.5),
+        sol, p, q, (0.5, 0.5), 0.4),
+    "supremum_bound": lambda sol, p, q: supremum_bound_check(sol, p, q),
     "initial_oscillation": lambda sol, p, q: initial_oscillation_check(
-        sol, p, q, (0.5, 0.5), 0.4, 0.25, 1.0, 0.5),
+        sol, p, q, (0.5, 0.5), 0.4, 0.25),
     "holder_bound": lambda sol, p, q: holder_bound_check(sol, p, q),
     "iteration_tracer": lambda sol, p, q: iteration_tracer_check(
-        sol, p, q, kernel_prefactor=0.5, r0=0.3),
+        sol, p, q, r0=0.3),
 }
 
 
@@ -483,7 +483,7 @@ CYLINDER_CHECKS = {
     "oscillation_decay": lambda sol: oscillation_decay_check(
         sol, INF, INF, (0.5, 0.5), 0.3),
     "initial_oscillation": lambda sol: initial_oscillation_check(
-        sol, INF, INF, (0.5, 0.5), 0.3, 0.25, 1.0, 1.0),
+        sol, INF, INF, (0.5, 0.5), 0.3, 0.25),
 }
 
 
@@ -503,6 +503,78 @@ def test_a_cylinder_check_needs_its_cylinder_inside_the_run(check, a0,
             CYLINDER_CHECKS[check](sol)
 
 
+def _spy_on_the_fits(monkeypatch) -> list:
+    """Record (fit, span) for each kernel or moment fit a rough check makes,
+    in call order."""
+    calls = []
+    for name in ("kernel_calibration", "moment_calibration"):
+        def spy(mask, span, exponent, fit=getattr(rough, name), name=name):
+            calls.append((name, span))
+            return fit(mask, span, exponent)
+        monkeypatch.setattr(rough, name, spy)
+    return calls
+
+
+# each check at (p, q) = (2, 4) with the fits it makes, as (fit, span): the
+# cylinder window beta R^2 at R = 0.3, or the horizon T
+FITS = {
+    "oscillation_decay": (lambda sol: oscillation_decay_check(
+        sol, 2.0, 4.0, (0.5, 0.5), 0.3), [("kernel_calibration", "window")]),
+    "supremum_bound": (lambda sol: supremum_bound_check(sol, 2.0, 4.0),
+                       [("kernel_calibration", "horizon")]),
+    "initial_oscillation": (lambda sol: initial_oscillation_check(
+        sol, 2.0, 4.0, (0.5, 0.5), 0.3, 0.25),
+        [("moment_calibration", "horizon"), ("kernel_calibration", "window")]),
+    "iteration_tracer": (lambda sol: iteration_tracer_check(
+        sol, 2.0, 4.0, r0=0.3),
+        [("moment_calibration", "horizon"),
+         ("kernel_calibration", "horizon")]),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FITS))
+def test_each_rough_check_fits_its_kernel_constants_over_the_span_it_bounds(
+        monkeypatch, check):
+    # f = 1 at a0 = 1/2: in the time unit a0 the horizon is T = 0.12 and the
+    # window beta R^2 = 0.011025, and at q = 4 the kernel fit grows with its
+    # span (0.4494 -> 0.5796), so a wrong span moves the printed constant.
+    # No constant is passed in: a forced oscillation_decay_check without
+    # one used to raise ParameterError
+    sol, _ = _rough_run(forcing=1.0, a0=0.5)
+    mask = sol.traj.mask
+    span = {"window": explicit_constants(2, 2.0, 4.0, 1.0, 2.0).beta * 0.09,
+            "horizon": 0.06 / 0.5}
+    fit = {k: kernel_calibration(mask, t, 4.0) for k, t in span.items()}
+    assert fit["window"] < fit["horizon"]
+    calls = _spy_on_the_fits(monkeypatch)
+    run, fits = FITS[check]
+    rep = run(sol)
+    assert rep.passed
+    assert calls == [(name, span[k]) for name, k in fits]
+    consts = explicit_constants(2, 2.0, 4.0, 1.0, 2.0)
+    if check == "oscillation_decay":
+        assert rep.details["forcing_constant"] == \
+            forcing_constant(consts, fit["window"])
+    elif check == "supremum_bound":
+        assert rep.params["kernel_prefactor"] == fit["horizon"]
+    elif check == "initial_oscillation":
+        assert rep.params["K3"] == k3_constant(consts, fit["window"])
+
+
+def test_an_unforced_row_fits_no_kernel_constant(monkeypatch):
+    # ||f_+|| = 0 under f = -1: the oscillation and supremum bounds apply no
+    # kernel constant, so neither check fits or prints one
+    sol, _ = _rough_run(forcing=-1.0)
+    calls = _spy_on_the_fits(monkeypatch)
+    sup = supremum_bound_check(sol, 2.0, 4.0)
+    unforced, _ = _rough_run()
+    osc = oscillation_decay_check(unforced, 2.0, 4.0, (0.5, 0.5), 0.3)
+    assert calls == []
+    assert sup.passed and osc.passed
+    assert "kernel_prefactor" not in sup.params
+    assert "forcing_constant" not in osc.details
+
+
 def test_supremum_bound_nonpositive_forcing():
     rng = np.random.default_rng(3)
     mask = full_mask(GridSpec.make((1.0, 1.0), 25))
@@ -516,17 +588,13 @@ def test_supremum_bound_nonpositive_forcing():
 
 def test_holder_bound_calibration_and_tracer():
     sol, w0 = _rough_run()
-    kern = kernel_evolve(sol.traj.mask, (0.5, 0.5), 0.06, n_frames=33)
-    kp = fitted_prefactor(kern, 1.0)
-    mp = fitted_moment_prefactor(kern, 0.25)
     rep = holder_bound_check(sol, INF, INF)
     assert rep.passed
     assert rep.params["mode"] == "calibration"
     fitted = rep.params["c_star"] * rep.details["core"]
     assert rep.lhs == pytest.approx(fitted, rel=1e-12)    # fitted equality
     assert rep.rhs == fitted * (1 + 1e-9) + 1e-12
-    tracer = iteration_tracer_check(sol, INF, INF, r0=0.3,
-                                    kernel_prefactor=kp, moment_prefactor=mp)
+    tracer = iteration_tracer_check(sol, INF, INF, r0=0.3)
     assert tracer.passed and tracer.rhs == 1.0
     assert tracer.details["rungs"]
     assert tracer.lhs == max(row["ratio"] for row in tracer.details["rungs"])
@@ -586,11 +654,7 @@ def test_iteration_tracer_keeps_no_rung_that_starts_before_frame_0():
 
 def test_initial_oscillation_check_smoke():
     sol, w0 = _rough_run()
-    kern = kernel_evolve(sol.traj.mask, (0.5, 0.5), 0.06, n_frames=33)
-    kp = fitted_prefactor(kern, 1.0)
-    mp = fitted_moment_prefactor(kern, 0.25)
-    rep = initial_oscillation_check(sol, INF, INF, (0.5, 0.5), 0.3, 0.25,
-                                    mp, kp)
+    rep = initial_oscillation_check(sol, INF, INF, (0.5, 0.5), 0.3, 0.25)
     assert rep.passed
     assert rep.lhs <= rep.rhs
     assert np.isfinite(rep.rhs)
@@ -620,10 +684,9 @@ def _forced_reports(sol, forcing):
     """The three forced checks of ``sol`` read with ``forcing`` in place of
     the solve's own."""
     sol = dataclasses.replace(sol, forcing=forcing)
-    return [oscillation_decay_check(sol, 4.0, 4.0, *BALL,
-                                    kernel_prefactor=1.0),
+    return [oscillation_decay_check(sol, 4.0, 4.0, *BALL),
             supremum_bound_check(sol, 4.0, 4.0),
-            initial_oscillation_check(sol, 4.0, 4.0, *BALL, 0.25, 1.0, 1.0)]
+            initial_oscillation_check(sol, 4.0, 4.0, *BALL, 0.25)]
 
 
 def test_field_forcing_norms_equal_those_of_its_stored_frames():
