@@ -22,12 +22,10 @@ from .kernel import (KernelField, admissible_graph_domain, domain_volume,
                      kernel_moment, kernel_norm_report, moment_report,
                      source_ball_center)
 from .rough import (ConstantsBundle, RoughCoefficient, RoughSolution,
-                    alpha_practical, explicit_constants, forcing_constant,
-                    holder_bound_check, initial_oscillation_check,
-                    iteration_c1, iteration_lambda, iteration_tracer_check,
-                    k2_constant, k3_constant, oscillation_decay_check,
-                    shrunk_radius, solve_rough, supremum_bound_check,
-                    unit_ball_volume)
+                    explicit_constants, forcing_constant, holder_bound_check,
+                    initial_oscillation_check, k2_constant, k3_constant,
+                    oscillation_decay_check, solve_rough,
+                    supremum_bound_check, unit_ball_volume)
 from .systems import (GeneralSolution, GeneralSystemSpec, PRESET_SYSTEMS,
                       SKTAuxiliary, SKTParams, SKTSolution, general_solve,
                       lp_energy_report, nu_bounds_report, preset_p_q_2s3,

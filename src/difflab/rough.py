@@ -8,8 +8,8 @@ them against measured quantities:
 * oscillation decay: osc over the quarter cylinder vs (1 - delta) plus a
   forcing term with constant A times a fitted kernel prefactor;
 * supremum bound: K1 * C * T^(1 - 1/p - d/(2q)) * ||f_+|| + ||w_init||_inf;
-* Hoelder bound with exponent alpha = min(log4(1/(1-delta)), gamma, 1/2) and
-  its dyadic iteration tracer osc_k <= C1 * (sup + Lip) * Lambda^k.
+* Hoelder bound with exponent alpha = min(log4(1/(1-delta)), gamma, 1/2);
+* initial oscillation: K2 R^(1-2eps) Lip + K3 R^gamma ||f||.
 
 Each check bounds a :class:`RoughSolution` in its time unit a0
 (:func:`_unit_problem`), given only the exponents p, q and, for the two
@@ -104,11 +104,6 @@ def explicit_constants(d: int, p: float, q: float, a0: float,
     return ConstantsBundle(d, p, q, a0, c0, gamma, beta, delta, A, alpha, K1)
 
 
-def alpha_practical(consts: ConstantsBundle) -> float:
-    """Larger exponent used for the informational Hoelder rows."""
-    return min(consts.gamma, 0.5) / 2.0
-
-
 def forcing_constant(consts: ConstantsBundle, kernel_prefactor: float) -> float:
     """C_{f,R} = A times the calibrated kernel prefactor."""
     return consts.A * kernel_prefactor
@@ -131,32 +126,6 @@ def k3_constant(consts: ConstantsBundle, kernel_prefactor: float) -> float:
     dpq = consts.d * iq / (2.0 * ipp)
     return (2.0 * kernel_prefactor * (consts.a0 * consts.c0) ** dq2
             * (1.0 - dpq) ** (-ipp) * consts.beta ** (ipp - dq2))
-
-
-def iteration_lambda(consts: ConstantsBundle, eps: float) -> float:
-    """Per-step contraction Lambda = max(1 - delta/2, 4^-gamma, 4^(2eps-1))."""
-    if not 0 < eps < 0.5:
-        raise ParameterError("eps must lie in (0, 1/2)")
-    return max(1.0 - consts.delta / 2.0, 4.0 ** (-consts.gamma),
-               4.0 ** (-1.0 + 2.0 * eps))
-
-
-def iteration_c1(consts: ConstantsBundle, k2: float, k3: float,
-                 c_f1: float, r0: float, eps: float) -> float:
-    """C1 = max(1, K2 (4R0)^(1-2eps), K3 (4R0)^gamma, (2/delta) C_f1 R0^gamma)."""
-    return max(1.0,
-               k2 * (4.0 * r0) ** (1.0 - 2.0 * eps),
-               k3 * (4.0 * r0) ** consts.gamma,
-               (2.0 / consts.delta) * c_f1 * r0 ** consts.gamma)
-
-
-def shrunk_radius(consts: ConstantsBundle, r0: float, f_norm: float,
-                  w_sup: float, w_init_lip: float) -> float:
-    """R_f = R0 (1 + ||f|| / (||w||_inf + ||w_init||_Lip))^(-1/gamma)."""
-    denom = w_sup + w_init_lip
-    if denom <= 0:
-        return r0 if f_norm == 0 else 0.0
-    return r0 * (1.0 + f_norm / denom) ** (-1.0 / consts.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +266,13 @@ def _unit_problem(sol: RoughSolution, p: float, q: float):
     return replace(sol, traj=traj, forcing=f), consts
 
 
-def _fits(traj: Trajectory, window: float, required: bool = False) -> bool:
-    """Whether a window of this length from frame 0, or back from the last
-    frame, lies within the frame times (with the slack of Trajectory.window);
-    DomainError instead of False if ``required``."""
-    fits = window <= traj.times[-1] - traj.times[0] + 1e-9 * max(1.0, window)
-    if required and not fits:
+def _require_window(traj: Trajectory, window: float):
+    """Raise DomainError unless a window of this length from frame 0, or
+    back from the last frame, lies within the frame times (with the slack of
+    Trajectory.window)."""
+    if window > traj.times[-1] - traj.times[0] + 1e-9 * max(1.0, window):
         raise DomainError(f"the cylinder window beta R^2 = {window:.6g} is "
                           f"longer than the run, in the time unit a0")
-    return fits
 
 
 def _forcing_norm(sol: RoughSolution, consts: ConstantsBundle, t_lo, t_hi,
@@ -337,7 +304,7 @@ def oscillation_decay_check(sol: RoughSolution, p: float, q: float,
     sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
     window = consts.beta * radius ** 2
-    _fits(traj, window, required=True)
+    _require_window(traj, window)
     t_end = traj.times[-1]
     ball = traj.mask.ball_nodes(center, radius)
     osc_full = oscillation(traj, traj.window(t_end - window, t_end), ball)
@@ -408,7 +375,7 @@ def initial_oscillation_check(sol: RoughSolution, p: float, q: float,
     t0 = float(traj.times[0])
     horizon = traj.times[-1] - t0
     window = consts.beta * radius ** 2
-    _fits(traj, window, required=True)
+    _require_window(traj, window)
     idx = traj.window(t0, t0 + window)
     if idx.size == 0:
         raise DomainError("the initial window holds no frame after frame 0")
@@ -433,95 +400,30 @@ def initial_oscillation_check(sol: RoughSolution, p: float, q: float,
 
 def holder_bound_check(sol: RoughSolution, p: float, q: float,
                        c_star: float | None = None) -> EstimateReport:
-    """Interpolation-form Hoelder bound [w]_alpha <= C* core, gated by
+    """Interpolation-form Hoelder bound [w]_alpha <= C* core, with core =
+    (||f_+|| + Lip)^(1 - alpha/gamma) (||f|| + Lip)^(alpha/gamma), gated by
     :func:`~difflab.report.fit_constant` plus 1e-12 (C* fitted when c_star
-    is None); the constant at alpha_practical is fitted in either mode.
+    is None).
     """
     sol, consts = _unit_problem(sol, p, q)
     traj = sol.traj
-    alpha = consts.alpha
+    alpha, gamma = consts.alpha, consts.gamma
     lip = lipschitz_norm(sol.w_init)
     f_norm, fp_norm = (
         _forcing_norm(sol, consts, traj.times[0], traj.times[-1],
                       positive=positive) for positive in (False, True))
     lo, hi = fp_norm + lip, f_norm + lip        # ||f_+|| <= ||f||
-
-    def core(al: float) -> float:
-        g = consts.gamma
-        return lo ** (1.0 - al / g) * hi ** (al / g) if lo > 0 else 0.0
-
+    core = (lo ** (1.0 - alpha / gamma) * hi ** (alpha / gamma)
+            if lo > 0 else 0.0)
     measured = holder_norm(traj, alpha)
-    core_a = core(alpha)
     mode = "calibration" if c_star is None else "verification"
-    c_star, rhs = fit_constant(measured, core_a, c_star)
-    al_pr = alpha_practical(consts)
-    measured_pr = holder_norm(traj, al_pr)
-    c_star_practical = fit_constant(measured_pr, core(al_pr))[0]
+    c_star, rhs = fit_constant(measured, core, c_star)
     return EstimateReport(
         check="holder_bound",
         lhs=measured, rhs=rhs + 1e-12,
         params={"alpha": alpha, "c_star": c_star, "mode": mode,
                 "time_unit": sol.coeff.a0},
         grid=traj.grid.record(),
-        details={
-            "core": core_a,
-            "alpha_practical": al_pr,
-            "measured_practical": measured_pr,
-            "c_star_practical": c_star_practical,
-            "dtw_negative_fraction": sol.dtw_negative_fraction,
-        },
-    )
-
-
-def iteration_tracer_check(sol: RoughSolution, p: float, q: float,
-                           r0: float = 1.0,
-                           eps: float = 0.25) -> EstimateReport:
-    """Dyadic iteration tracer behind the Hoelder bound: osc_k, k = 0..5,
-    over cylinders of radius R_f 4^-k around the end time and the mean node
-    against bound_k = C1 (sup + Lip) Lambda^k, C1 from the kernel and
-    moment prefactors fitted over the horizon T - t0.  The lhs is the worst
-    ratio osc_k / (bound_k (1 + 1e-9) + 1e-12), the rhs 1.  A rung is kept
-    only while its radius spans two mesh widths and its window two frame
-    gaps, and if its window fits in the run; a tracer that keeps none
-    raises DomainError.
-    """
-    sol, consts = _unit_problem(sol, p, q)
-    traj = sol.traj
-    lam = iteration_lambda(consts, eps)
-    w_sup = lpq_norm(traj, _INF, _INF)
-    lip = lipschitz_norm(sol.w_init)
-    t0, t_end = float(traj.times[0]), float(traj.times[-1])
-    f_norm = _forcing_norm(sol, consts, t0, t_end)
-    rf = shrunk_radius(consts, r0, f_norm, w_sup, lip)
-    center = tuple(traj.mask.node_coords().mean(axis=0))
-    rungs = []
-    last_gap = traj.frame_weights()[-1]   # tracer cylinders end at t_end
-    for k in range(6):
-        radius = rf * 4.0 ** (-k)
-        window = consts.beta * radius ** 2
-        if radius < 2 * traj.grid.h or window < 2 * last_gap:
-            break
-        if _fits(traj, window):
-            rungs.append({"k": k, "radius": radius, "osc": oscillation(
-                traj, traj.window(t_end - window, t_end),
-                traj.mask.ball_nodes(center, radius))})
-    if not rungs:
-        raise DomainError("Hoelder tracer keeps no rung: none spans two "
-                          "mesh widths and two frame gaps inside the run")
-    horizon = t_end - t0
-    k2 = k2_constant(consts, eps, horizon,
-                     moment_calibration(traj.mask, horizon, eps))
-    kp = kernel_calibration(traj.mask, horizon, q)
-    c1 = iteration_c1(consts, k2, k3_constant(consts, kp),
-                      forcing_constant(consts, kp), r0, eps)
-    for row in rungs:
-        row["bound"] = c1 * (w_sup + lip) * lam ** row["k"]
-        row["ratio"] = row["osc"] / (row["bound"] * (1 + 1e-9) + 1e-12)
-    return EstimateReport(
-        check="iteration_tracer",
-        lhs=max(row["ratio"] for row in rungs), rhs=1.0,
-        params={"eps": eps, "r0": r0, "time_unit": sol.coeff.a0},
-        grid=traj.grid.record(),
-        details={"lambda": lam, "C1": c1, "R_f": rf, "rungs": rungs,
+        details={"core": core,
                  "dtw_negative_fraction": sol.dtw_negative_fraction},
     )

@@ -15,8 +15,6 @@ ALLOWED_UNUSED = {
     "ball_mask": "ball subdomains; the Hoelder-bound criterion will use it",
     "holder_bound_check": "the Hoelder-bound criterion is not wired in yet",
     "initial_oscillation_check": "as holder_bound_check",
-    "iteration_tracer_check": "the dyadic tracer behind holder_bound_check; "
-                              "wired in with it",
     "gaussian_moment_1d": "closed-form oracle for the kernel moment tests",
     "parse_report": "inverse of RunReport.to_json for report consumers",
 }
@@ -24,7 +22,7 @@ ALLOWED_UNUSED = {
 
 # options (defaulted parameters) that no call in the library, the benchmark
 # or an acceptance criterion passes, each with its reason
-_HOLDER = "the Hoelder trio is not wired into a preset yet"
+_HOLDER = "the Hoelder bound is not wired into a preset yet"
 _DISPATCH = ("passed by harness._general_spec through "
              "PRESET_SYSTEMS[name](**kwargs), which this guard cannot resolve")
 ALLOWED_FIXED = {
@@ -35,8 +33,6 @@ ALLOWED_FIXED = {
                                  "branch its tests pin",
     ("emit", "include_timing"): "the wall-time block of a run profile",
     ("holder_bound_check", "c_star"): _HOLDER,
-    ("iteration_tracer_check", "r0"): _HOLDER,
-    ("iteration_tracer_check", "eps"): _HOLDER,
     ("kernel_evolve", "record_times"): "the exact-time frames of the "
                                        "semigroup and symmetry tests",
     ("ball_mask", "boundary"): "Dirichlet balls; ball_mask itself is in "
@@ -124,8 +120,11 @@ def test_every_export_is_read_outside_its_definition():
     assert exported <= set(dir(difflab))
     unused = exported - used - set(ALLOWED_UNUSED)
     assert not unused, f"exported but read by nothing: {sorted(unused)}"
-    # an allowlisted name that gains a reader leaves the list
+    # an allowlisted name that gains a reader, or is no longer exported,
+    # leaves the list
     assert not set(ALLOWED_UNUSED) & used
+    assert set(ALLOWED_UNUSED) <= exported
+    assert all(reason.strip() for reason in ALLOWED_UNUSED.values())
 
 
 def test_every_option_is_passed_by_some_caller():

@@ -9,13 +9,13 @@ import pytest
 import difflab.rough as rough
 from difflab import (ConstantsBundle, DomainError, Field, GridSpec,
                      ParameterError, RoughCoefficient,
-                     Trajectory, alpha_practical, explicit_constants,
+                     Trajectory, explicit_constants,
                      forcing_constant, full_mask,
                      holder_bound_check, initial_oscillation_check,
-                     iteration_c1, iteration_lambda, iteration_tracer_check,
-                     k2_constant, k3_constant, kernel_calibration,
-                     kernel_evolve, lpq_norm,
-                     oscillation_decay_check, shrunk_radius, solve_rough,
+                     holder_norm, k2_constant, k3_constant,
+                     kernel_calibration, kernel_evolve, lipschitz_norm,
+                     lpq_norm,
+                     oscillation_decay_check, solve_rough,
                      supremum_bound_check, unit_ball_volume)
 from difflab.rough import _active_at
 from test_grid import euler_product_reference
@@ -121,19 +121,23 @@ def test_unit_ball_volume():
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
 
 
-def test_iteration_lambda_arithmetic():
-    # hand-checkable configuration: gamma = 1/2, delta = 3.4765e-4, eps = 1/4
-    c = ConstantsBundle(d=2, p=2.0, q=4.0, a0=1.0, c0=1.0, gamma=0.5,
-                        beta=0.245, delta=3.476520811331e-4, A=0.1,
-                        alpha=2.5e-4, K1=1.0)
-    lam = iteration_lambda(c, 0.25)
-    assert lam == pytest.approx(0.99983, abs=1e-5)
-    assert lam == pytest.approx(1.0 - c.delta / 2.0, rel=1e-12)
-    # for gamma = 2 the geometric factors dominate nothing either
-    c2 = explicit_constants(2, INF, INF, 1.0, 2.0)
-    lam2 = iteration_lambda(c2, 0.25)
-    assert lam2 == pytest.approx(1.0 - c2.delta / 2.0, rel=1e-12)
-    assert 0.0 < lam2 < 1.0
+def test_derived_constants_against_hand_values():
+    # a bundle whose powers come out by hand: (d, p, q) = (2, 2, 4) gives
+    # 1/p' = 1/2, d/(2q) = 1/4 and (d/2) p'/q = 1/2; beta = 1/4, a0 c0 = 16
+    c = ConstantsBundle(d=2, p=2.0, q=4.0, a0=1.0, c0=16.0, gamma=0.5,
+                        beta=0.25, delta=1e-3, A=0.375, alpha=1e-4, K1=1.0)
+    assert forcing_constant(c, 2.0) == 0.75                    # A C
+    # K2 = max(2 (T/beta)^(1/4), 2 Ctilde (beta/a0)^(1/4)) at eps = 1/4:
+    # the horizon branch 2 (4/(1/4))^(1/4) = 4 beats sqrt(2) at T = 4 ...
+    assert k2_constant(c, 0.25, 4.0, 1.0) == pytest.approx(4.0, rel=1e-15)
+    # ... and the moment branch 2 * 2 / sqrt(2) beats 1 at T = 1/64
+    assert k2_constant(c, 0.25, 1.0 / 64.0, 2.0) == pytest.approx(
+        2.0 * math.sqrt(2.0), rel=1e-15)
+    # K3 = 2 C 16^(1/4) (1/2)^(-1/2) (1/4)^(1/4) = 4 C
+    assert k3_constant(c, 0.5) == pytest.approx(2.0, rel=1e-15)
+    # at p = q = inf every power is 0 but beta's, 1: K3 = 2 C beta
+    flat = dataclasses.replace(c, p=INF, q=INF, gamma=2.0)
+    assert k3_constant(flat, 2.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_derived_constants_monotone_and_positive():
@@ -141,15 +145,44 @@ def test_derived_constants_monotone_and_positive():
     k2a = k2_constant(c, 0.25, 0.1, 1.0)
     k2b = k2_constant(c, 0.25, 0.4, 1.0)
     assert 0.0 < k2a <= k2b            # longer horizon, larger constant
-    k3 = k3_constant(c, 2.0)
-    assert k3 > 0.0
-    cf = forcing_constant(c, 2.0)
-    assert cf > 0.0
-    c1 = iteration_c1(c, k2a, k3, cf, 0.3, 0.25)
-    assert c1 >= 1.0
-    rf = shrunk_radius(c, 0.3, 0.5, 1.0, 1.0)
-    assert 0.0 < rf <= 0.3
-    assert alpha_practical(c) >= c.alpha
+    assert k3_constant(c, 2.0) > 0.0
+    assert forcing_constant(c, 2.0) > 0.0
+
+
+def test_k2_branches_meet_at_the_switch_horizon():
+    # K2 = max(2 (T/beta)^eps, m) with m = 2 Ctilde (beta/a0)^(1/2 - eps):
+    # the horizon branch reaches m at T* = beta (m/2)^(1/eps)
+    c = explicit_constants(2, 2.0, 4.0, 1.0, 2.0)
+    eps, prefactor = 0.25, 1.5
+    m = 2.0 * prefactor * (c.beta / c.a0) ** (0.5 - eps)
+    t_switch = c.beta * (m / 2.0) ** (1.0 / eps)
+    assert k2_constant(c, eps, t_switch, prefactor) == pytest.approx(
+        m, rel=1e-12)
+    # under T* the moment branch binds, whatever the horizon ...
+    for horizon in (t_switch / 2.0, t_switch / 64.0):
+        assert k2_constant(c, eps, horizon, prefactor) == m
+    # ... over it the horizon branch binds, whatever the prefactor
+    horizon = 4.0 * t_switch
+    for moment in (prefactor, prefactor / 2.0):
+        assert k2_constant(c, eps, horizon, moment) == \
+            2.0 * (horizon / c.beta) ** eps
+
+
+@pytest.mark.parametrize("p, q, c0_power, beta_power", [
+    (INF, INF, 0.0, 1.0), (2.0, 4.0, 0.25, 0.5), (4.0, 4.0, 0.25, 0.75)])
+def test_k3_scales_as_its_closed_form(p, q, c0_power, beta_power):
+    # K3 = 2 C (a0 c0)^(d/2q) (...) beta^(1/p' - d/2q) in d = 2: linear in
+    # C, a power d/2q of a0 c0 and a power 1/p' - d/2q of beta
+    c = explicit_constants(2, p, q, 1.0, 2.0)
+    k3 = k3_constant(c, 1.0)
+    assert k3_constant(c, 3.0) == pytest.approx(3.0 * k3, rel=1e-14)
+    for field in ("a0", "c0"):
+        scaled = dataclasses.replace(c, **{field: 16.0 * getattr(c, field)})
+        assert k3_constant(scaled, 1.0) == pytest.approx(
+            16.0 ** c0_power * k3, rel=1e-14)
+    scaled = dataclasses.replace(c, beta=16.0 * c.beta)
+    assert k3_constant(scaled, 1.0) == pytest.approx(
+        16.0 ** (beta_power - c0_power) * k3, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +466,7 @@ def test_supremum_bound_holds_for_the_exact_solution_at_any_a0(shape, a0,
         assert rep.rhs == pytest.approx(t_end / a0, rel=2e-9)
 
 
-# the five rough checks, each on a solution and its exponents (p, q), the
+# the four rough checks, each on a solution and its exponents (p, q), the
 # two cylinder checks on the ball of radius 0.4 around (0.5, 0.5)
 ROUGH_CHECKS = {
     "oscillation_decay": lambda sol, p, q: oscillation_decay_check(
@@ -442,8 +475,6 @@ ROUGH_CHECKS = {
     "initial_oscillation": lambda sol, p, q: initial_oscillation_check(
         sol, p, q, (0.5, 0.5), 0.4, 0.25),
     "holder_bound": lambda sol, p, q: holder_bound_check(sol, p, q),
-    "iteration_tracer": lambda sol, p, q: iteration_tracer_check(
-        sol, p, q, r0=0.3),
 }
 
 
@@ -455,9 +486,9 @@ def test_each_rough_check_is_the_same_on_the_time_rescaled_twin(check, a0,
     # (a0 a, a0 T) is the forced run (a, T) in the time unit a0: every frame
     # is bit-identical, and so is each check's lhs and rhs.  Before the
     # checks read the a0 = 1 problem, the twin moved the forced oscillation
-    # rhs x0.46-2.61, the initial-oscillation rhs x0.993-1.010 and the
-    # tracer lhs x0.25-16; without the supremum bound's time unit its rhs
-    # read 1.0809 against 1.1627 at (2, 4) and a0 = 1/2
+    # rhs x0.46-2.61 and the initial-oscillation rhs x0.993-1.010; without
+    # the supremum bound's time unit its rhs read 1.0809 against 1.1627 at
+    # (2, 4) and a0 = 1/2
     def run(unit):
         rng = np.random.default_rng(7)
         mask = full_mask(GridSpec.make((1.0, 1.0), 17))
@@ -525,10 +556,6 @@ FITS = {
     "initial_oscillation": (lambda sol: initial_oscillation_check(
         sol, 2.0, 4.0, (0.5, 0.5), 0.3, 0.25),
         [("moment_calibration", "horizon"), ("kernel_calibration", "window")]),
-    "iteration_tracer": (lambda sol: iteration_tracer_check(
-        sol, 2.0, 4.0, r0=0.3),
-        [("moment_calibration", "horizon"),
-         ("kernel_calibration", "horizon")]),
 }
 
 
@@ -586,7 +613,7 @@ def test_supremum_bound_nonpositive_forcing():
         + ORDER_TOL
 
 
-def test_holder_bound_calibration_and_tracer():
+def test_holder_bound_calibration_and_verification():
     sol, w0 = _rough_run()
     rep = holder_bound_check(sol, INF, INF)
     assert rep.passed
@@ -594,11 +621,6 @@ def test_holder_bound_calibration_and_tracer():
     fitted = rep.params["c_star"] * rep.details["core"]
     assert rep.lhs == pytest.approx(fitted, rel=1e-12)    # fitted equality
     assert rep.rhs == fitted * (1 + 1e-9) + 1e-12
-    tracer = iteration_tracer_check(sol, INF, INF, r0=0.3)
-    assert tracer.passed and tracer.rhs == 1.0
-    assert tracer.details["rungs"]
-    assert tracer.lhs == max(row["ratio"] for row in tracer.details["rungs"])
-    assert 0.0 < tracer.details["lambda"] < 1.0
 
     # verification mode with headroom passes, without headroom fails
     c_star = rep.params["c_star"]
@@ -620,36 +642,52 @@ def test_holder_bound_zero_core_fails_in_calibration():
     assert not rep.passed and rep.margin < 0
 
 
-def test_iteration_tracer_rung_over_its_bound_fails(monkeypatch):
-    import difflab.rough as rough
+def test_holder_bound_zero_core_fails_in_verification():
+    # the zero core of the calibration case gates any given C* at 1e-12
+    mask = full_mask(GridSpec.make((1.0, 1.0), 33))
+    w0 = Field.constant(mask, 0.0)
+    sol = solve_rough(w0, RoughCoefficient(1.0, 1.0, 2.0), forcing=-1.0,
+                      t_end=0.06, n_frames=129)
+    rep = holder_bound_check(sol, INF, INF, c_star=1e6)
+    assert rep.details["core"] == 0.0 and rep.rhs == 1e-12
+    assert rep.params["mode"] == "verification"
+    assert not rep.passed
+
+
+def test_holder_bound_unforced_core_is_the_lipschitz_norm():
+    # f = 0: both factors of the core are Lip w_init, so the core is Lip
     sol, w0 = _rough_run()
-    monkeypatch.setattr(rough, "iteration_c1", lambda *args: 1e-6)
-    rep = iteration_tracer_check(sol, INF, INF, r0=0.3)
-    over = [row for row in rep.details["rungs"] if row["ratio"] > 1.0]
-    assert over and rep.lhs == max(row["ratio"] for row in over)
-    assert not rep.passed and rep.rhs == 1.0
+    rep = holder_bound_check(sol, 2.0, 4.0)
+    assert rep.details["core"] == pytest.approx(lipschitz_norm(w0),
+                                                rel=1e-12)
 
 
-def test_holder_bound_empty_tracer_raises():
-    # r0 far under a mesh width shrinks the first cylinder below two mesh
-    # widths, so every rung is skipped; an empty tracer checks nothing
+@pytest.mark.parametrize("c_star", [None, 1.0])
+def test_holder_bound_reads_one_seminorm(monkeypatch, c_star):
+    calls = []
+
+    def spy(traj, alpha):
+        calls.append(alpha)
+        return holder_norm(traj, alpha)
+
+    monkeypatch.setattr(rough, "holder_norm", spy)
     sol, w0 = _rough_run()
-    with pytest.raises(DomainError, match="no rung"):
-        iteration_tracer_check(sol, INF, INF, r0=1e-4)
+    rep = holder_bound_check(sol, INF, INF, c_star=c_star)
+    assert calls == [rep.params["alpha"]]
+    assert rep.lhs == holder_norm(sol.traj, rep.params["alpha"])
 
 
-def test_iteration_tracer_keeps_no_rung_that_starts_before_frame_0():
-    # unforced, R_f = r0 = 1: rung 0's window beta = 0.1225 is longer than
-    # the run (0.06), and rung 1's 0.1225/16 fits
-    sol, w0 = _rough_run()
-    rep = iteration_tracer_check(sol, INF, INF, r0=1.0)
-    assert rep.details["R_f"] == 1.0
-    assert [row["k"] for row in rep.details["rungs"]][0] == 1
-    # one step of 1e-4 is a single frame gap, which no rung spanning two
-    # gaps fits in
-    short, _ = _rough_run(t_end=1e-4)
-    with pytest.raises(DomainError, match="no rung"):
-        iteration_tracer_check(short, INF, INF, r0=1.0)
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+@pytest.mark.parametrize("entry", ["k2_constant", "initial_oscillation"])
+def test_eps_outside_the_open_half_is_rejected(entry, eps):
+    if entry == "k2_constant":
+        c = explicit_constants(2, 2.0, 4.0, 1.0, 2.0)
+        with pytest.raises(ParameterError, match="eps"):
+            k2_constant(c, eps, 4.0, 1.0)
+    else:
+        sol, w0 = _rough_run()
+        with pytest.raises(ParameterError, match="eps"):
+            initial_oscillation_check(sol, INF, INF, (0.5, 0.5), 0.3, eps)
 
 
 def test_initial_oscillation_check_smoke():
