@@ -40,7 +40,7 @@ from .interp import (BallCover, build_covering, covering_radii,
                      cut_ball_check, default_overlap_cap,
                      interpolation_check, interpolation_theta,
                      random_admissible_pair)
-from .report import EstimateReport, RunReport, emit, parse_report
+from .report import EstimateReport, RunReport, emit
 from .fieldio import load_trajectory, save_trajectory
 from .harness import (ExperimentConfig, preset_config, preset_names,
                       run_experiment, run_with_refinement)

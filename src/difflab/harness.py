@@ -2,8 +2,9 @@
 
 A config names one of the built-in experiment presets and overrides its
 defaults.  The preset table is the schema: a preset has only the fields its
-pipeline reads, an override may only name one of them, and each field is
-read once (``system`` fields against the type of their default), so a bad
+pipeline reads, an override may only name one of them, each field is read
+once (``system`` fields against the type of their default), and a
+``system`` field this run does not read must keep its default, so a bad
 config fails before any solve and the echo is what ran.  ``run_experiment``
 builds the grid, draws every random object from the config seed, runs the
 preset pipeline, and returns a :class:`~difflab.report.RunReport` whose
@@ -25,13 +26,12 @@ Presets
     Cross-diffusion pair: positivity / ceiling / clipping audits, the
     companion-variable identity residual, nu bounds, an energy balance,
     and the one-sided interpolation usage on the convexified potential.
-``quad4``
-    Closed quadratic quartet: mass conservation, mu pinching, and the
-    collapsed-evolution identity residuals.
 ``general``
-    Triangular-network presets: structural audit, transformed residual,
-    transform consistency, and the quartet's three reports for the
-    network's own mass, mu and potential.
+    A reaction network named by ``system.name`` (the quadratic quartet
+    ``quad4`` among them): structural audit, transformed residual,
+    transform consistency, and the network's mass conservation, mu
+    pinching and potential-identity reports.  A network leaf the named
+    factory does not take keeps its default.
 ``interp``
     Random admissible pair on a ball subdomain: cut-ball ladder and the
     full covering-based interpolation check.
@@ -40,6 +40,7 @@ Presets
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import math
 import pathlib
@@ -61,8 +62,8 @@ from .rough import (RoughCoefficient, explicit_constants,
                     oscillation_decay_check, solve_rough,
                     supremum_bound_check)
 from . import systems
-from .systems import (PRESET_SYSTEMS, SKTParams, quadratic_solve,
-                      skt_auxiliary, skt_solve, structural_checks)
+from .systems import (PRESET_SYSTEMS, SKTParams, skt_auxiliary, skt_solve,
+                      structural_checks)
 
 __all__ = [
     "ExperimentConfig", "preset_config", "preset_names", "run_experiment",
@@ -108,12 +109,6 @@ _OWN = {
                    "energy_p": 2},
         "estimate": {"p": 2.0, "q": 3.0, "alpha": 0.0, "r0": 0.3,
                      "C": None},
-    },
-    "quad4": {
-        "grid": {"n": 32},
-        "time": {"t_end": 0.5, "n_frames": 33},
-        "system": {"diffusions": [1.0, 1.5, 0.5, 2.0], "amp": 1.0,
-                   "n_bumps": 4},
     },
     "general": {
         "grid": {"n": 24},
@@ -232,7 +227,8 @@ def _system(name: str, sysc: dict, dim: int) -> dict:
     an integer >= 1, or a list of numbers for a list or null default
     (_numbers).  Shapes are checked too: ``source`` is "center" or ``dim``
     numbers, and ``domain_radius`` is positive.  Pipelines check the other
-    strings."""
+    strings.  A leaf the run does not read (_unread) must keep its
+    default."""
     out = {}
     for key, default in _PRESETS[name]["system"].items():
         val = sysc[key]
@@ -247,7 +243,37 @@ def _system(name: str, sysc: dict, dim: int) -> dict:
                             strict_lo=key == "domain_radius")
         else:
             out[key] = _numbers(key, val, None)
+    for key, condition in _unread(name, out).items():
+        if out[key] != _PRESETS[name]["system"][key]:
+            raise ConfigError(f"system.{key} = {out[key]!r} is not read: it "
+                              f"is read only when {condition}")
     return out
+
+
+def _network_leaves(network: str) -> list:
+    """The ``general`` system leaves the factory of ``network`` reads: its
+    named parameters, in order."""
+    params = inspect.signature(PRESET_SYSTEMS[network]).parameters.values()
+    return [p.name for p in params
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+
+
+def _unread(name: str, sysc: dict) -> dict:
+    """The ``system`` leaves this run does not read, each with the
+    condition under which a run reads it: ``oscdecay``'s f_amp without
+    random forcing, and each network leaf of ``general`` that the named
+    factory does not take."""
+    if name == "oscdecay" and sysc["forcing"] != "random":
+        return {"f_amp": "system.forcing is 'random'"}
+    if name != "general" or sysc["name"] not in PRESET_SYSTEMS:
+        return {}
+    readers = {}
+    for network in PRESET_SYSTEMS:
+        for key in _network_leaves(network):
+            readers.setdefault(key, []).append(repr(network))
+    takes = _network_leaves(sysc["name"])
+    return {key: "system.name is " + " or ".join(networks)
+            for key, networks in readers.items() if key not in takes}
 
 
 def _numbers(key: str, val, length: int | None) -> list:
@@ -511,31 +537,15 @@ def _run_skt(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
     return checks
 
 
-def _run_quad4(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
-    mask = full_mask(cfg.grid_spec())
-    sysc = cfg.system
-    inits = [_positive_bumps(mask, rng, sysc["n_bumps"], sysc["amp"])
-             for _ in range(4)]
-    return _network_reports(quadratic_solve(
-        inits, sysc["diffusions"], cfg.t_end, dt=cfg.solver_dt(),
-        n_frames=cfg.n_frames))
-
-
-def _network_reports(sol) -> list[EstimateReport]:
-    """Mass conservation, mu pinching and the potential identities."""
-    diff = sol.spec.diffusions
-    return [systems.quad_mass_report(sol), systems.quad_mu_report(sol, diff),
-            systems.quad_identity_report(sol, diff)]
-
-
 def _general_spec(sysc: dict):
+    """The network ``system.name`` names, built from the leaves its factory
+    takes (``diffusions`` only when not null)."""
     name = sysc["name"]
     if name not in PRESET_SYSTEMS:
         raise ConfigError(f"system.name must be one of "
                           f"{sorted(PRESET_SYSTEMS)}, got {name!r}")
-    keys = {"uum": ("m", "b"), "p_q_2s3": ("sp", "sq")}.get(name, ())
-    if sysc["diffusions"] is not None:
-        keys += ("diffusions",)
+    keys = [key for key in _network_leaves(name)
+            if key != "diffusions" or sysc["diffusions"] is not None]
     return PRESET_SYSTEMS[name](**{k: sysc[k] for k in keys})
 
 
@@ -548,9 +558,12 @@ def _run_general(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
              for _ in range(spec.m)]
     sol = systems.general_solve(inits, spec, cfg.t_end, dt=cfg.solver_dt(),
                                 n_frames=cfg.n_frames)
+    diff = sol.spec.diffusions
     return [structural,
             systems.transformed_residual_report(sol),
-            systems.transform_consistency_report(sol)] + _network_reports(sol)
+            systems.transform_consistency_report(sol),
+            systems.quad_mass_report(sol), systems.quad_mu_report(sol, diff),
+            systems.quad_identity_report(sol, diff)]
 
 
 def _run_interp(cfg: ExperimentConfig, rng) -> list[EstimateReport]:
@@ -577,7 +590,6 @@ _PIPELINES = {
     "heatkernel": _run_heatkernel,
     "oscdecay": _run_oscdecay,
     "skt": _run_skt,
-    "quad4": _run_quad4,
     "general": _run_general,
     "interp": _run_interp,
 }

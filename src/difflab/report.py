@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
-
 SCHEMA = "difflab-report/1"
 
 
@@ -134,34 +132,3 @@ def emit(report: RunReport, out_dir, stem: str = "report",
     js.write_text(report.to_json(include_timing=include_timing))
     csv.write_text(report.to_csv())
     return [js, csv]
-
-
-def parse_report(text: str) -> RunReport:
-    """Inverse of :meth:`RunReport.to_json`, lhs and rhs read with ``float``;
-    malformed text or a "pass" other than lhs <= rhs raises ParameterError."""
-    try:
-        raw = json.loads(text)
-        schema = raw.get("schema") if isinstance(raw, dict) else None
-        if schema != SCHEMA:
-            raise ParameterError(f"unknown report schema: {schema!r}")
-        checks = []
-        for row in raw["checks"]:
-            rep = EstimateReport(
-                check=row["check"], lhs=float(row["lhs"]),
-                rhs=float(row["rhs"]), params=row.get("params", {}),
-                grid=row.get("grid", {}), details=row.get("details", {}))
-            if rep.passed is not row["pass"]:
-                raise ParameterError(
-                    f"{rep.check!r}: pass {row['pass']!r} != lhs <= rhs")
-            checks.append(rep)
-        return RunReport(config=raw["config"], checks=checks,
-                         wall_time=raw.get("wall_time", 0.0))
-    except ParameterError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"report is not valid JSON: {exc}") from exc
-    except KeyError as exc:
-        raise ParameterError(f"report lacks the field {exc.args[0]!r}") \
-            from exc
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"report has a malformed entry: {exc}") from exc

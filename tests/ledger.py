@@ -1,7 +1,8 @@
 """The verdict ledger: one row per check of every preset at seeds 0-2, with
 the experiment, seed, check, both printed sides and the verdict, then the
 two checks of the ``interp`` benchmark's geometry and of a forced
-``oscdecay`` at a0 = 1/2, at q = inf and at q = 4, each at seeds 0-2.
+``oscdecay`` at a0 = 1/2, at q = inf and at q = 4, and the six checks of
+``general`` running the quadratic quartet, each at seeds 0-2.
 
     PYTHONPATH=src python tests/ledger.py
 
@@ -33,7 +34,8 @@ def rows() -> list[list]:
             report = run_experiment({"experiment": name, "seed": seed})
             out += [[name, seed, c.check, float(c.lhs), float(c.rhs),
                      bool(c.passed)] for c in report.checks]
-    return out + bench_interp_rows() + oscdecay_time_unit_rows()
+    return (out + bench_interp_rows() + oscdecay_time_unit_rows()
+            + general_quad4_rows())
 
 
 def bench_interp_rows() -> list[list]:
@@ -74,6 +76,20 @@ def oscdecay_time_unit_rows() -> list[list]:
                                      "system": {"forcing": "random"}})
             out += [[name, seed, c.check, float(c.lhs), float(c.rhs),
                      bool(c.passed)] for c in report.checks]
+    return out
+
+
+def general_quad4_rows() -> list[list]:
+    """``general`` running the quadratic quartet (``system.name`` quad4)
+    on 32^2 to t = 0.5 with 33 frames."""
+    out = []
+    for seed in SEEDS:
+        report = run_experiment({"experiment": "general", "seed": seed,
+                                 "grid": {"n": 32},
+                                 "time": {"t_end": 0.5, "n_frames": 33},
+                                 "system": {"name": "quad4"}})
+        out += [["general_quad4", seed, c.check, float(c.lhs), float(c.rhs),
+                 bool(c.passed)] for c in report.checks]
     return out
 
 

@@ -451,8 +451,8 @@ def test_criterion_11_determinism():
     t0 = time.perf_counter()
     configs = [
         {"experiment": "oscdecay", "seed": 2, "grid": {"n": 25}},
-        {"experiment": "quad4", "seed": 4, "grid": {"n": 17},
-         "time": {"t_end": 0.25}},
+        {"experiment": "general", "seed": 4, "grid": {"n": 17},
+         "time": {"t_end": 0.25}, "system": {"name": "quad4"}},
         {"experiment": "interp", "seed": 6, "grid": {"n": 17}},
     ]
     ok = True

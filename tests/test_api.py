@@ -16,7 +16,6 @@ ALLOWED_UNUSED = {
     "holder_bound_check": "the Hoelder-bound criterion is not wired in yet",
     "initial_oscillation_check": "as holder_bound_check",
     "gaussian_moment_1d": "closed-form oracle for the kernel moment tests",
-    "parse_report": "inverse of RunReport.to_json for report consumers",
 }
 
 

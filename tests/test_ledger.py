@@ -1,8 +1,8 @@
-"""Every preset at seeds 0-2, the ``interp`` benchmark's geometry and a
-forced ``oscdecay`` at a0 = 1/2 (at q = inf and at q = 4), each at seeds
-0-2, prints the sides and verdicts the committed ledger holds: verdicts
-exactly, sides to a relative 1e-9, which admits last-digit moves but no
-change of a check's data.
+"""Every preset at seeds 0-2, the ``interp`` benchmark's geometry, a
+forced ``oscdecay`` at a0 = 1/2 (at q = inf and at q = 4) and ``general``
+running the quadratic quartet, each at seeds 0-2, prints the sides and
+verdicts the committed ledger holds: verdicts exactly, sides to a relative
+1e-9, which admits last-digit moves but no change of a check's data.
 
 A side that is itself at rounding level, such as ``transform_roundtrip``
 (about 1e-16) or ``quad_mass_conservation`` (about 2.6e-16), is a sum of
@@ -51,7 +51,7 @@ def test_ledger_matches_every_preset_at_seeds_0_to_2(monkeypatch):
     assert {"forcing_constant", "k2_constant", "k3_constant"} <= set(calls)
     assert {name for name, n in calls.items() if n == 0} == set(UNPINNED)
     assert all(reason.strip() for reason in UNPINNED.values())
-    assert len(committed) == 87
+    assert len(committed) == 96
     assert [r[:3] for r in fresh] == [r[:3] for r in committed]
     for new, old in zip(fresh, committed):
         where = "/".join(map(str, old[:3]))
